@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Figure 8: Precision@1 of the diffing tools against eight obfuscation
-/// configurations, averaged over T-I (SPEC) + T-II (CoreUtils). The
+/// Figure 8: Precision@1 of the diffing tools against every obfuscation
+/// mode (the paper's eight plus MBA, StrEnc, IndCall and SplitBB),
+/// averaged over T-I (SPEC) + T-II (CoreUtils). The
 /// default roster is the paper's five; `--tools` swaps in any registered
 /// backend (e.g. `--tools jtrans,orcas` for the post-paper rows). DeepBinDiff runs on the reduced suite, mirroring the
 /// paper's <40k-line restriction. Both matrices fan out over the
@@ -144,8 +145,10 @@ int main(int argc, char **argv) {
           : meanPrecision(SmallCells, Small.size(), Modes.size(),
                           HeavyTools.size());
 
-  TableRenderer Table({"tool", "Sub", "Bog", "Fla-10", "Fission", "Fusion",
-                       "FuFi.sep", "FuFi.ori", "FuFi.all"});
+  std::vector<std::string> Headers{"tool"};
+  for (size_t MI = 0; MI != Modes.size(); ++MI)
+    Headers.push_back(obfuscationModeName(Modes[MI]));
+  TableRenderer Table(std::move(Headers));
   auto AddRows = [&](const std::vector<std::string> &Names,
                      const std::vector<std::vector<double>> &Means) {
     for (size_t TI = 0; TI != Names.size(); ++TI) {

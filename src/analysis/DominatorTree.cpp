@@ -8,99 +8,150 @@
 
 #include "ir/Function.h"
 
-#include <algorithm>
 #include <cassert>
-#include <set>
+#include <utility>
 
 using namespace khaos;
 
 const std::vector<BasicBlock *> DominatorTree::Empty;
 
-static void postorderVisit(BasicBlock *BB, std::set<BasicBlock *> &Seen,
-                           std::vector<BasicBlock *> &Out) {
-  if (!Seen.insert(BB).second)
-    return;
-  for (BasicBlock *S : BB->successors())
-    postorderVisit(S, Seen, Out);
-  Out.push_back(BB);
-}
-
 DominatorTree::DominatorTree(const Function &F) : F(F) {
   if (F.blocks().empty())
     return;
 
-  // Reverse postorder from the entry.
-  std::set<BasicBlock *> Seen;
-  std::vector<BasicBlock *> Post;
-  postorderVisit(F.getEntryBlock(), Seen, Post);
-  RPO.assign(Post.rbegin(), Post.rend());
-  for (unsigned I = 0, E = RPO.size(); I != E; ++I)
-    RPONumber[RPO[I]] = I;
+  // Read every terminator once: successor lists by layout position.
+  // Successors outside F (malformed IR the verifier rejects before it
+  // builds a tree) are ignored.
+  const auto &Blocks = F.blocks();
+  const unsigned NumBlocks = static_cast<unsigned>(Blocks.size());
+  std::unordered_map<const BasicBlock *, unsigned> Layout;
+  Layout.reserve(NumBlocks);
+  for (unsigned I = 0; I != NumBlocks; ++I)
+    Layout.emplace(Blocks[I].get(), I);
+  std::vector<std::vector<unsigned>> Succs(NumBlocks);
+  for (unsigned I = 0; I != NumBlocks; ++I)
+    for (BasicBlock *S : Blocks[I]->successors()) {
+      auto It = Layout.find(S);
+      if (It != Layout.end())
+        Succs[I].push_back(It->second);
+    }
 
-  // Cooper-Harvey-Kennedy iteration.
-  BasicBlock *Entry = F.getEntryBlock();
-  IDom[Entry] = Entry;
+  // Postorder from the entry on an explicit stack, visiting successors in
+  // order with the first visit winning — exactly the recursive DFS order,
+  // so Fission's region enumeration is unchanged, without a stack frame
+  // per block.
+  std::vector<unsigned> Post;
+  std::vector<char> Seen(NumBlocks, 0);
+  std::vector<std::pair<unsigned, unsigned>> Stack; // (block, next succ)
+  Seen[0] = 1;
+  Stack.emplace_back(0, 0);
+  while (!Stack.empty()) {
+    const unsigned B = Stack.back().first;
+    unsigned &Next = Stack.back().second;
+    if (Next == Succs[B].size()) {
+      Post.push_back(B);
+      Stack.pop_back();
+      continue;
+    }
+    const unsigned S = Succs[B][Next++];
+    if (!Seen[S]) {
+      Seen[S] = 1;
+      Stack.emplace_back(S, 0);
+    }
+  }
 
-  auto Intersect = [&](BasicBlock *A, BasicBlock *B) {
+  const unsigned N = static_cast<unsigned>(Post.size());
+  std::vector<unsigned> RPOOfLayout(NumBlocks, NotReachable);
+  RPO.reserve(N);
+  RPONumber.reserve(N);
+  for (unsigned I = 0; I != N; ++I) {
+    const unsigned L = Post[N - 1 - I];
+    RPOOfLayout[L] = I;
+    RPO.push_back(Blocks[L].get());
+    RPONumber.emplace(Blocks[L].get(), I);
+  }
+
+  // Predecessor lists in RPO numbers, each reachable predecessor once, in
+  // layout order (what BasicBlock::predecessors() reports).
+  std::vector<std::vector<unsigned>> Preds(N);
+  for (unsigned L = 0; L != NumBlocks; ++L) {
+    const unsigned P = RPOOfLayout[L];
+    if (P == NotReachable)
+      continue;
+    for (unsigned S : Succs[L]) {
+      std::vector<unsigned> &SP = Preds[RPOOfLayout[S]];
+      if (SP.empty() || SP.back() != P)
+        SP.push_back(P);
+    }
+  }
+
+  // Cooper-Harvey-Kennedy iteration over RPO numbers; the entry is 0.
+  IDom.assign(N, NotReachable);
+  IDom[0] = 0;
+  auto Intersect = [&](unsigned A, unsigned B) {
     while (A != B) {
-      while (RPONumber[A] > RPONumber[B])
+      while (A > B)
         A = IDom[A];
-      while (RPONumber[B] > RPONumber[A])
+      while (B > A)
         B = IDom[B];
     }
     return A;
   };
-
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    for (BasicBlock *BB : RPO) {
-      if (BB == Entry)
-        continue;
-      BasicBlock *NewIDom = nullptr;
-      for (BasicBlock *P : BB->predecessors()) {
-        if (!RPONumber.count(P) || !IDom.count(P))
-          continue; // Unreachable or unprocessed predecessor.
-        NewIDom = NewIDom ? Intersect(NewIDom, P) : P;
+    for (unsigned I = 1; I != N; ++I) {
+      unsigned NewIDom = NotReachable;
+      for (unsigned P : Preds[I]) {
+        if (IDom[P] == NotReachable)
+          continue; // Not processed yet.
+        NewIDom = NewIDom == NotReachable ? P : Intersect(NewIDom, P);
       }
-      assert(NewIDom && "reachable block without processed predecessor");
-      auto It = IDom.find(BB);
-      if (It == IDom.end() || It->second != NewIDom) {
-        IDom[BB] = NewIDom;
+      assert(NewIDom != NotReachable &&
+             "reachable block without processed predecessor");
+      if (IDom[I] != NewIDom) {
+        IDom[I] = NewIDom;
         Changed = true;
       }
     }
   }
 
-  // Entry's IDom is conventionally null; build children lists.
-  IDom[Entry] = nullptr;
-  for (BasicBlock *BB : RPO)
-    if (BasicBlock *D = IDom[BB])
-      Children[D].push_back(BB);
+  // Children lists, and preorder intervals for O(1) dominance queries. A
+  // block's immediate dominator precedes it in RPO, so one backward sweep
+  // sizes every subtree and one forward sweep places each child's interval
+  // after its earlier siblings'.
+  Children.resize(N);
+  for (unsigned I = 1; I != N; ++I)
+    Children[IDom[I]].push_back(RPO[I]);
+  Size.assign(N, 1);
+  for (unsigned I = N - 1; I != 0; --I)
+    Size[IDom[I]] += Size[I];
+  In.assign(N, 0);
+  std::vector<unsigned> NextSlot(N, 1);
+  for (unsigned I = 1; I != N; ++I) {
+    In[I] = NextSlot[IDom[I]];
+    NextSlot[IDom[I]] += Size[I];
+    NextSlot[I] = In[I] + 1;
+  }
 }
 
 BasicBlock *DominatorTree::getIDom(const BasicBlock *BB) const {
-  auto It = IDom.find(BB);
-  return It == IDom.end() ? nullptr : It->second;
+  unsigned I = rpoNumber(BB);
+  return I == NotReachable || I == 0 ? nullptr : RPO[IDom[I]];
 }
 
 bool DominatorTree::dominates(const BasicBlock *A,
                               const BasicBlock *B) const {
-  if (!isReachable(A) || !isReachable(B))
+  unsigned IA = rpoNumber(A), IB = rpoNumber(B);
+  if (IA == NotReachable || IB == NotReachable)
     return false;
-  const BasicBlock *Cur = B;
-  while (Cur) {
-    if (Cur == A)
-      return true;
-    Cur = getIDom(Cur);
-  }
-  return false;
+  return In[IA] <= In[IB] && In[IB] < In[IA] + Size[IA];
 }
 
 const std::vector<BasicBlock *> &
 DominatorTree::getChildren(const BasicBlock *BB) const {
-  auto It = Children.find(BB);
-  return It == Children.end() ? Empty : It->second;
+  unsigned I = rpoNumber(BB);
+  return I == NotReachable ? Empty : Children[I];
 }
 
 std::vector<BasicBlock *>

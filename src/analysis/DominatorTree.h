@@ -9,13 +9,17 @@
 /// ("A Simple, Fast Dominance Algorithm"). Fission's region identification
 /// (paper Algorithm 1) enumerates dominator-tree subtrees as candidate
 /// regions, because a subtree is single-entry and can become a function.
+/// The IR verifier checks cross-block uses against it, so it is built for
+/// every verified function: construction scans each terminator once, no
+/// traversal recurses (long SplitBB-style block chains cannot overflow the
+/// stack), and dominates() is O(1) via dominator-tree preorder intervals.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_ANALYSIS_DOMINATORTREE_H
 #define KHAOS_ANALYSIS_DOMINATORTREE_H
 
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 namespace khaos {
@@ -32,13 +36,14 @@ public:
   const Function &getFunction() const { return F; }
 
   bool isReachable(const BasicBlock *BB) const {
-    return RPONumber.count(BB) != 0;
+    return rpoNumber(BB) != NotReachable;
   }
 
   /// Immediate dominator; null for the entry block and unreachable blocks.
   BasicBlock *getIDom(const BasicBlock *BB) const;
 
-  /// True when \p A dominates \p B (reflexively).
+  /// True when \p A dominates \p B (reflexively). False when either block
+  /// is unreachable.
   bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
   /// Children of \p BB in the dominator tree.
@@ -52,11 +57,23 @@ public:
   const std::vector<BasicBlock *> &getRPO() const { return RPO; }
 
 private:
+  static constexpr unsigned NotReachable = ~0u;
+
+  /// Position of \p BB in getRPO(), or NotReachable.
+  unsigned rpoNumber(const BasicBlock *BB) const {
+    auto It = RPONumber.find(BB);
+    return It == RPONumber.end() ? NotReachable : It->second;
+  }
+
   const Function &F;
   std::vector<BasicBlock *> RPO;
-  std::map<const BasicBlock *, unsigned> RPONumber;
-  std::map<const BasicBlock *, BasicBlock *> IDom;
-  std::map<const BasicBlock *, std::vector<BasicBlock *>> Children;
+  std::unordered_map<const BasicBlock *, unsigned> RPONumber;
+  // The per-node vectors below are indexed by RPO number.
+  std::vector<unsigned> IDom; ///< The entry maps to itself.
+  std::vector<std::vector<BasicBlock *>> Children;
+  /// Dominator-tree preorder number and subtree size: A dominates B
+  /// exactly when In[A] <= In[B] < In[A] + Size[A].
+  std::vector<unsigned> In, Size;
   static const std::vector<BasicBlock *> Empty;
 };
 

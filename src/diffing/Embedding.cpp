@@ -10,26 +10,24 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <mutex>
+#include <unordered_map>
 
 using namespace khaos;
 
-std::vector<double> khaos::tokenVector(uint64_t Token) {
-  // Cache: the token universe is tiny (opcodes + bigrams). Guarded because
-  // diffing tools run concurrently on the EvalScheduler pool; the value is
-  // a pure function of Token, so contention never changes results.
-  static std::mutex CacheMutex;
-  static std::map<uint64_t, std::vector<double>> Cache;
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Cache.find(Token);
-    if (It != Cache.end())
-      return It->second;
-  }
+namespace {
 
+/// The vector of \p Token, from this thread's memo. Vectors are pure
+/// functions of the token, so per-thread memos need no lock and can never
+/// disagree; the references stay valid for the thread's lifetime
+/// (unordered_map never moves its elements).
+const std::vector<double> &memoizedTokenVector(uint64_t Token) {
+  thread_local std::unordered_map<uint64_t, std::vector<double>> Memo;
+  auto [It, Inserted] = Memo.try_emplace(Token);
+  std::vector<double> &V = It->second;
+  if (!Inserted)
+    return V;
   RNG Rng(Token * 0x9e3779b97f4a7c15ull + 0x1234);
-  std::vector<double> V(EmbeddingDim);
+  V.resize(EmbeddingDim);
   double Norm = 0.0;
   for (double &X : V) {
     X = Rng.nextDouble() * 2.0 - 1.0;
@@ -39,14 +37,18 @@ std::vector<double> khaos::tokenVector(uint64_t Token) {
   if (Norm > 0)
     for (double &X : V)
       X /= Norm;
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Cache[Token] = V;
   return V;
+}
+
+} // namespace
+
+std::vector<double> khaos::tokenVector(uint64_t Token) {
+  return memoizedTokenVector(Token);
 }
 
 void khaos::accumulateToken(std::vector<double> &Acc, uint64_t Token,
                             double Scale) {
-  std::vector<double> V = tokenVector(Token);
+  const std::vector<double> &V = memoizedTokenVector(Token);
   if (Acc.size() != V.size())
     Acc.assign(V.size(), 0.0);
   for (unsigned I = 0; I != EmbeddingDim; ++I)

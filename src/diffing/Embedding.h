@@ -26,9 +26,17 @@ namespace khaos {
 constexpr unsigned EmbeddingDim = 32;
 
 /// Deterministic pseudo-random vector for a token id.
+///
+/// Vectors are memoized per thread: each thread computes a token's vector
+/// the first time it sees the token and reads its own memo after that.
+/// There is no lock and no state shared between threads, so diffing tools
+/// running on every EvalScheduler worker never contend here, and since a
+/// vector is a pure function of its token every thread gets bit-identical
+/// values. A thread's memo lives until the thread exits.
 std::vector<double> tokenVector(uint64_t Token);
 
-/// Adds Scale * tokenVector(Token) into \p Acc.
+/// Adds Scale * tokenVector(Token) into \p Acc, reading the memoized
+/// vector in place (no copy, no allocation once \p Acc is sized).
 void accumulateToken(std::vector<double> &Acc, uint64_t Token,
                      double Scale = 1.0);
 

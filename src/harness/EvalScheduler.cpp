@@ -242,18 +242,18 @@ void EvalScheduler::forEachCellTask(
     const std::vector<Workload> &Workloads,
     const std::vector<ObfuscationMode> &Modes, size_t NumTools,
     const std::function<void(const EvalTask &)> &Fn) const {
+  // Tool-major: every cell's tool 0, then every cell's tool 1, ... The
+  // first N workers then build N different cells' image pairs instead of
+  // N-1 of them parking on one cell's single-flight build, and later
+  // tools find the images cached. Result slots are keyed by (cell, tool),
+  // so the order cannot change any output.
   std::vector<EvalCell> Cells = ownedCells(Workloads, Modes);
-  std::vector<EvalTask> Tasks;
-  Tasks.reserve(Cells.size() * NumTools);
-  for (const EvalCell &C : Cells)
-    for (size_t TI = 0; TI != NumTools; ++TI) {
-      EvalTask T;
-      T.Cell = C;
-      T.ToolIdx = TI;
-      T.TaskIdx = C.FlatIdx * NumTools + TI;
-      Tasks.push_back(T);
-    }
-  runPool(Tasks.size(), [&](size_t I) { Fn(Tasks[I]); });
+  runPool(Cells.size() * NumTools, [&](size_t I) {
+    EvalTask T;
+    T.Cell = Cells[I % Cells.size()];
+    T.ToolIdx = I / Cells.size();
+    Fn(T);
+  });
 }
 
 std::vector<EvalScheduler::CellCompilation>
@@ -557,9 +557,10 @@ EvalScheduler::confoundMatrix(const std::vector<Workload> &Workloads,
   std::vector<uint8_t> CellOk(NumCells, 0);
   ArtifactStore::Snapshot Before = Pipe->store().stats();
 
+  // Tool-major, as in forEachCellTask.
   runPool(Cells.size() * NumTools, [&](size_t I) {
-    const CCell &C = Cells[I / NumTools];
-    const size_t TI = I % NumTools;
+    const CCell &C = Cells[I % Cells.size()];
+    const size_t TI = I / Cells.size();
     if (remote()) {
       std::unique_ptr<EvalClient> Client = acquireClient();
       EvalRequest Req;

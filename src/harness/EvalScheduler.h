@@ -60,7 +60,6 @@ struct EvalCell {
 struct EvalTask {
   EvalCell Cell;
   size_t ToolIdx = 0; ///< Position in the tool list.
-  size_t TaskIdx = 0; ///< Cell.FlatIdx * NumTools + ToolIdx.
 };
 
 /// Derives the per-cell seed from the run's base seed, the workload's name
@@ -181,7 +180,9 @@ public:
                    const std::function<void(const EvalCell &)> &Fn) const;
 
   /// Runs \p Fn over the (owned cell × tool index) task plane — the unit
-  /// benches use when per-tool work dominates per-cell work.
+  /// benches use when per-tool work dominates per-cell work. Tasks are
+  /// handed out tool-major: every owned cell's ToolIdx-0 task, then every
+  /// ToolIdx-1 task, and so on.
   void forEachCellTask(const std::vector<Workload> &Workloads,
                        const std::vector<ObfuscationMode> &Modes,
                        size_t NumTools,

@@ -372,7 +372,7 @@ bool EvalServer::start(std::string &Err) {
   }
   ListenFd = S;
   Stopping.store(false);
-  Acceptor = std::thread([this] { acceptLoop(); });
+  Acceptor = std::thread([this, S] { acceptLoop(S); });
   return true;
 }
 
@@ -380,13 +380,16 @@ void EvalServer::stop() {
   if (ListenFd < 0)
     return;
   Stopping.store(true);
-  // Closing the listen socket pops the acceptor out of accept(); closing
-  // the connection sockets pops every serving thread out of its read.
+  // Shutting the listen socket down pops the acceptor out of accept(); it
+  // is closed only after the acceptor has exited, so the acceptor never
+  // races this thread for ListenFd or accepts on a recycled descriptor.
+  // Shutting the connection sockets down pops every serving thread out
+  // of its read.
   ::shutdown(ListenFd, SHUT_RDWR);
-  ::close(ListenFd);
-  ListenFd = -1;
   if (Acceptor.joinable())
     Acceptor.join();
+  ::close(ListenFd);
+  ListenFd = -1;
   std::vector<std::thread> Threads;
   {
     std::lock_guard<std::mutex> Lock(ConnM);
@@ -405,13 +408,13 @@ void EvalServer::stop() {
   ::unlink(Cfg.SocketPath.c_str());
 }
 
-void EvalServer::acceptLoop() {
+void EvalServer::acceptLoop(int Fd) {
   for (;;) {
-    int Conn = ::accept(ListenFd, nullptr, nullptr);
+    int Conn = ::accept(Fd, nullptr, nullptr);
     if (Conn < 0) {
       if (errno == EINTR)
         continue;
-      return; // stop() closed the listen socket (or it failed hard).
+      return; // stop() shut the listen socket down (or it failed hard).
     }
     if (Stopping.load()) {
       ::close(Conn);

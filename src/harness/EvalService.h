@@ -206,7 +206,7 @@ public:
   uint64_t requestsServed() const { return Served.load(); }
 
 private:
-  void acceptLoop();
+  void acceptLoop(int Fd);
   void serveConnection(int ConnFd);
   EvalResponse handle(const EvalRequest &Req);
 

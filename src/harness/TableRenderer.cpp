@@ -9,6 +9,7 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 using namespace khaos;
 
@@ -16,6 +17,18 @@ TableRenderer::TableRenderer(std::vector<std::string> Headers)
     : Headers(std::move(Headers)) {}
 
 void TableRenderer::addRow(std::vector<std::string> Cells) {
+  // A short row would print blanks and a long one would lose its tail
+  // columns, both silently; either way the labels no longer match the
+  // data. Checked in every build type, not just under assertions.
+  if (Cells.size() != Headers.size()) {
+    std::fprintf(stderr,
+                 "TableRenderer: row of %zu cells under %zu headers "
+                 "(first cell '%s', first header '%s')\n",
+                 Cells.size(), Headers.size(),
+                 Cells.empty() ? "" : Cells.front().c_str(),
+                 Headers.empty() ? "" : Headers.front().c_str());
+    std::abort();
+  }
   Rows.push_back(std::move(Cells));
 }
 
@@ -24,15 +37,14 @@ std::string TableRenderer::render() const {
   for (size_t C = 0; C != Headers.size(); ++C)
     Widths[C] = Headers[C].size();
   for (const auto &Row : Rows)
-    for (size_t C = 0; C != Row.size() && C != Widths.size(); ++C)
+    for (size_t C = 0; C != Row.size(); ++C)
       Widths[C] = std::max(Widths[C], Row[C].size());
 
   auto RenderRow = [&](const std::vector<std::string> &Cells) {
     std::string Line = "|";
-    for (size_t C = 0; C != Widths.size(); ++C) {
-      std::string Cell = C < Cells.size() ? Cells[C] : "";
-      Line += " " + Cell + std::string(Widths[C] - Cell.size(), ' ') + " |";
-    }
+    for (size_t C = 0; C != Widths.size(); ++C)
+      Line += " " + Cells[C] + std::string(Widths[C] - Cells[C].size(), ' ') +
+              " |";
     return Line + "\n";
   };
 

@@ -23,6 +23,8 @@ class TableRenderer {
 public:
   explicit TableRenderer(std::vector<std::string> Headers);
 
+  /// Appends a row. Aborts with a diagnostic when the row does not have
+  /// exactly one cell per header.
   void addRow(std::vector<std::string> Cells);
   /// Renders to a string (also convenient for tests).
   std::string render() const;

@@ -6,11 +6,12 @@
 
 #include "ir/Verifier.h"
 
+#include "analysis/DominatorTree.h"
 #include "ir/Module.h"
 #include "support/StringUtils.h"
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace khaos;
 
@@ -31,15 +32,11 @@ private:
 
   void checkStructure();
   void checkInstruction(const BasicBlock *BB, const Instruction *I);
-  void computeDominators();
   void checkDominance();
-  bool dominates(const BasicBlock *A, const BasicBlock *B) const;
 
   const Function &F;
   std::vector<std::string> &Errors;
-  std::set<const BasicBlock *> BlockSet;
-  // Dominator sets (small functions; set-based iterative algorithm).
-  std::map<const BasicBlock *, std::set<const BasicBlock *>> Dom;
+  std::unordered_set<const BasicBlock *> BlockSet;
 };
 
 } // namespace
@@ -144,52 +141,19 @@ void FunctionVerifier::checkInstruction(const BasicBlock *BB,
   }
 }
 
-void FunctionVerifier::computeDominators() {
-  // Iterative set-based dominance; functions are small enough.
-  std::set<const BasicBlock *> All;
-  for (const auto &BB : F.blocks())
-    All.insert(BB.get());
-  const BasicBlock *Entry = F.getEntryBlock();
-  for (const auto &BB : F.blocks())
-    Dom[BB.get()] = BB.get() == Entry
-                        ? std::set<const BasicBlock *>{Entry}
-                        : All;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const auto &BB : F.blocks()) {
-      if (BB.get() == Entry)
-        continue;
-      std::set<const BasicBlock *> NewDom = All;
-      std::vector<BasicBlock *> Preds = BB->predecessors();
-      if (Preds.empty()) {
-        NewDom = {BB.get()}; // Unreachable block dominates only itself.
-      } else {
-        for (const BasicBlock *P : Preds) {
-          std::set<const BasicBlock *> Inter;
-          for (const BasicBlock *D : Dom[P])
-            if (NewDom.count(D))
-              Inter.insert(D);
-          NewDom = std::move(Inter);
-        }
-        NewDom.insert(BB.get());
-      }
-      if (NewDom != Dom[BB.get()]) {
-        Dom[BB.get()] = std::move(NewDom);
-        Changed = true;
-      }
-    }
-  }
-}
-
-bool FunctionVerifier::dominates(const BasicBlock *A,
-                                 const BasicBlock *B) const {
-  auto It = Dom.find(B);
-  return It != Dom.end() && It->second.count(A);
-}
-
 void FunctionVerifier::checkDominance() {
+  DominatorTree DT(F);
+  // Each instruction's position in its block, for the same-block order.
+  std::unordered_map<const Instruction *, size_t> Pos;
+  Pos.reserve(F.instructionCount());
+  for (const auto &BB : F.blocks())
+    for (size_t Idx = 0, E = BB->size(); Idx != E; ++Idx)
+      Pos.emplace(BB->getInst(Idx), Idx);
+
   for (const auto &BB : F.blocks()) {
+    // No execution reaches an unreachable block, so its cross-block uses
+    // are not dominance-checked (LLVM's rule); same-block order still is.
+    const bool Reachable = DT.isReachable(BB.get());
     for (size_t Idx = 0, E = BB->size(); Idx != E; ++Idx) {
       const Instruction *I = BB->getInst(Idx);
       for (const Value *Op : I->operands()) {
@@ -198,10 +162,10 @@ void FunctionVerifier::checkDominance() {
           continue;
         const BasicBlock *DefBB = Def->getParent();
         if (DefBB == BB.get()) {
-          if (BB->indexOf(Def) >= Idx)
+          if (Pos.find(Def)->second >= Idx)
             error(formatStr("use before def inside block '%s'",
                             BB->getName().c_str()));
-        } else if (!dominates(DefBB, BB.get())) {
+        } else if (Reachable && !DT.dominates(DefBB, BB.get())) {
           error(formatStr("use in '%s' not dominated by def in '%s'",
                           BB->getName().c_str(),
                           DefBB ? DefBB->getName().c_str() : "<detached>"));
@@ -216,10 +180,8 @@ bool FunctionVerifier::run() {
   for (const auto &BB : F.blocks())
     BlockSet.insert(BB.get());
   checkStructure();
-  if (Errors.size() == Before && !F.blocks().empty()) {
-    computeDominators();
+  if (Errors.size() == Before && !F.blocks().empty())
     checkDominance();
-  }
   return Errors.size() == Before;
 }
 

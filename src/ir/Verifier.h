@@ -9,6 +9,14 @@
 /// and after every transformation/obfuscation pass in tests. Obfuscation is
 /// only trusted when the verifier stays green.
 ///
+/// The dominance rule is LLVM's, checked against analysis/DominatorTree:
+/// an operand defined in another block must come from a block that
+/// dominates the use's block, and one defined in the same block must come
+/// earlier in it. Uses inside blocks unreachable from the entry get only
+/// the same-block check, because no execution reaches them; a reachable
+/// block is judged by its reachable predecessors alone, so dead blocks
+/// branching into live code are not errors.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_IR_VERIFIER_H

@@ -134,10 +134,12 @@ private:
   bool runOnFunction(Function &F);
 };
 
-/// The shape-preserving subset: dead code still dies (the verifier's
-/// dominance sets treat unreachable blocks as self-dominating islands
-/// that poison every reachable successor), but no block is threaded
-/// away or merged into its predecessor.
+/// The shape-preserving subset: dead code still dies, so the blocks the
+/// inliner's constant folds leave unreachable never reach codegen and
+/// SplitBB images (hence its precision numbers) stay as they are; but no
+/// block is threaded away or merged into its predecessor. The verifier
+/// would accept the dead blocks — it judges reachable blocks by their
+/// reachable predecessors and does not dominance-check unreachable ones.
 class CFGCleanupPass : public Pass {
 public:
   const char *getName() const override { return "cfg-cleanup"; }

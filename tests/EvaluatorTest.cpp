@@ -7,8 +7,9 @@
 /// \file
 /// Tests for the parallel evaluation batch engine: thread-count
 /// independence of EvalPipeline::obfuscate over a (workload × mode)
-/// matrix, graceful error surfacing for failing workloads, deterministic
-/// per-cell seeding, and the order-deterministic SeriesAccumulator.
+/// matrix, the tool-major task order, graceful error surfacing for failing
+/// workloads, deterministic per-cell seeding, and the order-deterministic
+/// SeriesAccumulator.
 /// (Cache/shard behaviour is covered by PipelineCacheTest.)
 ///
 //===----------------------------------------------------------------------===//
@@ -130,6 +131,27 @@ TEST(EvalScheduler, OverheadMatrixIdenticalAcrossThreadCounts) {
     // Bitwise equality: the VM cost model is integral and the percent is a
     // single division, so any drift would indicate shared mutable state.
     EXPECT_EQ(A[I].Percent, B[I].Percent);
+  }
+}
+
+TEST(EvalScheduler, CellTaskPlaneIsToolMajor) {
+  // Tool-major dispatch: every cell's ToolIdx-0 task, then every cell's
+  // ToolIdx-1 task, ... so the first N workers start N different cells'
+  // image builds instead of queueing on one cell's.
+  std::vector<Workload> Suite = smallMatrixSuite();
+  const std::vector<ObfuscationMode> Modes = {ObfuscationMode::Sub,
+                                              ObfuscationMode::Fission,
+                                              ObfuscationMode::Fusion};
+  const size_t NumCells = Suite.size() * Modes.size(), NumTools = 3;
+  EvalScheduler Sched({/*Threads=*/1, /*Seed=*/0xc906});
+  std::vector<std::pair<size_t, size_t>> Order; // (ToolIdx, FlatIdx)
+  Sched.forEachCellTask(Suite, Modes, NumTools, [&](const EvalTask &T) {
+    Order.emplace_back(T.ToolIdx, T.Cell.FlatIdx);
+  });
+  ASSERT_EQ(Order.size(), NumCells * NumTools);
+  for (size_t I = 0; I != Order.size(); ++I) {
+    EXPECT_EQ(Order[I].first, I / NumCells) << "task " << I;
+    EXPECT_EQ(Order[I].second, I % NumCells) << "task " << I;
   }
 }
 

@@ -7,18 +7,25 @@
 #include "analysis/BlockFrequency.h"
 #include "analysis/DominatorTree.h"
 #include "analysis/LoopInfo.h"
+#include "diffing/Embedding.h"
 #include "diffing/Metrics.h"
 #include "frontend/IRGen.h"
 #include "harness/BinTuner.h"
 #include "harness/Evaluator.h"
 #include "harness/TableRenderer.h"
+#include "ir/IRBuilder.h"
 #include "support/RNG.h"
+#include "support/StringUtils.h"
 #include "support/Statistics.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <map>
 #include <set>
+#include <thread>
 
 using namespace khaos;
 
@@ -101,6 +108,106 @@ TEST(Analysis, DominatorTreeBasics) {
   }
   // Subtree of the entry covers all reachable blocks.
   EXPECT_EQ(DT.getSubtree(Entry).size(), F->size());
+}
+
+/// Reference postorder: the plain recursive DFS (successor order, first
+/// visit wins) that DominatorTree's RPO must reproduce exactly.
+void referencePostorder(BasicBlock *BB, std::set<BasicBlock *> &Seen,
+                        std::vector<BasicBlock *> &Out) {
+  if (!Seen.insert(BB).second)
+    return;
+  for (BasicBlock *S : BB->successors())
+    referencePostorder(S, Seen, Out);
+  Out.push_back(BB);
+}
+
+TEST(Analysis, DominatorTreeMatchesReferenceOnRandomCFGs) {
+  // Random CFGs with unreachable blocks, self-loops and repeated
+  // successors, checked against the textbook definitions: RPO from the
+  // recursive DFS, and dominance from set dataflow over reachable blocks.
+  for (uint64_t Seed = 1; Seed != 61; ++Seed) {
+    RNG Rng(Seed);
+    Context Ctx;
+    Module M(Ctx, "cfg");
+    Function *F =
+        M.createFunction("f", Ctx.getFunctionType(Ctx.getInt32Type(),
+                                                  {Ctx.getInt1Type()}));
+    const unsigned N = 2 + static_cast<unsigned>(Rng.nextBelow(30));
+    std::vector<BasicBlock *> BBs;
+    for (unsigned I = 0; I != N; ++I)
+      BBs.push_back(F->addBlock(formatStr("b%u", I)));
+    IRBuilder B(M);
+    for (BasicBlock *BB : BBs) {
+      B.setInsertPoint(BB);
+      switch (Rng.nextBelow(4)) {
+      case 0:
+        B.createRet(M.getInt32(0));
+        break;
+      case 1:
+        B.createBr(BBs[Rng.nextBelow(N)]);
+        break;
+      default:
+        B.createCondBr(F->getArg(0), BBs[Rng.nextBelow(N)],
+                       BBs[Rng.nextBelow(N)]);
+        break;
+      }
+    }
+
+    std::set<BasicBlock *> Seen;
+    std::vector<BasicBlock *> Post;
+    referencePostorder(BBs[0], Seen, Post);
+    DominatorTree DT(*F);
+    ASSERT_EQ(DT.getRPO(), std::vector<BasicBlock *>(Post.rbegin(),
+                                                     Post.rend()))
+        << "seed " << Seed;
+
+    // Dom(entry) = {entry}; Dom(b) = {b} + intersection of Dom(p) over
+    // reachable predecessors p.
+    std::map<BasicBlock *, std::set<BasicBlock *>> Dom;
+    for (BasicBlock *BB : Post)
+      Dom[BB] = BB == BBs[0] ? std::set<BasicBlock *>{BB} : Seen;
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (BasicBlock *BB : DT.getRPO()) {
+        if (BB == BBs[0])
+          continue;
+        std::set<BasicBlock *> New = Seen;
+        for (BasicBlock *P : BB->predecessors()) {
+          if (!Seen.count(P))
+            continue;
+          std::set<BasicBlock *> Keep;
+          for (BasicBlock *D : Dom[P])
+            if (New.count(D))
+              Keep.insert(D);
+          New = std::move(Keep);
+        }
+        New.insert(BB);
+        if (New != Dom[BB]) {
+          Dom[BB] = std::move(New);
+          Changed = true;
+        }
+      }
+    }
+    for (BasicBlock *A : BBs)
+      for (BasicBlock *Bb : BBs) {
+        bool Expected = Seen.count(A) && Seen.count(Bb) && Dom[Bb].count(A);
+        EXPECT_EQ(DT.dominates(A, Bb), Expected)
+            << "seed " << Seed << ": " << A->getName() << " dom "
+            << Bb->getName();
+      }
+    for (BasicBlock *BB : BBs) {
+      EXPECT_EQ(DT.isReachable(BB), Seen.count(BB) != 0);
+      if (BasicBlock *D = DT.getIDom(BB)) {
+        // The immediate dominator is the strict dominator nearest to BB.
+        EXPECT_TRUE(Dom[BB].count(D) && D != BB);
+        EXPECT_EQ(Dom[D].size() + 1, Dom[BB].size()) << "seed " << Seed;
+      }
+    }
+    size_t Covered = 0;
+    for (BasicBlock *BB : DT.getRPO())
+      Covered += DT.getChildren(BB).size();
+    EXPECT_EQ(Covered + 1, DT.getRPO().size());
+  }
 }
 
 TEST(Analysis, LoopInfoFindsNest) {
@@ -212,6 +319,66 @@ TEST(Diffing, IdentityDiffIsNearPerfect) {
     DiffResult R = Tool->diff(A, FA, A, FA);
     EXPECT_GT(precisionAt1(A, A, R), 0.78) << Tool->getName();
     EXPECT_GT(R.WholeBinarySimilarity, 0.80) << Tool->getName();
+  }
+}
+
+TEST(Diffing, TokenVectorsBitIdenticalAcrossEightThreads) {
+  // tokenVector/accumulateToken read per-thread memos. Eight threads that
+  // fill their memos in different orders over one shared token set must
+  // see exactly the serial vectors and sums, bit for bit.
+  std::vector<uint64_t> Tokens;
+  for (uint64_t I = 0; I != 512; ++I) {
+    Tokens.push_back(I);
+    Tokens.push_back(bigramToken(I, I * 7 + 3));
+    Tokens.push_back(0x1000000ull + I * 977);
+  }
+  auto Bits = [](const std::vector<double> &V) {
+    std::vector<uint64_t> Out(V.size());
+    std::memcpy(Out.data(), V.data(), V.size() * sizeof(double));
+    return Out;
+  };
+  auto Sum = [&]() {
+    std::vector<double> Acc;
+    for (size_t I = 0; I != Tokens.size(); ++I)
+      accumulateToken(Acc, Tokens[I], 1.0 + static_cast<double>(I % 5));
+    return Bits(Acc);
+  };
+
+  // The serial reference runs on a fresh thread, so its memo starts cold
+  // like the workers'.
+  std::vector<std::vector<uint64_t>> Serial;
+  std::vector<uint64_t> SerialSum;
+  std::thread([&] {
+    for (uint64_t T : Tokens)
+      Serial.push_back(Bits(tokenVector(T)));
+    SerialSum = Sum();
+  }).join();
+
+  constexpr unsigned NumThreads = 8;
+  std::vector<std::vector<std::vector<uint64_t>>> Seen(NumThreads);
+  std::vector<std::vector<uint64_t>> Sums(NumThreads);
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Pool;
+  for (unsigned W = 0; W != NumThreads; ++W)
+    Pool.emplace_back([&, W] {
+      Ready.fetch_add(1);
+      while (Ready.load() != NumThreads) {
+      }
+      // Thread W starts its walk at a different offset, so the memos are
+      // filled in different orders while the other threads run.
+      const size_t N = Tokens.size(), Start = W * N / NumThreads;
+      Seen[W].resize(N);
+      for (size_t K = 0; K != N; ++K) {
+        size_t I = (Start + K) % N;
+        Seen[W][I] = Bits(tokenVector(Tokens[I]));
+      }
+      Sums[W] = Sum();
+    });
+  for (std::thread &T : Pool)
+    T.join();
+  for (unsigned W = 0; W != NumThreads; ++W) {
+    EXPECT_EQ(Seen[W], Serial) << "thread " << W;
+    EXPECT_EQ(Sums[W], SerialSum) << "thread " << W;
   }
 }
 
@@ -370,6 +537,15 @@ TEST(Harness, TableRendererAlignsColumns) {
   T.addRow({"yyyy", "2"});
   std::string Out = T.render();
   EXPECT_NE(Out.find("| a    | long-header |"), std::string::npos);
+}
+
+TEST(HarnessDeathTest, TableRendererRejectsRowWidthMismatch) {
+  // A row must have one cell per header: a longer row used to lose its
+  // tail columns and a shorter one printed blanks, both silently.
+  TableRenderer T({"a", "long-header"});
+  EXPECT_DEATH(T.addRow({"x"}), "row of 1 cells under 2 headers");
+  EXPECT_DEATH(T.addRow({"x", "1", "extra"}),
+               "row of 3 cells under 2 headers");
 }
 
 TEST(Harness, EscapeRatioBehavesAtExtremes) {
