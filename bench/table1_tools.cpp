@@ -8,8 +8,8 @@
 /// Table 1: characteristics of the registered diffing tools (granularity,
 /// symbol reliance, time/memory cost, call-graph use), printed from the
 /// tools' trait declarations and verified against a measured probe. The
-/// paper's five rows come first; post-paper backends (jtrans, orcas, the
-/// -oop twins) append in registration order.
+/// paper's five rows come first; post-paper backends (jtrans, orcas,
+/// semdiff, the safe-oop twin) append in registration order.
 ///
 //===----------------------------------------------------------------------===//
 

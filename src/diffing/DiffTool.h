@@ -24,10 +24,9 @@
 ///   | orcas       | function    | no      | yes        | time         |
 ///   | semdiff     | function    | no      | yes        | time         |
 ///
-/// Each in-process tool also has a subprocess-served twin (`safe-oop`,
-/// `jtrans-oop`, `orcas-oop`, `semdiff-oop`) registered by the
-/// SubprocessDiffTool adapter, bit-identical to its in-process
-/// counterpart.
+/// SAFE also has a subprocess-served twin, `safe-oop`, registered by the
+/// SubprocessDiffTool adapter and bit-identical to the in-process tool;
+/// it proves the adapter for every backend.
 ///
 /// Each tool ranks, for every function of binary A (the un-obfuscated
 /// reference), the functions of binary B (the obfuscated build) by

@@ -364,22 +364,16 @@ void khaos::shutdownDiffWorkers() { WorkerPool::instance().shutdownIdle(); }
 
 void khaos::appendBuiltinSubprocessTools(
     std::vector<std::pair<std::string, DiffToolFactory>> &Tools) {
-  // Out-of-process twins of the in-process tools, served by
-  // khaos-diff-worker over the wire protocol and bit-identical to their
-  // in-process counterparts (CI diffs each pair through fig8). Traits are
-  // copied from a throwaway in-process instance — direct factory calls,
-  // no registry re-entry, no process spawn — so a twin can never drift
-  // from its tool's declarations.
-  auto Twin = [&Tools](const char *Name, const char *Remote,
-                       std::unique_ptr<DiffTool> InProcess) {
-    SubprocessToolSpec Spec;
-    Spec.Name = Name;
-    Spec.RemoteTool = Remote;
-    Spec.Traits = InProcess->getTraits();
-    Tools.emplace_back(Spec.Name, makeFactory(Spec));
-  };
-  Twin("safe-oop", "SAFE", createSafeTool());
-  Twin("jtrans-oop", "jtrans", createJTransTool());
-  Twin("orcas-oop", "orcas", createOrcasTool());
-  Twin("semdiff-oop", "semdiff", createSemDiffTool());
+  // The out-of-process twin of SAFE, served by khaos-diff-worker over the
+  // wire protocol and bit-identical to the in-process tool (CI diffs the
+  // pair through fig8 and fig9_confound). One twin proves the adapter:
+  // every other tool would run through the same adapter and worker.
+  // Traits are copied from a throwaway in-process instance — a direct
+  // factory call, no registry re-entry, no process spawn — so the twin
+  // can never drift from SAFE's declarations.
+  SubprocessToolSpec Spec;
+  Spec.Name = "safe-oop";
+  Spec.RemoteTool = "SAFE";
+  Spec.Traits = createSafeTool()->getTraits();
+  Tools.emplace_back(Spec.Name, makeFactory(Spec));
 }

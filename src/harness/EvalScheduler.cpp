@@ -6,7 +6,6 @@
 
 #include "harness/EvalScheduler.h"
 
-#include "diffing/Metrics.h"
 #include "support/RNG.h"
 
 #include <atomic>
@@ -101,22 +100,13 @@ EvalScheduler::EvalScheduler(Config C) : Cfg(std::move(C)) {
   PC.Baseline = Cfg.Baseline;
   Pipe = std::make_shared<EvalPipeline>(PC);
 
-  if (!Cfg.ConnectPath.empty()) {
+  if (remote()) {
     // Fail fast, and fail loud: a daemon whose engine or cache setting
     // differs from this run's flags would NOT produce byte-identical
     // results, which is the whole --connect contract.
-    auto Client = std::unique_ptr<EvalClient>(new EvalClient());
-    std::string Err;
-    EvalRequest Req;
-    Req.Kind = EvalWireKind::Ping;
-    EvalResponse Resp;
-    if (!Client->connect(Cfg.ConnectPath, Err) ||
-        !Client->call(Req, Resp, Err) || !Resp.Ok) {
-      std::fprintf(stderr, "EvalScheduler: cannot reach khaos-evald at "
-                           "'%s': %s\n",
-                   Cfg.ConnectPath.c_str(), Err.c_str());
-      std::abort();
-    }
+    EvalRequest Ping;
+    Ping.Kind = EvalWireKind::Ping;
+    EvalResponse Resp = callDaemon(Ping);
     if (Resp.Engine != static_cast<uint8_t>(Cfg.Engine) ||
         (Resp.CacheEnabled != 0) != Cfg.CacheEnabled) {
       std::fprintf(stderr,
@@ -145,36 +135,39 @@ EvalScheduler::EvalScheduler(Config C) : Cfg(std::move(C)) {
                    Cfg.Baseline.name().c_str());
       std::abort();
     }
-    std::lock_guard<std::mutex> Lock(ClientsM);
-    Clients.push_back(std::move(Client));
   }
 }
 
 EvalScheduler::~EvalScheduler() = default;
 
-std::unique_ptr<EvalClient> EvalScheduler::acquireClient() const {
+EvalResponse EvalScheduler::callDaemon(const EvalRequest &Req) const {
+  std::unique_ptr<EvalClient> Client;
   {
     std::lock_guard<std::mutex> Lock(ClientsM);
     if (!Clients.empty()) {
-      std::unique_ptr<EvalClient> C = std::move(Clients.back());
+      Client = std::move(Clients.back());
       Clients.pop_back();
-      return C;
     }
   }
-  auto C = std::unique_ptr<EvalClient>(new EvalClient());
   std::string Err;
-  if (!C->connect(Cfg.ConnectPath, Err)) {
-    std::fprintf(stderr, "EvalScheduler: cannot reach khaos-evald at "
-                         "'%s': %s\n",
-                 Cfg.ConnectPath.c_str(), Err.c_str());
+  if (!Client) {
+    Client.reset(new EvalClient());
+    if (!Client->connect(Cfg.ConnectPath, Err)) {
+      std::fprintf(stderr,
+                   "EvalScheduler: cannot reach khaos-evald at '%s': %s\n",
+                   Cfg.ConnectPath.c_str(), Err.c_str());
+      std::abort();
+    }
+  }
+  EvalResponse Resp;
+  if (!Client->call(Req, Resp, Err) || !Resp.Ok) {
+    std::fprintf(stderr, "EvalScheduler: khaos-evald request failed: %s\n",
+                 Err.empty() ? Resp.Error.c_str() : Err.c_str());
     std::abort();
   }
-  return C;
-}
-
-void EvalScheduler::releaseClient(std::unique_ptr<EvalClient> C) const {
   std::lock_guard<std::mutex> Lock(ClientsM);
-  Clients.push_back(std::move(C));
+  Clients.push_back(std::move(Client));
+  return Resp;
 }
 
 void EvalScheduler::runPool(size_t N,
@@ -210,23 +203,34 @@ void EvalScheduler::runPool(size_t N,
 
 std::vector<EvalCell>
 EvalScheduler::ownedCells(const std::vector<Workload> &Workloads,
+                          const std::vector<BuildConfig> &Configs,
                           const std::vector<ObfuscationMode> &Modes) const {
+  // The config axis is the middle dimension, so a workload's rows stay
+  // contiguous in figure output and a one-config matrix keeps
+  // Flat = WI * NumModes + MI.
+  const size_t NumCells = Workloads.size() * Configs.size() * Modes.size();
   std::vector<EvalCell> Cells;
-  Cells.reserve(Workloads.size() * Modes.size() / Cfg.Shards + 1);
+  Cells.reserve(NumCells / Cfg.Shards + 1);
   for (size_t WI = 0; WI != Workloads.size(); ++WI)
-    for (size_t MI = 0; MI != Modes.size(); ++MI) {
-      size_t Flat = WI * Modes.size() + MI;
-      if (!ownsCell(Flat))
-        continue;
-      EvalCell C;
-      C.W = &Workloads[WI];
-      C.Mode = Modes[MI];
-      C.Seed = deriveCellSeed(Cfg.Seed, Workloads[WI].Name, Modes[MI]);
-      C.WorkloadIdx = WI;
-      C.ModeIdx = MI;
-      C.FlatIdx = Flat;
-      Cells.push_back(C);
-    }
+    for (size_t CI = 0; CI != Configs.size(); ++CI)
+      for (size_t MI = 0; MI != Modes.size(); ++MI) {
+        size_t Flat = (WI * Configs.size() + CI) * Modes.size() + MI;
+        if (!ownsCell(Flat))
+          continue;
+        EvalCell C;
+        C.W = &Workloads[WI];
+        C.Mode = Modes[MI];
+        // Seeds are derived from (workload, mode) alone — NOT the config
+        // — so every config row diffs against the same obfuscated image,
+        // which is both the confound experiment's point and what makes a
+        // sweep over N configs build each B-side exactly once.
+        C.Seed = deriveCellSeed(Cfg.Seed, Workloads[WI].Name, Modes[MI]);
+        C.WorkloadIdx = WI;
+        C.ModeIdx = MI;
+        C.FlatIdx = Flat;
+        C.Baseline = Configs[CI];
+        Cells.push_back(C);
+      }
   return Cells;
 }
 
@@ -234,7 +238,7 @@ void EvalScheduler::forEachCell(
     const std::vector<Workload> &Workloads,
     const std::vector<ObfuscationMode> &Modes,
     const std::function<void(const EvalCell &)> &Fn) const {
-  std::vector<EvalCell> Cells = ownedCells(Workloads, Modes);
+  std::vector<EvalCell> Cells = ownedCells(Workloads, {Cfg.Baseline}, Modes);
   runPool(Cells.size(), [&](size_t I) { Fn(Cells[I]); });
 }
 
@@ -242,12 +246,20 @@ void EvalScheduler::forEachCellTask(
     const std::vector<Workload> &Workloads,
     const std::vector<ObfuscationMode> &Modes, size_t NumTools,
     const std::function<void(const EvalTask &)> &Fn) const {
+  forEachCellTask(Workloads, {Cfg.Baseline}, Modes, NumTools, Fn);
+}
+
+void EvalScheduler::forEachCellTask(
+    const std::vector<Workload> &Workloads,
+    const std::vector<BuildConfig> &Configs,
+    const std::vector<ObfuscationMode> &Modes, size_t NumTools,
+    const std::function<void(const EvalTask &)> &Fn) const {
   // Tool-major: every cell's tool 0, then every cell's tool 1, ... The
   // first N workers then build N different cells' image pairs instead of
   // N-1 of them parking on one cell's single-flight build, and later
   // tools find the images cached. Result slots are keyed by (cell, tool),
   // so the order cannot change any output.
-  std::vector<EvalCell> Cells = ownedCells(Workloads, Modes);
+  std::vector<EvalCell> Cells = ownedCells(Workloads, Configs, Modes);
   runPool(Cells.size() * NumTools, [&](size_t I) {
     EvalTask T;
     T.Cell = Cells[I % Cells.size()];
@@ -281,230 +293,33 @@ EvalScheduler::overheadMatrix(const std::vector<Workload> &Workloads,
                               EvalRunStats *RunStats) const {
   ArtifactStore::Snapshot Before = Pipe->store().stats();
   std::vector<CellOverhead> Out(Workloads.size() * Modes.size());
-  if (remote()) {
-    // Same fan-out, same per-cell seeds — the measurement just happens on
-    // the daemon's warm pipeline. The percent travels as raw double bits,
-    // so downstream formatting is byte-identical to an in-process run.
-    forEachCell(Workloads, Modes, [&](const EvalCell &C) {
-      std::unique_ptr<EvalClient> Client = acquireClient();
+  forEachCell(Workloads, Modes, [&](const EvalCell &C) {
+    CellOverhead &Slot = Out[C.FlatIdx];
+    Slot.Ran = true;
+    if (remote()) {
+      // Same cell, same seed — measured on the daemon's warm pipeline.
+      // The percent travels as raw double bits, so downstream formatting
+      // is byte-identical to an in-process run.
       EvalRequest Req;
       Req.Kind = EvalWireKind::Overhead;
       Req.WorkloadName = C.W->Name;
       Req.WorkloadSource = C.W->Source;
       Req.Mode = C.Mode;
       Req.Seed = C.Seed;
-      EvalResponse Resp;
-      std::string Err;
-      if (!Client->call(Req, Resp, Err) || !Resp.Ok) {
-        std::fprintf(stderr,
-                     "EvalScheduler: evald overhead request failed: %s\n",
-                     Err.empty() ? Resp.Error.c_str() : Err.c_str());
-        std::abort();
-      }
-      releaseClient(std::move(Client));
-      CellOverhead &Slot = Out[C.FlatIdx];
-      Slot.Ran = true;
+      EvalResponse Resp = callDaemon(Req);
       Slot.Ok = Resp.Measured != 0;
       Slot.Percent = Resp.Percent;
-      if (RunStats)
-        RunStats->countCell(!Slot.Ok);
-    });
-    return Out;
-  }
-  forEachCell(Workloads, Modes, [&](const EvalCell &C) {
-    CellOverhead &Slot = Out[C.FlatIdx];
-    Slot.Ran = true;
-    Slot.Ok = Pipe->overheadPercent(*C.W, C.Mode, Slot.Percent, C.Seed);
+    } else {
+      Slot.Ok = Pipe->overheadPercent(*C.W, C.Mode, Slot.Percent, C.Seed);
+    }
     if (RunStats)
       RunStats->countCell(!Slot.Ok);
   });
+  // A remote run leaves the local store untouched: its delta is zero and
+  // the daemon's store keeps its own telemetry.
   if (RunStats)
     RunStats->mergeCache(
         ArtifactStore::Snapshot::delta(Pipe->store().stats(), Before));
-  return Out;
-}
-
-std::vector<uint8_t> EvalScheduler::remoteCellToolPlane(
-    const std::vector<Workload> &Workloads,
-    const std::vector<ObfuscationMode> &Modes,
-    const std::vector<std::string> &ToolNames,
-    const std::function<void(const EvalTask &, const EvalResponse &)> &Fn,
-    EvalRunStats *RunStats) const {
-  // Validate locally against the same registry the daemon checks; a
-  // mismatch is version skew and the daemon would reject the request.
-  for (const std::string &Name : ToolNames) {
-    if (!isDiffToolRegistered(Name)) {
-      std::fprintf(stderr, "EvalScheduler: unknown diffing tool '%s'\n",
-                   Name.c_str());
-      std::abort();
-    }
-  }
-
-  std::vector<uint8_t> CellOk(Workloads.size() * Modes.size(), 0);
-  forEachCellTask(
-      Workloads, Modes, ToolNames.empty() ? 1 : ToolNames.size(),
-      [&](const EvalTask &T) {
-        std::unique_ptr<EvalClient> Client = acquireClient();
-        EvalRequest Req;
-        Req.Kind = EvalWireKind::DiffTask;
-        Req.WorkloadName = T.Cell.W->Name;
-        Req.WorkloadSource = T.Cell.W->Source;
-        Req.VulnFunctions = T.Cell.W->VulnFunctions;
-        Req.Mode = T.Cell.Mode;
-        Req.Seed = T.Cell.Seed;
-        if (T.ToolIdx < ToolNames.size())
-          Req.Tool = ToolNames[T.ToolIdx];
-        Req.BaselineLevel = static_cast<uint8_t>(Cfg.Baseline.Level);
-        Req.BaselineCodegen = Cfg.Baseline.packedCodegen();
-        EvalResponse Resp;
-        std::string Err;
-        if (!Client->call(Req, Resp, Err) || !Resp.Ok) {
-          std::fprintf(stderr,
-                       "EvalScheduler: evald diff request failed: %s\n",
-                       Err.empty() ? Resp.Error.c_str() : Err.c_str());
-          std::abort();
-        }
-        releaseClient(std::move(Client));
-        bool ImagesOk = Resp.ImagesOk != 0;
-        if (T.ToolIdx == 0)
-          CellOk[T.Cell.FlatIdx] = ImagesOk ? 1 : 0;
-        if (!ImagesOk || T.ToolIdx >= ToolNames.size())
-          return;
-        if (!Resp.ToolOk) {
-          // Same failure shape as the in-process plane: the task renders
-          // as "n/a", siblings and the run keep going.
-          std::fprintf(stderr,
-                       "[scheduler] tool '%s' failed on %s/%s: %s\n",
-                       ToolNames[T.ToolIdx].c_str(),
-                       T.Cell.W->Name.c_str(),
-                       obfuscationModeName(T.Cell.Mode),
-                       Resp.ToolError.c_str());
-          if (RunStats)
-            RunStats->countToolFailure();
-          return;
-        }
-        Fn(T, Resp);
-      });
-
-  // Deterministic post-pass, mirroring runCellToolPlane. Cache counters
-  // stay zero: the artifacts live in the daemon's store, which reports
-  // its own telemetry.
-  if (RunStats)
-    for (size_t Flat = 0; Flat != CellOk.size(); ++Flat)
-      if (ownsCell(Flat))
-        RunStats->countCell(!CellOk[Flat]);
-  return CellOk;
-}
-
-std::vector<uint8_t> EvalScheduler::runCellToolPlane(
-    const std::vector<Workload> &Workloads,
-    const std::vector<ObfuscationMode> &Modes,
-    const std::vector<std::string> &ToolNames,
-    const std::function<void(const EvalTask &,
-                             const EvalPipeline::ImageArtifact &,
-                             const EvalPipeline::ImageArtifact &,
-                             const DiffOutcome &)> &Fn,
-    EvalRunStats *RunStats) const {
-  // A misspelled tool name would silently yield an all-zero figure row;
-  // fail fast against the registry instead.
-  for (const std::string &Name : ToolNames) {
-    if (!isDiffToolRegistered(Name)) {
-      std::fprintf(stderr,
-                   "EvalScheduler: unknown diffing tool '%s'\n",
-                   Name.c_str());
-      std::abort();
-    }
-  }
-
-  ArtifactStore::Snapshot Before = Pipe->store().stats();
-  std::vector<uint8_t> CellOk(Workloads.size() * Modes.size(), 0);
-
-  // (cell × tool) tasks: the cell's image pair is built once by whichever
-  // task gets there first (single-flight in the ArtifactStore) and
-  // shared. The task with ToolIdx 0 records the cell's image-build
-  // outcome — cells are owned whole, so it always runs in this shard, and
-  // it is the cell's only writer. Each task then pulls its cached
-  // DiffOutcome stage: a warm re-run (or a sibling shard on a shared
-  // store) reuses results without re-running the tool — for subprocess
-  // backends that means zero worker round trips.
-  forEachCellTask(
-      Workloads, Modes, ToolNames.empty() ? 1 : ToolNames.size(),
-      [&](const EvalTask &T) {
-        auto A = Pipe->baselineImage(*T.Cell.W);
-        auto B = Pipe->obfuscatedImage(*T.Cell.W, T.Cell.Mode, T.Cell.Seed);
-        bool ImagesOk = A->Ok && B->Ok;
-        if (T.ToolIdx == 0) {
-          CellOk[T.Cell.FlatIdx] = ImagesOk ? 1 : 0;
-          // The ToolIdx-0 task is the cell's only writer, so the pass
-          // telemetry the obfuscated image carries is folded exactly
-          // once per cell; PassReport::merge is additive, so thread
-          // scheduling cannot change the totals.
-          if (RunStats && ImagesOk)
-            RunStats->mergePasses(B->Report);
-        }
-        if (!ImagesOk || T.ToolIdx >= ToolNames.size())
-          return;
-        auto D = Pipe->diffOutcome(*T.Cell.W, T.Cell.Mode, T.Cell.Seed,
-                                   ToolNames[T.ToolIdx], A, B);
-        if (!D->Ok) {
-          // Loud per-task failure (timeout, crashed worker): the task
-          // renders as "n/a", siblings and the shard keep going.
-          std::fprintf(stderr,
-                       "[scheduler] tool '%s' failed on %s/%s: %s\n",
-                       ToolNames[T.ToolIdx].c_str(), T.Cell.W->Name.c_str(),
-                       obfuscationModeName(T.Cell.Mode), D->Error.c_str());
-          if (RunStats)
-            RunStats->countToolFailure();
-          return;
-        }
-        Fn(T, *A, *B, D->Outcome);
-      });
-
-  // Deterministic post-pass: count owned cells in row-major order.
-  if (RunStats) {
-    for (size_t Flat = 0; Flat != CellOk.size(); ++Flat)
-      if (ownsCell(Flat))
-        RunStats->countCell(!CellOk[Flat]);
-    RunStats->mergeCache(
-        ArtifactStore::Snapshot::delta(Pipe->store().stats(), Before));
-  }
-  return CellOk;
-}
-
-std::vector<EvalScheduler::CellPrecision>
-EvalScheduler::precisionMatrix(const std::vector<Workload> &Workloads,
-                               const std::vector<ObfuscationMode> &Modes,
-                               const std::vector<std::string> &ToolNames,
-                               EvalRunStats *RunStats) const {
-  std::vector<CellPrecision> Out(Workloads.size() * Modes.size());
-  for (size_t Flat = 0; Flat != Out.size(); ++Flat) {
-    if (!ownsCell(Flat))
-      continue;
-    Out[Flat].Ran = true;
-    Out[Flat].PerTool.assign(ToolNames.size(), -1.0);
-  }
-
-  std::vector<uint8_t> CellOk =
-      remote() ? remoteCellToolPlane(
-                     Workloads, Modes, ToolNames,
-                     [&](const EvalTask &T, const EvalResponse &Resp) {
-                       Out[T.Cell.FlatIdx].PerTool[T.ToolIdx] =
-                           Resp.Precision;
-                     },
-                     RunStats)
-               : runCellToolPlane(
-                     Workloads, Modes, ToolNames,
-                     [&](const EvalTask &T,
-                         const EvalPipeline::ImageArtifact &,
-                         const EvalPipeline::ImageArtifact &,
-                         const DiffOutcome &O) {
-                       Out[T.Cell.FlatIdx].PerTool[T.ToolIdx] = O.Precision;
-                     },
-                     RunStats);
-
-  for (size_t Flat = 0; Flat != Out.size(); ++Flat)
-    if (Out[Flat].Ran)
-      Out[Flat].Ok = CellOk[Flat] != 0;
   return Out;
 }
 
@@ -514,6 +329,8 @@ EvalScheduler::confoundMatrix(const std::vector<Workload> &Workloads,
                               const std::vector<ObfuscationMode> &Modes,
                               const std::vector<std::string> &ToolNames,
                               EvalRunStats *RunStats) const {
+  // A misspelled tool name would silently yield an all-zero figure row;
+  // fail fast against the registry (the daemon checks the same one).
   for (const std::string &Name : ToolNames) {
     if (!isDiffToolRegistered(Name)) {
       std::fprintf(stderr, "EvalScheduler: unknown diffing tool '%s'\n",
@@ -522,124 +339,108 @@ EvalScheduler::confoundMatrix(const std::vector<Workload> &Workloads,
     }
   }
 
-  // One cell per (workload, config, mode); the config axis is the middle
-  // dimension so a workload's rows stay contiguous in figure output.
-  struct CCell {
-    const Workload *W;
-    const BuildConfig *BC;
-    ObfuscationMode Mode;
-    uint64_t Seed;
-    size_t FlatIdx;
-  };
   const size_t NumCells = Workloads.size() * Configs.size() * Modes.size();
   std::vector<ConfoundCell> Out(NumCells);
-  std::vector<CCell> Cells;
-  for (size_t WI = 0; WI != Workloads.size(); ++WI)
-    for (size_t CI = 0; CI != Configs.size(); ++CI)
-      for (size_t MI = 0; MI != Modes.size(); ++MI) {
-        size_t Flat = (WI * Configs.size() + CI) * Modes.size() + MI;
-        if (!ownsCell(Flat))
-          continue;
-        Out[Flat].Ran = true;
-        Out[Flat].PerToolPrecision.assign(ToolNames.size(), -1.0);
-        Out[Flat].PerToolSimilarity.assign(ToolNames.size(), -1.0);
-        // Seeds are derived from (workload, mode) alone — NOT the config
-        // — so every config row diffs against the same obfuscated image,
-        // which is both the experiment's point and what makes a sweep
-        // over N configs build each B-side exactly once.
-        Cells.push_back({&Workloads[WI], &Configs[CI], Modes[MI],
-                         deriveCellSeed(Cfg.Seed, Workloads[WI].Name,
-                                        Modes[MI]),
-                         Flat});
-      }
-
-  const size_t NumTools = ToolNames.empty() ? 1 : ToolNames.size();
-  std::vector<uint8_t> CellOk(NumCells, 0);
+  for (size_t Flat = 0; Flat != NumCells; ++Flat) {
+    if (!ownsCell(Flat))
+      continue;
+    Out[Flat].Ran = true;
+    Out[Flat].PerToolPrecision.assign(ToolNames.size(), -1.0);
+    Out[Flat].PerToolSimilarity.assign(ToolNames.size(), -1.0);
+    Out[Flat].PerToolRanks.resize(ToolNames.size());
+  }
   ArtifactStore::Snapshot Before = Pipe->store().stats();
 
-  // Tool-major, as in forEachCellTask.
-  runPool(Cells.size() * NumTools, [&](size_t I) {
-    const CCell &C = Cells[I % Cells.size()];
-    const size_t TI = I / Cells.size();
-    if (remote()) {
-      std::unique_ptr<EvalClient> Client = acquireClient();
-      EvalRequest Req;
-      Req.Kind = EvalWireKind::DiffTask;
-      Req.WorkloadName = C.W->Name;
-      Req.WorkloadSource = C.W->Source;
-      Req.VulnFunctions = C.W->VulnFunctions;
-      Req.Mode = C.Mode;
-      Req.Seed = C.Seed;
-      if (TI < ToolNames.size())
-        Req.Tool = ToolNames[TI];
-      Req.BaselineLevel = static_cast<uint8_t>(C.BC->Level);
-      Req.BaselineCodegen = C.BC->packedCodegen();
-      EvalResponse Resp;
-      std::string Err;
-      if (!Client->call(Req, Resp, Err) || !Resp.Ok) {
-        std::fprintf(stderr,
-                     "EvalScheduler: evald diff request failed: %s\n",
-                     Err.empty() ? Resp.Error.c_str() : Err.c_str());
-        std::abort();
-      }
-      releaseClient(std::move(Client));
-      if (TI == 0)
-        CellOk[C.FlatIdx] = Resp.ImagesOk != 0 ? 1 : 0;
-      if (!Resp.ImagesOk || TI >= ToolNames.size())
-        return;
-      if (!Resp.ToolOk) {
-        std::fprintf(stderr,
-                     "[scheduler] tool '%s' failed on %s/%s/%s: %s\n",
-                     ToolNames[TI].c_str(), C.W->Name.c_str(),
-                     C.BC->name().c_str(), obfuscationModeName(C.Mode),
-                     Resp.ToolError.c_str());
-        if (RunStats)
-          RunStats->countToolFailure();
-        return;
-      }
-      Out[C.FlatIdx].PerToolPrecision[TI] = Resp.Precision;
-      Out[C.FlatIdx].PerToolSimilarity[TI] = Resp.Similarity;
-      return;
-    }
-    auto A = Pipe->baselineImage(*C.W, *C.BC);
-    auto B = Pipe->obfuscatedImage(*C.W, C.Mode, C.Seed);
-    bool ImagesOk = A->Ok && B->Ok;
-    if (TI == 0) {
-      CellOk[C.FlatIdx] = ImagesOk ? 1 : 0;
-      if (RunStats && ImagesOk)
-        RunStats->mergePasses(B->Report);
-    }
-    if (!ImagesOk || TI >= ToolNames.size())
-      return;
-    auto D =
-        Pipe->diffOutcome(*C.W, *C.BC, C.Mode, C.Seed, ToolNames[TI], A, B);
-    if (!D->Ok) {
-      std::fprintf(stderr, "[scheduler] tool '%s' failed on %s/%s/%s: %s\n",
-                   ToolNames[TI].c_str(), C.W->Name.c_str(),
-                   C.BC->name().c_str(), obfuscationModeName(C.Mode),
-                   D->Error.c_str());
-      if (RunStats)
-        RunStats->countToolFailure();
-      return;
-    }
-    Out[C.FlatIdx].PerToolPrecision[TI] = D->Outcome.Precision;
-    Out[C.FlatIdx].PerToolSimilarity[TI] = D->Outcome.Similarity;
-  });
+  // One task = one EvalPipeline::diffTask, in process or on the daemon.
+  // The cell's image pair is built once by whichever task gets there
+  // first (single-flight in the ArtifactStore) and shared; each task then
+  // pulls its cached DiffOutcome, so a warm re-run performs zero worker
+  // round trips. With no tools, one images-only task per cell still
+  // records whether the cell built.
+  forEachCellTask(
+      Workloads, Configs, Modes, ToolNames.empty() ? 1 : ToolNames.size(),
+      [&](const EvalTask &T) {
+        const EvalCell &C = T.Cell;
+        const std::string Tool =
+            T.ToolIdx < ToolNames.size() ? ToolNames[T.ToolIdx] : "";
+        EvalPipeline::DiffTaskResult R;
+        if (remote()) {
+          EvalRequest Req;
+          Req.Kind = EvalWireKind::DiffTask;
+          Req.WorkloadName = C.W->Name;
+          Req.WorkloadSource = C.W->Source;
+          Req.VulnFunctions = C.W->VulnFunctions;
+          Req.Mode = C.Mode;
+          Req.Seed = C.Seed;
+          Req.Tool = Tool;
+          Req.BaselineLevel = static_cast<uint8_t>(C.Baseline.Level);
+          Req.BaselineCodegen = C.Baseline.packedCodegen();
+          EvalResponse Resp = callDaemon(Req);
+          R.ImagesOk = Resp.ImagesOk != 0;
+          R.ToolOk = Resp.ToolOk != 0;
+          R.ToolError = std::move(Resp.ToolError);
+          R.Precision = Resp.Precision;
+          R.Similarity = Resp.Similarity;
+          R.VulnRanks = std::move(Resp.VulnRanks);
+        } else {
+          R = Pipe->diffTask(*C.W, C.Baseline, C.Mode, C.Seed, Tool);
+        }
+        ConfoundCell &Slot = Out[C.FlatIdx];
+        if (T.ToolIdx == 0) {
+          // Cells are owned whole, so the ToolIdx-0 task always runs in
+          // this shard and is the only writer of the cell's Ok: it records
+          // the image-build outcome and folds the B-side pass telemetry
+          // exactly once per cell (PassReport::merge is additive, so
+          // scheduling cannot change the totals; a remote result carries
+          // an empty report).
+          Slot.Ok = R.ImagesOk;
+          if (RunStats && R.ImagesOk)
+            RunStats->mergePasses(R.Report);
+        }
+        if (!R.ImagesOk || Tool.empty())
+          return;
+        if (!R.ToolOk) {
+          // Loud per-task failure (timeout, crashed worker): the task
+          // renders as "n/a", siblings and the shard keep going.
+          std::fprintf(stderr,
+                       "[scheduler] tool '%s' failed on %s/%s/%s: %s\n",
+                       Tool.c_str(), C.W->Name.c_str(),
+                       C.Baseline.name().c_str(), obfuscationModeName(C.Mode),
+                       R.ToolError.c_str());
+          if (RunStats)
+            RunStats->countToolFailure();
+          return;
+        }
+        Slot.PerToolPrecision[T.ToolIdx] = R.Precision;
+        Slot.PerToolSimilarity[T.ToolIdx] = R.Similarity;
+        Slot.PerToolRanks[T.ToolIdx] = std::move(R.VulnRanks);
+      });
 
-  // Deterministic post-pass, mirroring the other planes. Remote runs keep
-  // cache counters zero — the artifacts live in the daemon's store.
+  // Deterministic post-pass: count owned cells in row-major order. A
+  // remote run's local cache delta is zero, as in overheadMatrix.
   if (RunStats) {
-    for (size_t Flat = 0; Flat != NumCells; ++Flat)
-      if (ownsCell(Flat))
-        RunStats->countCell(!CellOk[Flat]);
-    if (!remote())
-      RunStats->mergeCache(
-          ArtifactStore::Snapshot::delta(Pipe->store().stats(), Before));
+    for (const ConfoundCell &Cell : Out)
+      if (Cell.Ran)
+        RunStats->countCell(!Cell.Ok);
+    RunStats->mergeCache(
+        ArtifactStore::Snapshot::delta(Pipe->store().stats(), Before));
   }
+  return Out;
+}
 
-  for (size_t Flat = 0; Flat != NumCells; ++Flat)
-    if (Out[Flat].Ran)
-      Out[Flat].Ok = CellOk[Flat] != 0;
+std::vector<EvalScheduler::CellPrecision>
+EvalScheduler::precisionMatrix(const std::vector<Workload> &Workloads,
+                               const std::vector<ObfuscationMode> &Modes,
+                               const std::vector<std::string> &ToolNames,
+                               EvalRunStats *RunStats) const {
+  std::vector<ConfoundCell> Cells =
+      confoundMatrix(Workloads, {Cfg.Baseline}, Modes, ToolNames, RunStats);
+  std::vector<CellPrecision> Out(Cells.size());
+  for (size_t Flat = 0; Flat != Cells.size(); ++Flat) {
+    Out[Flat].Ran = Cells[Flat].Ran;
+    Out[Flat].Ok = Cells[Flat].Ok;
+    Out[Flat].PerTool = std::move(Cells[Flat].PerToolPrecision);
+  }
   return Out;
 }
 
@@ -648,41 +449,13 @@ EvalScheduler::vulnRankMatrix(const std::vector<Workload> &Workloads,
                               const std::vector<ObfuscationMode> &Modes,
                               const std::vector<std::string> &ToolNames,
                               EvalRunStats *RunStats) const {
-  std::vector<CellRanks> Out(Workloads.size() * Modes.size());
-  for (size_t Flat = 0; Flat != Out.size(); ++Flat) {
-    if (!ownsCell(Flat))
-      continue;
-    Out[Flat].Ran = true;
-    Out[Flat].PerTool.resize(ToolNames.size());
+  std::vector<ConfoundCell> Cells =
+      confoundMatrix(Workloads, {Cfg.Baseline}, Modes, ToolNames, RunStats);
+  std::vector<CellRanks> Out(Cells.size());
+  for (size_t Flat = 0; Flat != Cells.size(); ++Flat) {
+    Out[Flat].Ran = Cells[Flat].Ran;
+    Out[Flat].Ok = Cells[Flat].Ok;
+    Out[Flat].PerTool = std::move(Cells[Flat].PerToolRanks);
   }
-
-  std::vector<uint8_t> CellOk =
-      remote() ? remoteCellToolPlane(
-                     Workloads, Modes, ToolNames,
-                     [&](const EvalTask &T, const EvalResponse &Resp) {
-                       // The daemon computed trueMatchRank over the same
-                       // images and raw rankings; ranks travel verbatim.
-                       Out[T.Cell.FlatIdx].PerTool[T.ToolIdx] =
-                           Resp.VulnRanks;
-                     },
-                     RunStats)
-               : runCellToolPlane(
-                     Workloads, Modes, ToolNames,
-                     [&](const EvalTask &T,
-                         const EvalPipeline::ImageArtifact &A,
-                         const EvalPipeline::ImageArtifact &B,
-                         const DiffOutcome &O) {
-                       std::vector<uint32_t> &Ranks =
-                           Out[T.Cell.FlatIdx].PerTool[T.ToolIdx];
-                       Ranks.reserve(T.Cell.W->VulnFunctions.size());
-                       for (const std::string &V : T.Cell.W->VulnFunctions)
-                         Ranks.push_back(
-                             trueMatchRank(A.Image, B.Image, O.Raw, V));
-                     },
-                     RunStats);
-
-  for (size_t Flat = 0; Flat != Out.size(); ++Flat)
-    if (Out[Flat].Ran)
-      Out[Flat].Ok = CellOk[Flat] != 0;
   return Out;
 }

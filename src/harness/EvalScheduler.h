@@ -5,17 +5,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Batch engine over the EvalPipeline: fans the (workload ×
-/// ObfuscationMode) matrix — and, for diffing, the (cell × tool) task
-/// plane — across a std::thread pool. Four properties make parallel runs
-/// bit-for-bit reproducible at any thread count, shard decomposition and
-/// cache setting:
+/// Batch engine over the EvalPipeline: fans the (workload × baseline
+/// config × ObfuscationMode) matrix — and, for diffing, the (cell × tool)
+/// task plane — across a std::thread pool. Every diffing front-end is a
+/// projection of one plane (confoundMatrix) whose task is one
+/// EvalPipeline::diffTask, run in-process or on a khaos-evald daemon
+/// that answers with the same function. Four properties make parallel
+/// runs bit-for-bit reproducible at any thread count, shard decomposition
+/// and cache setting:
 ///
 ///  1. Per-task isolation — every cell compiles into its own
 ///     Context/Module; shared pipeline artifacts are immutable and
 ///     consumers clone before mutating.
 ///  2. Deterministic seeding — each cell's RNG seed is derived from
-///     (base seed, workload name, mode), never from scheduling order.
+///     (base seed, workload name, mode), never from scheduling order or
+///     the cell's baseline config.
 ///  3. Deterministic aggregation — per-task results land at their
 ///     row-major matrix index; shared run statistics are merged under a
 ///     mutex and are integer counters, so merge order cannot change them.
@@ -43,7 +47,7 @@
 
 namespace khaos {
 
-/// One cell of the (workload × mode) evaluation matrix.
+/// One cell of the (workload × baseline config × mode) evaluation matrix.
 struct EvalCell {
   const Workload *W = nullptr;
   ObfuscationMode Mode = ObfuscationMode::None;
@@ -51,6 +55,9 @@ struct EvalCell {
   size_t WorkloadIdx = 0;  ///< Row: position of W in the workload list.
   size_t ModeIdx = 0;      ///< Column: position of Mode in the mode list.
   size_t FlatIdx = 0;      ///< Row-major index into the matrix.
+  /// Build config of the cell's A-side (the scheduler's Config::Baseline
+  /// unless a front-end sweeps the axis).
+  BuildConfig Baseline = {};
 };
 
 /// One task of the (cell × tool) plane: one diffing tool over one cell.
@@ -179,10 +186,10 @@ public:
                    const std::vector<ObfuscationMode> &Modes,
                    const std::function<void(const EvalCell &)> &Fn) const;
 
-  /// Runs \p Fn over the (owned cell × tool index) task plane — the unit
-  /// benches use when per-tool work dominates per-cell work. Tasks are
-  /// handed out tool-major: every owned cell's ToolIdx-0 task, then every
-  /// ToolIdx-1 task, and so on.
+  /// Runs \p Fn over the (owned cell × tool index) task plane at the
+  /// scheduler's baseline config — the unit benches use when per-tool
+  /// work dominates per-cell work. Tasks are handed out tool-major: every
+  /// owned cell's ToolIdx-0 task, then every ToolIdx-1 task, and so on.
   void forEachCellTask(const std::vector<Workload> &Workloads,
                        const std::vector<ObfuscationMode> &Modes,
                        size_t NumTools,
@@ -220,65 +227,71 @@ public:
                  const std::vector<ObfuscationMode> &Modes,
                  EvalRunStats *RunStats = nullptr) const;
 
-  /// Per-cell diffing result: Precision@1 of each tool in \p ToolNames
-  /// order, or a negative sentinel when the image pair could not be built.
+  /// Per-cell Precision@1 of each tool in \p ToolNames order, or -1.0
+  /// when the tool failed or the image pair could not be built.
   struct CellPrecision {
     bool Ran = false;
     bool Ok = false;
     std::vector<double> PerTool;
   };
 
-  /// Diffing over the (cell × tool) task plane: each task fetches the
-  /// cell's shared image pair from the ArtifactStore (built once per cell)
-  /// and runs one registry tool over it, so heavy tools never serialize a
-  /// cell. Every entry of \p ToolNames must be registered (hard error
-  /// otherwise — a silent mismatch would render as an all-zero figure row).
+  /// confoundMatrix at the scheduler's baseline config, projected to
+  /// Precision@1 (fig8).
   std::vector<CellPrecision>
   precisionMatrix(const std::vector<Workload> &Workloads,
                   const std::vector<ObfuscationMode> &Modes,
                   const std::vector<std::string> &ToolNames,
                   EvalRunStats *RunStats = nullptr) const;
 
-  /// Per-cell search ranks of the workload's vulnerable functions — the
-  /// escape@k / Table-3 front-end (fig10, table3). PerTool[toolIdx] is
-  /// parallel to Workload::VulnFunctions (UINT32_MAX = not found) and
-  /// empty when the cell's images could not be built.
+  /// Per-cell search ranks of the workload's vulnerable functions.
+  /// PerTool[toolIdx] is parallel to Workload::VulnFunctions
+  /// (UINT32_MAX = not found) and empty when the tool failed or the
+  /// cell's images could not be built.
   struct CellRanks {
     bool Ran = false;
     bool Ok = false;
     std::vector<std::vector<uint32_t>> PerTool;
   };
 
-  /// trueMatchRank over the (cell × tool) task plane, sharing each cell's
-  /// cached image pair exactly like precisionMatrix. Tool names must be
-  /// registered (hard error otherwise).
+  /// confoundMatrix at the scheduler's baseline config, projected to the
+  /// vulnerable-function ranks — the escape@k / Table-3 front-end (fig10,
+  /// table3).
   std::vector<CellRanks>
   vulnRankMatrix(const std::vector<Workload> &Workloads,
                  const std::vector<ObfuscationMode> &Modes,
                  const std::vector<std::string> &ToolNames,
                  EvalRunStats *RunStats = nullptr) const;
 
-  /// One cell of the (workload × baseline config × mode) confound matrix.
-  /// Sentinel -1.0 marks a tool that failed at runtime.
+  /// One cell of the (workload × baseline config × mode) matrix. Sentinel
+  /// -1.0 (and an empty rank list) marks a tool that failed at runtime or
+  /// a cell whose image pair could not be built.
   struct ConfoundCell {
     bool Ran = false;
     bool Ok = false;
     std::vector<double> PerToolPrecision;
     std::vector<double> PerToolSimilarity;
+    /// Parallel to Workload::VulnFunctions (UINT32_MAX = not found).
+    std::vector<std::vector<uint32_t>> PerToolRanks;
   };
 
-  /// The confound front-end: diffs every (workload, baseline config,
-  /// mode, tool) combination, so a figure can separate what the *build
-  /// delta* does to a tool (Mode == None columns) from what the
-  /// *obfuscation* adds on top. Cells are row-major over
-  /// (workload, config, mode) — Flat = (WI * NumConfigs + CI) * NumModes
-  /// + MI — and sharded/executed with precisionMatrix's determinism
-  /// guarantees. Per-cell seeds are derived from (workload, mode) alone,
-  /// deliberately config-independent: every config row diffs against the
-  /// *same* obfuscated B-side, so a warm sweep over N configs builds each
-  /// obfuscated image once and each baseline once per config, nothing
-  /// more. Works in --connect mode (the per-cell config travels in the
-  /// DiffTask request).
+  /// The diff plane: one EvalPipeline::diffTask per (workload, baseline
+  /// config, mode, tool), in-process or on the daemon (--connect; the
+  /// cell's config travels in the DiffTask request). Each cell's image
+  /// pair is built once in the ArtifactStore and shared by its tool
+  /// tasks, so heavy tools never serialize a cell. Every entry of \p
+  /// ToolNames must be registered (hard error otherwise — a silent
+  /// mismatch would render as an all-zero figure row). A task whose tool
+  /// fails at runtime (worker timeout or crash past retry) is reported on
+  /// stderr and counted into RunStats.ToolFailures; one hung backend
+  /// never stalls the shard.
+  ///
+  /// Cells are row-major over (workload, config, mode) — Flat = (WI *
+  /// NumConfigs + CI) * NumModes + MI — so a figure can separate what the
+  /// *build delta* does to a tool (Mode == None columns) from what the
+  /// *obfuscation* adds on top. Per-cell seeds are deliberately
+  /// config-independent: every config row diffs against the *same*
+  /// obfuscated B-side, so a warm sweep over N configs builds each
+  /// obfuscated image once and each baseline once per config.
   std::vector<ConfoundCell>
   confoundMatrix(const std::vector<Workload> &Workloads,
                  const std::vector<BuildConfig> &Configs,
@@ -287,50 +300,29 @@ public:
                  EvalRunStats *RunStats = nullptr) const;
 
 private:
-  /// Shared precisionMatrix/vulnRankMatrix plumbing: validates \p
-  /// ToolNames against the registry (abort on unknown), fans the (owned
-  /// cell × tool) task plane over the pool, fetches each task's cached
-  /// DiffOutcome (the cell's image pair is built once and shared;
-  /// subprocess backends round-trip at most once per key) and hands it
-  /// to \p Fn together with the images. A task whose tool failed at
-  /// runtime (DiffArtifact::Ok == false: worker timeout or crash past
-  /// retry) is reported loudly on stderr and counted into
-  /// RunStats.ToolFailures instead of running Fn — one hung backend
-  /// never stalls the shard. Returns per-cell image-build success,
-  /// indexed by FlatIdx (foreign-shard cells stay 0).
-  std::vector<uint8_t> runCellToolPlane(
-      const std::vector<Workload> &Workloads,
-      const std::vector<ObfuscationMode> &Modes,
-      const std::vector<std::string> &ToolNames,
-      const std::function<void(const EvalTask &,
-                               const EvalPipeline::ImageArtifact &,
-                               const EvalPipeline::ImageArtifact &,
-                               const DiffOutcome &)> &Fn,
-      EvalRunStats *RunStats) const;
-  /// Remote twin of runCellToolPlane: ships each (cell × tool) task to
-  /// the daemon as a DiffTask request and feeds the response to \p Fn.
-  /// Same failure reporting, same CellOk bookkeeping, byte-identical
-  /// downstream output.
-  std::vector<uint8_t> remoteCellToolPlane(
-      const std::vector<Workload> &Workloads,
-      const std::vector<ObfuscationMode> &Modes,
-      const std::vector<std::string> &ToolNames,
-      const std::function<void(const EvalTask &, const EvalResponse &)> &Fn,
-      EvalRunStats *RunStats) const;
-
-  /// Borrows a connected client from the pool (one per concurrent
-  /// worker; new connections are opened on demand). die-on-failure: a
-  /// daemon that vanishes mid-run cannot produce a correct matrix.
-  std::unique_ptr<EvalClient> acquireClient() const;
-  void releaseClient(std::unique_ptr<EvalClient> C) const;
+  /// One request→response round trip on a pooled daemon connection (one
+  /// per concurrent worker; new connections are opened on demand).
+  /// die-on-failure: a daemon that vanishes mid-run cannot produce a
+  /// correct matrix, and an error response means client and daemon
+  /// disagree about the protocol.
+  EvalResponse callDaemon(const EvalRequest &Req) const;
 
   /// Runs Fn(0..N-1) on the worker pool (atomic-ticket work stealing).
   void runPool(size_t N, const std::function<void(size_t)> &Fn) const;
 
-  /// Enumerates the owned cells of the matrix, in row-major order.
+  /// Enumerates the owned cells of the (workload × config × mode) matrix,
+  /// in row-major order.
   std::vector<EvalCell>
   ownedCells(const std::vector<Workload> &Workloads,
+             const std::vector<BuildConfig> &Configs,
              const std::vector<ObfuscationMode> &Modes) const;
+
+  /// forEachCellTask over an explicit config axis.
+  void forEachCellTask(const std::vector<Workload> &Workloads,
+                       const std::vector<BuildConfig> &Configs,
+                       const std::vector<ObfuscationMode> &Modes,
+                       size_t NumTools,
+                       const std::function<void(const EvalTask &)> &Fn) const;
 
   Config Cfg;
   unsigned Workers;

@@ -7,7 +7,6 @@
 #include "harness/EvalService.h"
 
 #include "diffing/DiffWorkerProtocol.h"
-#include "diffing/Metrics.h"
 #include "harness/DifferentialFuzzer.h"
 
 #include <cerrno>
@@ -72,6 +71,33 @@ bool readStrVec(WireReader &R, std::vector<std::string> &V) {
   for (uint32_t I = 0; I != N && R.ok(); ++I)
     V[I] = R.str();
   return R.ok();
+}
+
+/// Wire bytes are cast straight to enums, so one that names no
+/// enumerator would run a configuration nobody asked for (mode 0xff
+/// obfuscates nothing) under a cache key no valid request shares. Each
+/// enum is bounded by its last enumerator; the codegen byte uses bits
+/// 0-5 only: five knobs plus the compiler style.
+bool checkFieldRanges(const EvalRequest &Req, std::string &Err) {
+  auto Bad = [&Err](const char *Field, unsigned Byte) {
+    Err = std::string(Field) + " byte " + std::to_string(Byte) +
+          " out of range";
+    return false;
+  };
+  bool Cell = Req.Kind == EvalWireKind::Overhead ||
+              Req.Kind == EvalWireKind::DiffTask;
+  if (Cell && Req.Mode > ObfuscationMode::SplitBB)
+    return Bad("Mode", static_cast<unsigned>(Req.Mode));
+  if (Req.Kind == EvalWireKind::DiffTask) {
+    if (Req.BaselineLevel > static_cast<uint8_t>(OptLevel::O3))
+      return Bad("BaselineLevel", Req.BaselineLevel);
+    if (Req.BaselineCodegen >> 6)
+      return Bad("BaselineCodegen", Req.BaselineCodegen);
+  }
+  if (Req.Kind == EvalWireKind::FuzzBatch &&
+      Req.FuzzEngine > static_cast<uint8_t>(VMEngine::Precompiled))
+    return Bad("FuzzEngine", Req.FuzzEngine);
+  return true;
 }
 
 } // namespace
@@ -158,7 +184,7 @@ bool khaos::decodeEvalRequest(const std::vector<uint8_t> &Payload,
     Err = "trailing bytes after request body";
     return false;
   }
-  return true;
+  return checkFieldRanges(Req, Err);
 }
 
 std::vector<uint8_t> khaos::encodeEvalResponse(const EvalResponse &Resp) {
@@ -495,24 +521,15 @@ EvalResponse EvalServer::handle(const EvalRequest &Req) {
       BuildConfig BC;
       BC.Level = static_cast<OptLevel>(Req.BaselineLevel);
       BC.Codegen = BuildConfig::unpackCodegen(Req.BaselineCodegen);
-      auto A = Pipe.baselineImage(W, BC);
-      auto B = Pipe.obfuscatedImage(W, Req.Mode, Req.Seed);
+      EvalPipeline::DiffTaskResult R =
+          Pipe.diffTask(W, BC, Req.Mode, Req.Seed, Req.Tool);
       Resp.Ok = true;
-      Resp.ImagesOk = (A->Ok && B->Ok) ? 1 : 0;
-      if (!Resp.ImagesOk || Req.Tool.empty())
-        return Resp;
-      auto D = Pipe.diffOutcome(W, BC, Req.Mode, Req.Seed, Req.Tool, A, B);
-      Resp.ToolOk = D->Ok ? 1 : 0;
-      if (!D->Ok) {
-        Resp.ToolError = D->Error;
-        return Resp;
-      }
-      Resp.Precision = D->Outcome.Precision;
-      Resp.Similarity = D->Outcome.Similarity;
-      Resp.VulnRanks.reserve(W.VulnFunctions.size());
-      for (const std::string &V : W.VulnFunctions)
-        Resp.VulnRanks.push_back(
-            trueMatchRank(A->Image, B->Image, D->Outcome.Raw, V));
+      Resp.ImagesOk = R.ImagesOk ? 1 : 0;
+      Resp.ToolOk = R.ToolOk ? 1 : 0;
+      Resp.ToolError = std::move(R.ToolError);
+      Resp.Precision = R.Precision;
+      Resp.Similarity = R.Similarity;
+      Resp.VulnRanks = std::move(R.VulnRanks);
       return Resp;
     }
     case EvalWireKind::FuzzBatch: {

@@ -494,6 +494,35 @@ bool EvalPipeline::overheadPercent(const Workload &W, ObfuscationMode Mode,
   return true;
 }
 
+EvalPipeline::DiffTaskResult
+EvalPipeline::diffTask(const Workload &W, const BuildConfig &BC,
+                       ObfuscationMode Mode, uint64_t Seed,
+                       const std::string &ToolName) {
+  DiffTaskResult Out;
+  std::shared_ptr<const ImageArtifact> A = baselineImage(W, BC);
+  std::shared_ptr<const ImageArtifact> B = obfuscatedImage(W, Mode, Seed);
+  Out.ImagesOk = A->Ok && B->Ok;
+  if (!Out.ImagesOk)
+    return Out;
+  Out.Report = B->Report;
+  if (ToolName.empty())
+    return Out;
+  std::shared_ptr<const DiffArtifact> D =
+      diffOutcome(W, BC, Mode, Seed, ToolName, A, B);
+  Out.ToolOk = D->Ok;
+  if (!D->Ok) {
+    Out.ToolError = D->Error;
+    return Out;
+  }
+  Out.Precision = D->Outcome.Precision;
+  Out.Similarity = D->Outcome.Similarity;
+  Out.VulnRanks.reserve(W.VulnFunctions.size());
+  for (const std::string &V : W.VulnFunctions)
+    Out.VulnRanks.push_back(
+        trueMatchRank(A->Image, B->Image, D->Outcome.Raw, V));
+  return Out;
+}
+
 DiffOutcome EvalPipeline::runDiffTool(const DiffTool &Tool,
                                       const DiffImages &Imgs) const {
   return runDiffTool(Tool, Imgs.A, Imgs.FA, Imgs.B, Imgs.FB);

@@ -211,11 +211,10 @@ public:
               const std::string &ToolName);
 
   /// Variant for callers that already hold the cell's image artifacts
-  /// (the scheduler's task plane): skips the stage re-fetch, which with
-  /// the store disabled (--no-cache) would recompile the pair a second
-  /// time. \p A and \p B must be the stages of (W, config) and
-  /// (W, Mode, Seed); the config-free form keys against the pipeline's
-  /// configured baseline.
+  /// (diffTask): skips the stage re-fetch, which with the store disabled
+  /// (--no-cache) would recompile the pair a second time. \p A and \p B
+  /// must be the stages of (W, config) and (W, Mode, Seed); the
+  /// config-free form keys against the pipeline's configured baseline.
   std::shared_ptr<const DiffArtifact>
   diffOutcome(const Workload &W, ObfuscationMode Mode, uint64_t Seed,
               const std::string &ToolName,
@@ -254,6 +253,29 @@ public:
   /// execution/verification failure.
   bool overheadPercent(const Workload &W, ObfuscationMode Mode,
                        double &OverheadOut, uint64_t Seed = 0xc906);
+
+  /// One (cell × tool) diff task: what the scheduler's diff plane and
+  /// khaos-evald's DiffTask handler both report for a task.
+  struct DiffTaskResult {
+    bool ImagesOk = false; ///< Both images of the cell were built.
+    bool ToolOk = false;   ///< The tool ran to completion.
+    std::string ToolError; ///< DiffToolError message when the tool failed.
+    double Precision = 0.0;
+    double Similarity = 0.0;
+    /// Search rank of each of W.VulnFunctions (UINT32_MAX = not found).
+    std::vector<uint32_t> VulnRanks;
+    /// Pass telemetry of the obfuscated (B-side) image.
+    PassReport Report;
+  };
+
+  /// The diff counterpart of overheadPercent(): builds the cached image
+  /// pair of (W, BC) and (W, Mode, Seed), fetches \p ToolName's cached
+  /// DiffOutcome over it and ranks W's vulnerable functions. An empty
+  /// \p ToolName builds the images only. A tool failure is a result
+  /// (ToolOk = false), never an exception.
+  DiffTaskResult diffTask(const Workload &W, const BuildConfig &BC,
+                          ObfuscationMode Mode, uint64_t Seed,
+                          const std::string &ToolName);
 
   /// Runs \p Tool over prebuilt images. Pure; needs no store access.
   DiffOutcome runDiffTool(const DiffTool &Tool, const DiffImages &Imgs) const;

@@ -43,6 +43,7 @@ enum class ObfuscationMode : uint8_t {
   FuFiAll, ///< Fission, then fuse sepFuncs + unprocessed oriFuncs.
   // Arms-race roster additions (post-paper; real obfuscator staples).
   // Appended so existing modes keep their serialized ArtifactKey values.
+  // The last enumerator bounds the KEV1 mode byte (EvalService.cpp).
   MBA,     ///< Mixed boolean-arithmetic substitution (deep chains).
   StrEnc,  ///< String/constant encryption with a runtime decode stub.
   IndCall, ///< Direct calls routed through a shuffled dispatch table.

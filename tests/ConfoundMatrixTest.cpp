@@ -306,31 +306,13 @@ TEST(ConfoundMatrix, ThreadCountDoesNotChangeResults) {
 //===----------------------------------------------------------------------===//
 
 TEST(SemDiffRegistration, InRosterWithSubprocessTwin) {
-  std::vector<std::string> Names = registeredToolNames();
-  auto Find = [&](const char *N) {
-    for (size_t I = 0; I != Names.size(); ++I)
-      if (Names[I] == N)
-        return static_cast<long>(I);
-    return -1L;
-  };
-  long InProc = Find("semdiff");
-  long Twin = Find("semdiff-oop");
-  ASSERT_GE(InProc, 0);
-  ASSERT_GE(Twin, 0);
-  EXPECT_LT(InProc, Twin); // In-process first, twin with the -oop block.
-
+  // semdiff runs in-process only; safe-oop alone proves the subprocess
+  // adapter.
+  EXPECT_TRUE(isDiffToolRegistered("semdiff"));
   std::unique_ptr<DiffTool> Tool = createDiffTool("semdiff");
   ASSERT_NE(Tool, nullptr);
   EXPECT_STREQ(Tool->getName(), "semdiff");
   EXPECT_TRUE(Tool->getTraits().UsesCallGraph);
-
-  // The twin must declare the traits of its in-process counterpart.
-  std::unique_ptr<DiffTool> Oop = createDiffTool("semdiff-oop");
-  ASSERT_NE(Oop, nullptr);
-  EXPECT_EQ(Oop->getTraits().UsesCallGraph, Tool->getTraits().UsesCallGraph);
-  EXPECT_EQ(Oop->getTraits().TimeConsuming, Tool->getTraits().TimeConsuming);
-  EXPECT_EQ(static_cast<int>(Oop->getTraits().Granularity),
-            static_cast<int>(Tool->getTraits().Granularity));
 }
 
 } // namespace

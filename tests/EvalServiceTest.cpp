@@ -30,6 +30,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -334,19 +335,43 @@ TEST(EvalServer, FourConcurrentClientsShareOneWarmPipeline) {
   EXPECT_EQ(Server.requestsServed(), 4u * Suite.size());
 }
 
+/// Raw IEEE-754 bits, so "identical" means bit-identical (0.0 vs -0.0
+/// and NaN payloads included), the property byte-identical stdout needs.
+std::vector<uint64_t> bitsOf(const std::vector<double> &V) {
+  std::vector<uint64_t> Bits(V.size());
+  if (!V.empty())
+    std::memcpy(Bits.data(), V.data(), V.size() * sizeof(double));
+  return Bits;
+}
+
 TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
-  std::vector<Workload> Suite = specCpu2006Suite();
-  Suite.resize(2);
+  // Two generated programs, each with two named functions ranked as
+  // vulnerable (the vulnerableSuite recipe), so the rank comparison below
+  // compares real ranks rather than empty vectors.
+  std::vector<Workload> Suite;
+  for (uint64_t Seed : {11u, 12u}) {
+    ProgramSpec S;
+    S.Name = "evald-sched-" + std::to_string(Seed);
+    S.NumFunctions = 10;
+    S.Seed = Seed;
+    S.NamedFunctions = {"parse_header", "copy_field"};
+    Suite.push_back({S.Name, generateMiniCProgram(S), S.NamedFunctions, {}});
+  }
   const std::vector<ObfuscationMode> Modes = {ObfuscationMode::Fission,
                                               ObfuscationMode::Sub};
   const std::vector<std::string> Tools = {"Asm2Vec", "SAFE"};
+  // The config axis crosses the wire in each DiffTask request.
+  const std::vector<BuildConfig> Configs = {
+      BuildConfig::forLevel(OptLevel::O0), BuildConfig{}};
 
   EvalScheduler LocalSched({/*Threads=*/4, /*Seed=*/0xc906});
-  EvalRunStats LocalRun;
+  EvalRunStats LocalRun, LocalGridRun;
   auto LocalCells =
       LocalSched.precisionMatrix(Suite, Modes, Tools, &LocalRun);
   auto LocalOverheads = LocalSched.overheadMatrix(Suite, Modes);
   auto LocalRanks = LocalSched.vulnRankMatrix(Suite, Modes, Tools);
+  auto LocalGrid =
+      LocalSched.confoundMatrix(Suite, Configs, Modes, Tools, &LocalGridRun);
 
   EvalServer Server({freshSocket("sched"), inProcessConfig()});
   std::string Err;
@@ -358,10 +383,12 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
   RC.ConnectPath = Server.socketPath();
   EvalScheduler Remote(RC);
   ASSERT_TRUE(Remote.remote());
-  EvalRunStats RemoteRun;
+  EvalRunStats RemoteRun, RemoteGridRun;
   auto RemoteCells = Remote.precisionMatrix(Suite, Modes, Tools, &RemoteRun);
   auto RemoteOverheads = Remote.overheadMatrix(Suite, Modes);
   auto RemoteRanks = Remote.vulnRankMatrix(Suite, Modes, Tools);
+  auto RemoteGrid =
+      Remote.confoundMatrix(Suite, Configs, Modes, Tools, &RemoteGridRun);
 
   ASSERT_EQ(RemoteCells.size(), LocalCells.size());
   for (size_t I = 0; I != LocalCells.size(); ++I) {
@@ -375,14 +402,98 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
     EXPECT_EQ(RemoteOverheads[I].Percent, LocalOverheads[I].Percent);
   }
   ASSERT_EQ(RemoteRanks.size(), LocalRanks.size());
-  for (size_t I = 0; I != LocalRanks.size(); ++I)
+  bool AnyFiniteRank = false;
+  for (size_t I = 0; I != LocalRanks.size(); ++I) {
     EXPECT_EQ(RemoteRanks[I].PerTool, LocalRanks[I].PerTool) << "cell " << I;
+    for (const std::vector<uint32_t> &Ranks : LocalRanks[I].PerTool)
+      for (uint32_t Rank : Ranks)
+        AnyFiniteRank |= Rank != UINT32_MAX;
+  }
+  EXPECT_TRUE(AnyFiniteRank);
+
+  ASSERT_EQ(LocalGrid.size(), Suite.size() * Configs.size() * Modes.size());
+  ASSERT_EQ(RemoteGrid.size(), LocalGrid.size());
+  for (size_t I = 0; I != LocalGrid.size(); ++I) {
+    EXPECT_EQ(RemoteGrid[I].Ran, LocalGrid[I].Ran);
+    EXPECT_EQ(RemoteGrid[I].Ok, LocalGrid[I].Ok);
+    EXPECT_EQ(bitsOf(RemoteGrid[I].PerToolPrecision),
+              bitsOf(LocalGrid[I].PerToolPrecision))
+        << "cell " << I;
+    EXPECT_EQ(bitsOf(RemoteGrid[I].PerToolSimilarity),
+              bitsOf(LocalGrid[I].PerToolSimilarity))
+        << "cell " << I;
+  }
 
   EXPECT_EQ(RemoteRun.Cells, LocalRun.Cells);
   EXPECT_EQ(RemoteRun.Failures, LocalRun.Failures);
   EXPECT_EQ(RemoteRun.ToolFailures, LocalRun.ToolFailures);
+  EXPECT_EQ(LocalGridRun.Cells, LocalGrid.size());
+  EXPECT_EQ(RemoteGridRun.Cells, LocalGridRun.Cells);
+  EXPECT_EQ(RemoteGridRun.Failures, LocalGridRun.Failures);
+  EXPECT_EQ(RemoteGridRun.ToolFailures, LocalGridRun.ToolFailures);
   // Cache accounting lives daemon-side in remote mode.
   EXPECT_EQ(RemoteRun.CacheHits + RemoteRun.CacheMisses, 0u);
+  EXPECT_EQ(RemoteGridRun.CacheHits + RemoteGridRun.CacheMisses, 0u);
+}
+
+/// Enum-typed wire bytes are cast straight to their enums, so a byte
+/// that names no enumerator (or a codegen byte with bits above the
+/// compiler style) must fail as a malformed request naming the field —
+/// never run a configuration nobody asked for under a fresh cache key —
+/// and the daemon keeps serving.
+TEST(EvalServer, OutOfRangeFieldBytesAreRejectedByName) {
+  EvalServer Server({freshSocket("fields"), inProcessConfig()});
+  std::string Err;
+  ASSERT_TRUE(Server.start(Err)) << Err;
+  EvalClient Client;
+  ASSERT_TRUE(Client.connect(Server.socketPath(), Err)) << Err;
+
+  EvalRequest Diff;
+  Diff.Kind = EvalWireKind::DiffTask;
+  Diff.WorkloadName = "fields-wl";
+  Diff.WorkloadSource = "int main() { return 0; }";
+  Diff.Mode = ObfuscationMode::Sub;
+  Diff.Seed = 0xc906;
+  Diff.Tool = "SAFE";
+
+  EvalRequest BadMode = Diff;
+  BadMode.Mode = static_cast<ObfuscationMode>(0xff);
+  EvalRequest BadLevel = Diff;
+  BadLevel.BaselineLevel = 9;
+  EvalRequest BadCodegen = Diff;
+  BadCodegen.BaselineCodegen = 0xde;
+  EvalRequest BadOverheadMode;
+  BadOverheadMode.Kind = EvalWireKind::Overhead;
+  BadOverheadMode.WorkloadName = Diff.WorkloadName;
+  BadOverheadMode.WorkloadSource = Diff.WorkloadSource;
+  BadOverheadMode.Mode = static_cast<ObfuscationMode>(
+      static_cast<uint8_t>(ObfuscationMode::SplitBB) + 1);
+  EvalRequest BadEngine;
+  BadEngine.Kind = EvalWireKind::FuzzBatch;
+  BadEngine.FuzzBudget = 1;
+  BadEngine.FuzzEngine = 2;
+
+  const std::pair<const char *, EvalRequest> Cases[] = {
+      {"Mode", BadMode},
+      {"BaselineLevel", BadLevel},
+      {"BaselineCodegen", BadCodegen},
+      {"Mode", BadOverheadMode},
+      {"FuzzEngine", BadEngine},
+  };
+  for (const auto &[Field, Req] : Cases) {
+    EvalResponse Resp;
+    ASSERT_TRUE(Client.call(Req, Resp, Err)) << Err;
+    EXPECT_FALSE(Resp.Ok) << Field;
+    EXPECT_EQ(Resp.Error.rfind("malformed request: ", 0), 0u) << Resp.Error;
+    EXPECT_NE(Resp.Error.find(Field), std::string::npos) << Resp.Error;
+  }
+
+  // Still serving: the in-range request is answered.
+  EvalResponse Resp;
+  ASSERT_TRUE(Client.call(Diff, Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.Ok) << Resp.Error;
+  EXPECT_EQ(Resp.ImagesOk, 1);
+  EXPECT_EQ(Resp.ToolOk, 1);
 }
 
 TEST(EvalServer, HungWorkerFailsOneRequestWithoutStallingOthers) {
