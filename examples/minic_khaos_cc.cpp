@@ -10,8 +10,10 @@
 ///   minic_khaos_cc FILE.c [-obf MODE] [-O0|-O1|-O2|-O3] [-emit-ir]
 ///                  [-emit-asm] [-run]
 ///
-/// MODE is one of: none sub bog fla fla10 fission fusion fufi.sep
-/// fufi.ori fufi.all. Without a FILE, a built-in demo program is used.
+/// MODE is any obfuscation mode, spelled as in the figure legends and
+/// matched ignoring case and '.', '-', '_': none sub bog fla fla-10 mba
+/// strenc indcall splitbb fission fusion fufi.sep fufi.ori fufi.all.
+/// Without a FILE, a built-in demo program is used.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,32 +39,6 @@ int gcd(int a, int b) { while (b != 0) { int t = a % b; a = b; b = t; } return a
 int main() { printf("gcd(462, 1071) = %d\n", gcd(462, 1071)); return 0; }
 )";
 
-bool parseMode(const std::string &S, ObfuscationMode &Out) {
-  if (S == "none")
-    Out = ObfuscationMode::None;
-  else if (S == "sub")
-    Out = ObfuscationMode::Sub;
-  else if (S == "bog")
-    Out = ObfuscationMode::Bog;
-  else if (S == "fla")
-    Out = ObfuscationMode::Fla;
-  else if (S == "fla10")
-    Out = ObfuscationMode::Fla10;
-  else if (S == "fission")
-    Out = ObfuscationMode::Fission;
-  else if (S == "fusion")
-    Out = ObfuscationMode::Fusion;
-  else if (S == "fufi.sep")
-    Out = ObfuscationMode::FuFiSep;
-  else if (S == "fufi.ori")
-    Out = ObfuscationMode::FuFiOri;
-  else if (S == "fufi.all")
-    Out = ObfuscationMode::FuFiAll;
-  else
-    return false;
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -76,7 +52,7 @@ int main(int argc, char **argv) {
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     if (Arg == "-obf" && I + 1 < argc) {
-      if (!parseMode(argv[++I], Mode)) {
+      if (!parseObfuscationModeName(argv[++I], Mode)) {
         std::fprintf(stderr, "error: unknown obfuscation mode '%s'\n",
                      argv[I]);
         return 1;

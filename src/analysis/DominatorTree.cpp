@@ -15,6 +15,100 @@ using namespace khaos;
 
 const std::vector<BasicBlock *> DominatorTree::Empty;
 
+BlockDominance
+khaos::computeBlockDominance(const std::vector<std::vector<uint32_t>> &Succs) {
+  constexpr uint32_t NotReachable = ~0u;
+  BlockDominance D;
+  const uint32_t NumBlocks = static_cast<uint32_t>(Succs.size());
+  D.Depth.assign(NumBlocks, -1);
+  if (NumBlocks == 0)
+    return D;
+
+  // Postorder from the entry on an explicit stack, visiting successors in
+  // order with the first visit winning — exactly the recursive DFS order,
+  // so Fission's region enumeration is unchanged, without a stack frame
+  // per block.
+  std::vector<uint32_t> Post;
+  std::vector<char> Seen(NumBlocks, 0);
+  std::vector<std::pair<uint32_t, uint32_t>> Stack; // (block, next succ)
+  Seen[0] = 1;
+  Stack.emplace_back(0, 0);
+  while (!Stack.empty()) {
+    const uint32_t B = Stack.back().first;
+    uint32_t &Next = Stack.back().second;
+    if (Next == Succs[B].size()) {
+      Post.push_back(B);
+      Stack.pop_back();
+      continue;
+    }
+    const uint32_t S = Succs[B][Next++];
+    if (S < NumBlocks && !Seen[S]) {
+      Seen[S] = 1;
+      Stack.emplace_back(S, 0);
+    }
+  }
+
+  const uint32_t N = static_cast<uint32_t>(Post.size());
+  D.RPO.assign(Post.rbegin(), Post.rend());
+  std::vector<uint32_t> RPOOf(NumBlocks, NotReachable);
+  for (uint32_t I = 0; I != N; ++I)
+    RPOOf[D.RPO[I]] = I;
+
+  // Predecessor lists in RPO numbers, each reachable predecessor once, in
+  // block order (what BasicBlock::predecessors() reports).
+  std::vector<std::vector<uint32_t>> Preds(N);
+  for (uint32_t L = 0; L != NumBlocks; ++L) {
+    const uint32_t P = RPOOf[L];
+    if (P == NotReachable)
+      continue;
+    for (uint32_t S : Succs[L]) {
+      if (S >= NumBlocks)
+        continue;
+      std::vector<uint32_t> &SP = Preds[RPOOf[S]];
+      if (SP.empty() || SP.back() != P)
+        SP.push_back(P);
+    }
+  }
+
+  // Cooper-Harvey-Kennedy iteration over RPO numbers; the entry is 0.
+  std::vector<uint32_t> &IDom = D.IDom;
+  IDom.assign(N, NotReachable);
+  IDom[0] = 0;
+  auto Intersect = [&](uint32_t A, uint32_t B) {
+    while (A != B) {
+      while (A > B)
+        A = IDom[A];
+      while (B > A)
+        B = IDom[B];
+    }
+    return A;
+  };
+  bool Changed = true;
+  while (Changed) {
+    Changed = false;
+    for (uint32_t I = 1; I != N; ++I) {
+      uint32_t NewIDom = NotReachable;
+      for (uint32_t P : Preds[I]) {
+        if (IDom[P] == NotReachable)
+          continue; // Not processed yet.
+        NewIDom = NewIDom == NotReachable ? P : Intersect(NewIDom, P);
+      }
+      assert(NewIDom != NotReachable &&
+             "reachable block without processed predecessor");
+      if (IDom[I] != NewIDom) {
+        IDom[I] = NewIDom;
+        Changed = true;
+      }
+    }
+  }
+
+  // A block's immediate dominator precedes it in RPO.
+  D.Depth[0] = 0;
+  for (uint32_t I = 1; I != N; ++I)
+    D.Depth[D.RPO[I]] = D.Depth[D.RPO[IDom[I]]] + 1;
+  return D;
+}
+
 DominatorTree::DominatorTree(const Function &F) : F(F) {
   if (F.blocks().empty())
     return;
@@ -28,7 +122,7 @@ DominatorTree::DominatorTree(const Function &F) : F(F) {
   Layout.reserve(NumBlocks);
   for (unsigned I = 0; I != NumBlocks; ++I)
     Layout.emplace(Blocks[I].get(), I);
-  std::vector<std::vector<unsigned>> Succs(NumBlocks);
+  std::vector<std::vector<uint32_t>> Succs(NumBlocks);
   for (unsigned I = 0; I != NumBlocks; ++I)
     for (BasicBlock *S : Blocks[I]->successors()) {
       auto It = Layout.find(S);
@@ -36,85 +130,15 @@ DominatorTree::DominatorTree(const Function &F) : F(F) {
         Succs[I].push_back(It->second);
     }
 
-  // Postorder from the entry on an explicit stack, visiting successors in
-  // order with the first visit winning — exactly the recursive DFS order,
-  // so Fission's region enumeration is unchanged, without a stack frame
-  // per block.
-  std::vector<unsigned> Post;
-  std::vector<char> Seen(NumBlocks, 0);
-  std::vector<std::pair<unsigned, unsigned>> Stack; // (block, next succ)
-  Seen[0] = 1;
-  Stack.emplace_back(0, 0);
-  while (!Stack.empty()) {
-    const unsigned B = Stack.back().first;
-    unsigned &Next = Stack.back().second;
-    if (Next == Succs[B].size()) {
-      Post.push_back(B);
-      Stack.pop_back();
-      continue;
-    }
-    const unsigned S = Succs[B][Next++];
-    if (!Seen[S]) {
-      Seen[S] = 1;
-      Stack.emplace_back(S, 0);
-    }
-  }
-
-  const unsigned N = static_cast<unsigned>(Post.size());
-  std::vector<unsigned> RPOOfLayout(NumBlocks, NotReachable);
+  BlockDominance D = computeBlockDominance(Succs);
+  const unsigned N = static_cast<unsigned>(D.RPO.size());
   RPO.reserve(N);
   RPONumber.reserve(N);
   for (unsigned I = 0; I != N; ++I) {
-    const unsigned L = Post[N - 1 - I];
-    RPOOfLayout[L] = I;
-    RPO.push_back(Blocks[L].get());
-    RPONumber.emplace(Blocks[L].get(), I);
+    RPO.push_back(Blocks[D.RPO[I]].get());
+    RPONumber.emplace(RPO.back(), I);
   }
-
-  // Predecessor lists in RPO numbers, each reachable predecessor once, in
-  // layout order (what BasicBlock::predecessors() reports).
-  std::vector<std::vector<unsigned>> Preds(N);
-  for (unsigned L = 0; L != NumBlocks; ++L) {
-    const unsigned P = RPOOfLayout[L];
-    if (P == NotReachable)
-      continue;
-    for (unsigned S : Succs[L]) {
-      std::vector<unsigned> &SP = Preds[RPOOfLayout[S]];
-      if (SP.empty() || SP.back() != P)
-        SP.push_back(P);
-    }
-  }
-
-  // Cooper-Harvey-Kennedy iteration over RPO numbers; the entry is 0.
-  IDom.assign(N, NotReachable);
-  IDom[0] = 0;
-  auto Intersect = [&](unsigned A, unsigned B) {
-    while (A != B) {
-      while (A > B)
-        A = IDom[A];
-      while (B > A)
-        B = IDom[B];
-    }
-    return A;
-  };
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (unsigned I = 1; I != N; ++I) {
-      unsigned NewIDom = NotReachable;
-      for (unsigned P : Preds[I]) {
-        if (IDom[P] == NotReachable)
-          continue; // Not processed yet.
-        NewIDom = NewIDom == NotReachable ? P : Intersect(NewIDom, P);
-      }
-      assert(NewIDom != NotReachable &&
-             "reachable block without processed predecessor");
-      if (IDom[I] != NewIDom) {
-        IDom[I] = NewIDom;
-        Changed = true;
-      }
-    }
-  }
+  IDom = std::move(D.IDom);
 
   // Children lists, and preorder intervals for O(1) dominance queries. A
   // block's immediate dominator precedes it in RPO, so one backward sweep

@@ -13,12 +13,16 @@
 /// every verified function: construction scans each terminator once, no
 /// traversal recurses (long SplitBB-style block chains cannot overflow the
 /// stack), and dominates() is O(1) via dominator-tree preorder intervals.
+/// The index-level core, computeBlockDominance, is the repository's one
+/// dominance implementation: it also serves the machine CFGs that the
+/// ORCAS- and SemDiff-style diffing backends label with dominator depths.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_ANALYSIS_DOMINATORTREE_H
 #define KHAOS_ANALYSIS_DOMINATORTREE_H
 
+#include <cstdint>
 #include <unordered_map>
 #include <vector>
 
@@ -26,6 +30,24 @@ namespace khaos {
 
 class BasicBlock;
 class Function;
+
+/// Dominance over a CFG given as per-block successor-index lists: the
+/// Cooper-Harvey-Kennedy core DominatorTree is built on, shared with the
+/// machine-level CFGs the graph-matching diffing backends read. Block 0
+/// is the entry; successor indices out of range are ignored.
+struct BlockDominance {
+  /// Reachable blocks in reverse postorder of the recursive DFS from the
+  /// entry (successors in list order, first visit wins); RPO[0] == 0.
+  std::vector<uint32_t> RPO;
+  /// Immediate dominator of RPO[I] as an RPO number; IDom[0] == 0.
+  std::vector<uint32_t> IDom;
+  /// Dominator-tree depth of every block (the entry is 0); -1 for
+  /// unreachable blocks.
+  std::vector<int32_t> Depth;
+};
+
+BlockDominance
+computeBlockDominance(const std::vector<std::vector<uint32_t>> &Succs);
 
 /// Dominator tree over a function's CFG. Unreachable blocks are excluded
 /// from the tree (isReachable() reports membership).

@@ -75,36 +75,17 @@ DiffResult Asm2VecTool::diff(const BinaryImage & /*A*/,
                              const ImageFeatures &FA,
                              const BinaryImage & /*B*/,
                              const ImageFeatures &FB) const {
-  DiffResult R;
   size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
-
   std::vector<std::vector<double>> EA(NA), EB(NB);
   for (size_t I = 0; I != NA; ++I)
     EA[I] = embed(FA.Funcs[I]);
   for (size_t J = 0; J != NB; ++J)
     EB[J] = embed(FB.Funcs[J]);
 
-  double TopSum = 0.0;
-  for (size_t I = 0; I != NA; ++I) {
-    std::vector<double> Sim(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Sim[J] = cosineSimilarity(EA[I], EB[J]) *
-               std::pow(shapeAffinity(FA.Funcs[I], FB.Funcs[J]),
-                        0.8);
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) {
-                       return Sim[X] > Sim[Y];
-                     });
-    if (!Order.empty())
-      TopSum += Sim[Order.front()];
-    R.Rankings[I] = std::move(Order);
-  }
-  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
-  return R;
+  return rankByScore(NA, NB, [&](size_t I, size_t J) {
+    return cosineSimilarity(EA[I], EB[J]) *
+           std::pow(shapeAffinity(FA.Funcs[I], FB.Funcs[J]), 0.8);
+  });
 }
 
 } // namespace

@@ -74,9 +74,7 @@ DiffResult BinDiffTool::diff(const BinaryImage & /*A*/,
                              const ImageFeatures &FA,
                              const BinaryImage &B,
                              const ImageFeatures &FB) const {
-  DiffResult R;
   size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
 
   // Pass 1: name-anchored matches (the "symbol relying" behaviour the
   // paper calls out in Table 1).
@@ -111,19 +109,11 @@ DiffResult BinDiffTool::diff(const BinaryImage & /*A*/,
     }
   }
 
-  // Rankings.
-  for (size_t I = 0; I != NA; ++I) {
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) {
-                       return Sim[I][X] > Sim[I][Y];
-                     });
-    R.Rankings[I] = std::move(Order);
-  }
+  // Rankings from the shared routine; the whole-binary score is BinDiff's
+  // own: the greedy 1:1 matching, weighted by size.
+  DiffResult R =
+      rankByScore(NA, NB, [&](size_t I, size_t J) { return Sim[I][J]; });
 
-  // Greedy 1:1 matching for the whole-binary score, weighted by size.
   std::vector<std::tuple<double, size_t, size_t>> Cands;
   for (size_t I = 0; I != NA; ++I)
     for (size_t J = 0; J != NB; ++J)

@@ -122,108 +122,6 @@ unsigned khaos::robustTokenClass(unsigned Opcode) {
   return Cat == 2 ? 1 : Cat; // Merge logic into arithmetic.
 }
 
-std::vector<int32_t>
-khaos::computeBlockIDoms(const std::vector<std::vector<uint32_t>> &Succs) {
-  size_t N = Succs.size();
-  std::vector<int32_t> IDoms(N, -1);
-  if (N == 0)
-    return IDoms;
-
-  // Reverse postorder from the entry (block 0) and predecessor lists
-  // restricted to reachable blocks.
-  std::vector<int32_t> RPONum(N, -1);
-  std::vector<uint32_t> RPO;
-  {
-    std::vector<uint8_t> State(N, 0); // 0 unseen, 1 on stack, 2 done.
-    std::vector<std::pair<uint32_t, size_t>> Stack{{0, 0}};
-    State[0] = 1;
-    std::vector<uint32_t> Post;
-    while (!Stack.empty()) {
-      auto &[BB, Next] = Stack.back();
-      if (Next < Succs[BB].size()) {
-        uint32_t S = Succs[BB][Next++];
-        if (S < N && State[S] == 0) {
-          State[S] = 1;
-          Stack.push_back({S, 0});
-        }
-      } else {
-        State[BB] = 2;
-        Post.push_back(BB);
-        Stack.pop_back();
-      }
-    }
-    RPO.assign(Post.rbegin(), Post.rend());
-    for (size_t I = 0; I != RPO.size(); ++I)
-      RPONum[RPO[I]] = static_cast<int32_t>(I);
-  }
-  std::vector<std::vector<uint32_t>> Preds(N);
-  for (uint32_t B = 0; B != N; ++B) {
-    if (RPONum[B] < 0)
-      continue;
-    for (uint32_t S : Succs[B])
-      if (S < N && RPONum[S] >= 0)
-        Preds[S].push_back(B);
-  }
-
-  // Cooper-Harvey-Kennedy iteration to fixpoint over the RPO.
-  std::vector<int32_t> Doms(N, -1); // IDom per block; entry = itself.
-  Doms[0] = 0;
-  auto Intersect = [&](int32_t A, int32_t B) {
-    while (A != B) {
-      while (RPONum[A] > RPONum[B])
-        A = Doms[A];
-      while (RPONum[B] > RPONum[A])
-        B = Doms[B];
-    }
-    return A;
-  };
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (size_t I = 1; I < RPO.size(); ++I) {
-      uint32_t BB = RPO[I];
-      int32_t NewIDom = -1;
-      for (uint32_t P : Preds[BB])
-        if (Doms[P] >= 0)
-          NewIDom = NewIDom < 0 ? static_cast<int32_t>(P)
-                                : Intersect(NewIDom, static_cast<int32_t>(P));
-      if (NewIDom >= 0 && Doms[BB] != NewIDom) {
-        Doms[BB] = NewIDom;
-        Changed = true;
-      }
-    }
-  }
-  for (size_t B = 1; B != N; ++B)
-    if (RPONum[B] >= 0)
-      IDoms[B] = Doms[B];
-  return IDoms;
-}
-
-std::vector<int32_t> khaos::dominatorDepths(const std::vector<int32_t> &IDoms) {
-  std::vector<int32_t> Depth(IDoms.size(), -1);
-  if (IDoms.empty())
-    return Depth;
-  Depth[0] = 0;
-  // IDoms form a tree rooted at the entry; resolve each chain iteratively
-  // (chains are short, and memoization keeps the total linear).
-  for (size_t B = 1; B != IDoms.size(); ++B) {
-    if (Depth[B] >= 0 || IDoms[B] < 0)
-      continue;
-    std::vector<size_t> Chain;
-    size_t Cur = B;
-    while (Depth[Cur] < 0 && IDoms[Cur] >= 0) {
-      Chain.push_back(Cur);
-      Cur = static_cast<size_t>(IDoms[Cur]);
-    }
-    int32_t D = Depth[Cur];
-    if (D < 0)
-      continue; // Chain ends in an unreachable block.
-    for (auto It = Chain.rbegin(); It != Chain.rend(); ++It)
-      Depth[*It] = ++D;
-  }
-  return Depth;
-}
-
 std::vector<double>
 khaos::semanticHistogram(const std::vector<double> &OpcodeHist) {
   std::vector<double> Sem(NumSemanticCategories, 0.0);

@@ -46,6 +46,9 @@ struct FunctionFeatures {
   std::vector<int64_t> Immediates;          ///< Distinctive constants.
   std::vector<unsigned> TokenSeq;           ///< Opcode tokens in layout order.
   std::vector<std::vector<double>> BlockHists; ///< Per-block opcode hist.
+  /// Per-block successor indices (entry = block 0): the machine CFG the
+  /// graph backends hand to analysis/DominatorTree's
+  /// computeBlockDominance for dominator depths and edges.
   std::vector<std::vector<uint32_t>> BlockSuccs;
 };
 
@@ -72,19 +75,6 @@ unsigned robustTokenClass(unsigned Opcode);
 /// mildly; moving code across functions (fission/fusion) changes every
 /// component multiplicatively and drives the affinity towards zero.
 double shapeAffinity(const FunctionFeatures &A, const FunctionFeatures &B);
-
-/// Immediate dominator of every block of a machine CFG given as per-block
-/// successor lists (entry = block 0), computed with the Cooper-Harvey-
-/// Kennedy algorithm — the machine-level mirror of analysis/DominatorTree,
-/// which the graph-matching backends (ORCAS-style) consume because
-/// dominance survives block reordering and edge obfuscation better than
-/// layout order does. Entry and unreachable blocks get -1.
-std::vector<int32_t>
-computeBlockIDoms(const std::vector<std::vector<uint32_t>> &Succs);
-
-/// Dominator-tree depth of every block (entry = 0) from a
-/// computeBlockIDoms result; unreachable blocks get -1.
-std::vector<int32_t> dominatorDepths(const std::vector<int32_t> &IDoms);
 
 /// Condenses a per-block opcode histogram (length NumMOpcodes) to the
 /// NumSemanticCategories semantic categories — the node labels of the

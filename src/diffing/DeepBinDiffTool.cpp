@@ -126,10 +126,7 @@ DiffResult DeepBinDiffTool::diff(const BinaryImage & /*A*/,
                                  const ImageFeatures &FA,
                                  const BinaryImage & /*B*/,
                                  const ImageFeatures &FB) const {
-  DiffResult R;
   size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
-
   std::vector<BlockRef> RefsA, RefsB;
   std::vector<std::vector<double>> VA = embedBlocks(FA, RefsA);
   std::vector<std::vector<double>> VB = embedBlocks(FB, RefsB);
@@ -151,25 +148,12 @@ DiffResult DeepBinDiffTool::diff(const BinaryImage & /*A*/,
       Votes[RefsA[I].Func][RefsB[BestJ].Func] += Best;
   }
 
-  double TopSum = 0.0;
-  for (size_t I = 0; I != NA; ++I) {
-    double NumBlocks = std::max<double>(FA.Funcs[I].NumBlocks, 1.0);
-    std::vector<double> Score(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Score[J] = Votes[I][J] / NumBlocks;
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) {
-                       return Score[X] > Score[Y];
-                     });
-    if (!Order.empty())
-      TopSum += std::min(Score[Order.front()], 1.0);
-    R.Rankings[I] = std::move(Order);
-  }
-  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
-  return R;
+  return rankByScore(
+      NA, NB,
+      [&](size_t I, size_t J) {
+        return Votes[I][J] / std::max<double>(FA.Funcs[I].NumBlocks, 1.0);
+      },
+      /*Lo=*/-HUGE_VAL, /*Hi=*/1.0);
 }
 
 } // namespace

@@ -31,7 +31,9 @@
 /// Each tool ranks, for every function of binary A (the un-obfuscated
 /// reference), the functions of binary B (the obfuscated build) by
 /// similarity. The harness computes Precision@1 / escape@k from the
-/// rankings with the paper's relaxed pairing judgment.
+/// rankings with the paper's relaxed pairing judgment. A tool supplies
+/// per-pair scores; rankByScore turns them into rankings the same way
+/// for every tool.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,8 +42,11 @@
 
 #include "diffing/BinaryFeatures.h"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,6 +96,34 @@ public:
                           const BinaryImage &B,
                           const ImageFeatures &FB) const = 0;
 };
+
+/// The ranking step of every backend: scores each (A, B) function pair
+/// with \p Score(I, J), ranks B's function indices for every A function
+/// by descending score (ties in index order), and sets
+/// WholeBinarySimilarity to the mean over A's functions of their best
+/// score clamped to [\p Lo, \p Hi]. \p Score is a template parameter so
+/// the per-pair call inlines into the scoring loop.
+template <typename ScoreFn>
+DiffResult rankByScore(size_t NA, size_t NB, ScoreFn &&Score,
+                       double Lo = -HUGE_VAL, double Hi = HUGE_VAL) {
+  DiffResult R;
+  R.Rankings.resize(NA);
+  std::vector<double> Sim(NB);
+  double TopSum = 0.0;
+  for (size_t I = 0; I != NA; ++I) {
+    for (size_t J = 0; J != NB; ++J)
+      Sim[J] = Score(I, J);
+    std::vector<uint32_t> &Order = R.Rankings[I];
+    Order.resize(NB);
+    std::iota(Order.begin(), Order.end(), 0u);
+    std::stable_sort(Order.begin(), Order.end(),
+                     [&](uint32_t X, uint32_t Y) { return Sim[X] > Sim[Y]; });
+    if (NB)
+      TopSum += std::min(std::max(Sim[Order.front()], Lo), Hi);
+  }
+  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
+  return R;
+}
 
 std::unique_ptr<DiffTool> createBinDiffTool();
 std::unique_ptr<DiffTool> createVulSeekerTool();

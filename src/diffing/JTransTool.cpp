@@ -152,38 +152,25 @@ std::vector<double> JTransTool::embed(const MFunction &MF,
 DiffResult JTransTool::diff(const BinaryImage &A, const ImageFeatures &FA,
                             const BinaryImage &B,
                             const ImageFeatures &FB) const {
-  DiffResult R;
   size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
-
   std::vector<std::vector<double>> EA(NA), EB(NB);
   for (size_t I = 0; I != NA; ++I)
     EA[I] = embed(A.Functions[I], FA.Funcs[I]);
   for (size_t J = 0; J != NB; ++J)
     EB[J] = embed(B.Functions[J], FB.Funcs[J]);
 
-  double TopSum = 0.0;
-  for (size_t I = 0; I != NA; ++I) {
-    std::vector<double> Sim(NB);
-    for (size_t J = 0; J != NB; ++J)
-      // A sequence model is CFG-agnostic, so the discount is the token
-      // *length* mismatch, not the CFG shape: fission halves and fusion
-      // doubles the stream, which is exactly where jTrans loses recall.
-      Sim[J] = cosineSimilarity(EA[I], EB[J]) *
+  // A sequence model is CFG-agnostic, so the discount is the token
+  // *length* mismatch, not the CFG shape: fission halves and fusion
+  // doubles the stream, which is exactly where jTrans loses recall.
+  return rankByScore(
+      NA, NB,
+      [&](size_t I, size_t J) {
+        return cosineSimilarity(EA[I], EB[J]) *
                std::pow(sizeAffinity(FA.Funcs[I].NumInsts + 1.0,
                                      FB.Funcs[J].NumInsts + 1.0),
                         0.75);
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) { return Sim[X] > Sim[Y]; });
-    if (!Order.empty())
-      TopSum += std::max(Sim[Order.front()], 0.0);
-    R.Rankings[I] = std::move(Order);
-  }
-  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
-  return R;
+      },
+      /*Lo=*/0.0);
 }
 
 } // namespace

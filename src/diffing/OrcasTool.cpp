@@ -10,171 +10,60 @@
 /// graph whose nodes are basic blocks labelled with semantic-category
 /// histograms (semanticHistogram over the per-block opcode histograms) and
 /// whose edges are the CFG successor edges *plus* dominator-tree edges
-/// (computeBlockIDoms — the machine-level mirror of analysis/
-/// DominatorTree). Dominance is the enhancement that buys resilience:
-/// intra-procedural obfuscation inserts and reorders blocks but rarely
-/// changes who dominates whom, so dominator depth and dominator edges
-/// survive where layout order does not.
+/// (analysis/DominatorTree's computeBlockDominance over the machine CFG).
+/// Dominance is the enhancement that buys resilience: intra-procedural
+/// obfuscation inserts and reorders blocks but rarely changes who
+/// dominates whom, so dominator depth and dominator edges survive where
+/// layout order does not.
 ///
-/// Pairs are scored by *seeded graph-edit similarity*: matching starts
-/// from the entry pair (entries always correspond), expands greedily along
-/// CFG-successor and dominator-child edges of already-matched pairs —
-/// always taking the highest-scoring consistent candidate, with index
-/// order breaking ties deterministically — and scores the final matching
-/// by matched-node similarity and preserved-edge ratio, i.e. one minus a
-/// normalized edit cost. A call-graph context term (in/out degree
-/// agreement, the CallGraph-derived features) rounds out the score:
-/// fission and fusion rewrite exactly these — dominator subtrees leave for
-/// new functions, fused CFGs merge under a dispatcher, and the call graph
-/// gains/loses edges — which is why the paper expects even graph matchers
-/// to degrade under inter-procedural obfuscation.
+/// Pairs are scored by *seeded graph-edit similarity*, with the matcher
+/// shared with the SemDiff backend (diffing/SemanticGraph): matching
+/// starts from the entry pair (entries always correspond), expands
+/// greedily along CFG-successor and dominator-child edges of
+/// already-matched pairs — always taking the highest-scoring consistent
+/// candidate, with index order breaking ties deterministically — and
+/// scores the final matching by matched-node similarity and preserved-edge
+/// ratio, i.e. one minus a normalized edit cost. A call-graph context term
+/// (in/out degree agreement, the CallGraph-derived features) rounds out
+/// the score: fission and fusion rewrite exactly these — dominator
+/// subtrees leave for new functions, fused CFGs merge under a dispatcher,
+/// and the call graph gains/loses edges — which is why the paper expects
+/// even graph matchers to degrade under inter-procedural obfuscation.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "diffing/DiffTool.h"
-#include "support/Statistics.h"
-
-#include <algorithm>
-#include <cmath>
+#include "analysis/DominatorTree.h"
+#include "diffing/SemanticGraph.h"
 
 using namespace khaos;
 
 namespace {
 
-/// Dominance-enhanced semantic graph of one function.
-struct FuncGraph {
-  std::vector<std::vector<double>> NodeSem; ///< Per-block semantic hists.
-  std::vector<int32_t> Depth;               ///< Dominator-tree depth.
-  std::vector<std::vector<uint32_t>> Succs; ///< CFG edges.
-  std::vector<std::vector<uint32_t>> DomChildren; ///< Dominator edges.
-  size_t NumEdges = 0; ///< CFG + dominator edges (match normalizer).
-};
-
-FuncGraph buildGraph(const FunctionFeatures &FF) {
-  FuncGraph G;
+/// Dominance-enhanced semantic graph of one function: every block is a
+/// node, labelled with its semantic histogram and dominator depth; CFG
+/// successor edges and dominator-tree edges are the two edge kinds. Node
+/// kinds are unused (all zero).
+SemanticGraph buildGraph(const FunctionFeatures &FF) {
+  SemanticGraph G;
   size_t N = FF.BlockHists.size();
   G.NodeSem.reserve(N);
   for (const std::vector<double> &H : FF.BlockHists)
     G.NodeSem.push_back(semanticHistogram(H));
-  G.Succs = FF.BlockSuccs;
-  std::vector<int32_t> IDoms = computeBlockIDoms(FF.BlockSuccs);
-  G.Depth = dominatorDepths(IDoms);
-  G.DomChildren.resize(N);
-  for (size_t B = 1; B < N; ++B)
-    if (IDoms[B] >= 0)
-      G.DomChildren[static_cast<size_t>(IDoms[B])].push_back(
-          static_cast<uint32_t>(B));
-  for (size_t B = 0; B != N; ++B)
-    G.NumEdges += G.Succs[B].size() + G.DomChildren[B].size();
+  BlockDominance D = computeBlockDominance(FF.BlockSuccs);
+  G.Depth = std::move(D.Depth);
+  G.Kind.assign(N, 0);
+  G.Edges.resize(2);
+  G.Edges[0] = FF.BlockSuccs;
+  G.Edges[1].resize(N);
+  for (size_t I = 1; I < D.RPO.size(); ++I)
+    G.Edges[1][D.RPO[D.IDom[I]]].push_back(D.RPO[I]);
   return G;
 }
 
-/// Node similarity: semantic-label agreement damped by dominator-depth
-/// distance (a block that moved far across the dominator tree is a worse
-/// correspondence even when its instruction mix matches).
-double nodeSimilarity(const FuncGraph &A, uint32_t I, const FuncGraph &B,
-                      uint32_t J) {
-  double Sem = cosineSimilarity(A.NodeSem[I], B.NodeSem[J]);
-  if (Sem <= 0.0)
-    return 0.0;
-  int32_t DA = A.Depth[I], DB = B.Depth[J];
-  if (DA < 0 || DB < 0)
-    return 0.25 * Sem; // Unreachable block: weak evidence only.
-  return Sem * std::exp(-0.2 * std::abs(DA - DB));
-}
-
-/// Seeded greedy graph matching; returns the graph-edit similarity of the
-/// best matching found, in [0, 1].
-double graphEditSimilarity(const FuncGraph &A, const FuncGraph &B) {
-  size_t NA = A.NodeSem.size(), NB = B.NodeSem.size();
-  if (NA == 0 || NB == 0)
-    return NA == NB ? 1.0 : 0.0;
-
-  constexpr double MinNodeSim = 0.1;
-  std::vector<int32_t> MatchA(NA, -1), MatchB(NB, -1);
-  std::vector<std::pair<uint32_t, uint32_t>> Matched;
-  Matched.reserve(std::min(NA, NB));
-  double NodeScore = 0.0;
-
-  // Candidate pairs proposed by already-matched pairs; the entry pair
-  // seeds the expansion (function entries always correspond). Node
-  // similarity is a pure function of the pair, so it is computed once at
-  // push time and cached with the candidate.
-  struct Candidate {
-    std::pair<uint32_t, uint32_t> Pair;
-    double Sim;
-  };
-  std::vector<Candidate> Frontier;
-  auto Adopt = [&](uint32_t I, uint32_t J, double Sim) {
-    MatchA[I] = static_cast<int32_t>(J);
-    MatchB[J] = static_cast<int32_t>(I);
-    Matched.push_back({I, J});
-    NodeScore += Sim;
-    auto Push = [&](uint32_t CI, uint32_t CJ) {
-      double S = nodeSimilarity(A, CI, B, CJ);
-      if (S > MinNodeSim)
-        Frontier.push_back({{CI, CJ}, S});
-    };
-    for (uint32_t SA : A.Succs[I])
-      for (uint32_t SB : B.Succs[J])
-        if (SA < NA && SB < NB)
-          Push(SA, SB);
-    for (uint32_t CA : A.DomChildren[I])
-      for (uint32_t CB : B.DomChildren[J])
-        Push(CA, CB);
-  };
-  double EntrySim = nodeSimilarity(A, 0, B, 0);
-  Adopt(0, 0, std::max(EntrySim, MinNodeSim));
-
-  // Greedy expansion: scan the frontier for the best still-consistent
-  // candidate, adopt it, repeat. Ties break on (A index, B index), so the
-  // matching — and with it the whole DiffResult — is a pure function of
-  // the two graphs. Candidates invalidated by an adoption are compacted
-  // away up front, so each survives at most one scan beyond its last
-  // consideration and similarities are never recomputed.
-  for (;;) {
-    Frontier.erase(std::remove_if(Frontier.begin(), Frontier.end(),
-                                  [&](const Candidate &C) {
-                                    return MatchA[C.Pair.first] >= 0 ||
-                                           MatchB[C.Pair.second] >= 0;
-                                  }),
-                   Frontier.end());
-    double BestSim = MinNodeSim;
-    size_t BestIdx = SIZE_MAX;
-    for (size_t C = 0; C != Frontier.size(); ++C) {
-      if (Frontier[C].Sim > BestSim ||
-          (Frontier[C].Sim == BestSim && BestIdx != SIZE_MAX &&
-           Frontier[C].Pair < Frontier[BestIdx].Pair))
-        BestSim = Frontier[C].Sim, BestIdx = C;
-    }
-    if (BestIdx == SIZE_MAX)
-      break;
-    auto [I, J] = Frontier[BestIdx].Pair;
-    Adopt(I, J, BestSim);
-  }
-
-  // Preserved-edge ratio: a matched A edge whose endpoints map to a B
-  // edge of the same kind costs no edit; everything else does.
-  size_t Preserved = 0;
-  auto HasEdge = [](const std::vector<uint32_t> &Edges, uint32_t To) {
-    return std::find(Edges.begin(), Edges.end(), To) != Edges.end();
-  };
-  for (auto [I, J] : Matched) {
-    for (uint32_t SA : A.Succs[I])
-      if (SA < NA && MatchA[SA] >= 0 &&
-          HasEdge(B.Succs[J], static_cast<uint32_t>(MatchA[SA])))
-        ++Preserved;
-    for (uint32_t CA : A.DomChildren[I])
-      if (MatchA[CA] >= 0 &&
-          HasEdge(B.DomChildren[J], static_cast<uint32_t>(MatchA[CA])))
-        ++Preserved;
-  }
-  double EdgeScore = A.NumEdges + B.NumEdges == 0
-                         ? 1.0
-                         : 2.0 * (double)Preserved /
-                               (double)(A.NumEdges + B.NumEdges);
-  double MatchedNodeScore = 2.0 * NodeScore / (double)(NA + NB);
-  return 0.65 * MatchedNodeScore + 0.35 * EdgeScore;
+/// The graph-edit similarity alone: ORCAS's evidence is the graph.
+double graphOnlyMix(double Graph, const FunctionFeatures &,
+                    const FunctionFeatures &) {
+  return Graph;
 }
 
 class OrcasTool : public DiffTool {
@@ -186,64 +75,12 @@ public:
     T.UsesCallGraph = true; // Call-context term + callee features.
     return T;
   }
-  DiffResult diff(const BinaryImage &A, const ImageFeatures &FA,
-                  const BinaryImage &B,
-                  const ImageFeatures &FB) const override;
-};
-
-/// Call-graph context agreement in (0, 1]: in/out degree similarity.
-double callContext(const FunctionFeatures &X, const FunctionFeatures &Y) {
-  double In = 1.0 - std::abs((double)X.CallGraphIn - (double)Y.CallGraphIn) /
-                        (X.CallGraphIn + Y.CallGraphIn + 1.0);
-  double Out = 1.0 -
-               std::abs((double)X.CallGraphOut - (double)Y.CallGraphOut) /
-                   (X.CallGraphOut + Y.CallGraphOut + 1.0);
-  return In * Out;
-}
-
-DiffResult OrcasTool::diff(const BinaryImage & /*A*/, const ImageFeatures &FA,
-                           const BinaryImage & /*B*/,
-                           const ImageFeatures &FB) const {
-  DiffResult R;
-  size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
-
-  std::vector<FuncGraph> GA(NA), GB(NB);
-  for (size_t I = 0; I != NA; ++I)
-    GA[I] = buildGraph(FA.Funcs[I]);
-  for (size_t J = 0; J != NB; ++J)
-    GB[J] = buildGraph(FB.Funcs[J]);
-
-  double TopSum = 0.0;
-  for (size_t I = 0; I != NA; ++I) {
-    std::vector<double> Sim(NB);
-    for (size_t J = 0; J != NB; ++J) {
-      // Cheap pre-filter: a pair whose whole-function semantics and shape
-      // are hopeless never reaches the quadratic matcher. The fallback
-      // score stays below any matched pair's, preserving ranking quality
-      // while bounding cost on large matrices.
-      double Gate = cosineSimilarity(FA.Funcs[I].SemanticVec,
-                                     FB.Funcs[J].SemanticVec) *
-                    shapeAffinity(FA.Funcs[I], FB.Funcs[J]);
-      if (Gate < 0.005) {
-        Sim[J] = 0.05 * std::max(Gate, 0.0);
-        continue;
-      }
-      Sim[J] = graphEditSimilarity(GA[I], GB[J]) *
-               (0.85 + 0.15 * callContext(FA.Funcs[I], FB.Funcs[J]));
-    }
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) { return Sim[X] > Sim[Y]; });
-    if (!Order.empty())
-      TopSum += std::min(std::max(Sim[Order.front()], 0.0), 1.0);
-    R.Rankings[I] = std::move(Order);
+  DiffResult diff(const BinaryImage & /*A*/, const ImageFeatures &FA,
+                  const BinaryImage & /*B*/,
+                  const ImageFeatures &FB) const override {
+    return rankGraphMatches(FA, FB, buildGraph, graphOnlyMix);
   }
-  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
-  return R;
-}
+};
 
 } // namespace
 

@@ -18,14 +18,15 @@
 ///
 /// Nodes keep three labels: the semantic-category histogram of the block
 /// (semanticHistogram), the block's dominator depth in the *full* CFG
-/// (computeBlockIDoms / dominatorDepths — depth survives block insertion
-/// far better than layout order), and a kind bitmask recording *why* the
-/// block is key (call / store / return / entry / exit). Reduced graphs are
-/// matched with the same seeded greedy graph-edit scheme as the ORCAS
-/// backend — entries seed, matched pairs propose their reduced successors,
-/// ties break on index order so the result is a pure function of the two
-/// graphs — and the per-pair score mixes the graph-edit similarity with a
-/// whole-function opcode-histogram cosine and a call-graph context term.
+/// (analysis/DominatorTree's computeBlockDominance — depth survives block
+/// insertion far better than layout order), and a kind bitmask recording
+/// *why* the block is key (call / store / return / entry / exit). Reduced
+/// graphs are matched by the seeded greedy graph-edit matcher the ORCAS
+/// backend uses too (diffing/SemanticGraph) — entries seed, matched pairs
+/// propose their reduced successors, ties break on index order so the
+/// result is a pure function of the two graphs — and the per-pair score
+/// mixes the graph-edit similarity with a whole-function opcode-histogram
+/// cosine and a call-graph context term.
 ///
 /// Inter-procedural obfuscation attacks exactly this reduction: fission
 /// turns a store-reaching path into a call to a new function (the key
@@ -35,12 +36,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "diffing/DiffTool.h"
+#include "analysis/DominatorTree.h"
 #include "codegen/TargetISA.h"
+#include "diffing/SemanticGraph.h"
 #include "support/Statistics.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace khaos;
 
@@ -55,22 +56,15 @@ enum KeyKind : uint8_t {
   KindExit = 16,  ///< No successors (the function's sinks are observable).
 };
 
-/// Reduced key-semantics graph of one function.
-struct KeyGraph {
-  std::vector<std::vector<double>> NodeSem; ///< Semantic hists of key blocks.
-  std::vector<int32_t> Depth; ///< Dominator depth in the full CFG.
-  std::vector<uint8_t> Kind;  ///< KeyKind bitmask.
-  std::vector<std::vector<uint32_t>> Succs; ///< Contracted CFG edges.
-  size_t NumEdges = 0;
-};
-
 size_t hist(const std::vector<double> &H, MOp Op) {
   size_t I = static_cast<size_t>(Op);
   return I < H.size() && H[I] > 0.0 ? 1 : 0;
 }
 
-KeyGraph buildKeyGraph(const FunctionFeatures &FF) {
-  KeyGraph G;
+/// Reduced key-semantics graph of one function: the key blocks, with
+/// KeyKind node kinds and the contracted CFG paths as the one edge kind.
+SemanticGraph buildKeyGraph(const FunctionFeatures &FF) {
+  SemanticGraph G;
   size_t N = FF.BlockHists.size();
   if (N == 0)
     return G;
@@ -78,7 +72,6 @@ KeyGraph buildKeyGraph(const FunctionFeatures &FF) {
   // Classify blocks. The entry and every successor-less block are key even
   // without key instructions, so the graph always has a seed node and the
   // function's sinks survive the contraction.
-  std::vector<uint8_t> Kind(N, 0);
   std::vector<int32_t> KeyIdx(N, -1);
   for (size_t B = 0; B != N; ++B) {
     const std::vector<double> &H = FF.BlockHists[B];
@@ -93,19 +86,18 @@ KeyGraph buildKeyGraph(const FunctionFeatures &FF) {
       K |= KindEntry;
     if (B >= FF.BlockSuccs.size() || FF.BlockSuccs[B].empty())
       K |= KindExit;
-    Kind[B] = K;
     if (K) {
       KeyIdx[B] = static_cast<int32_t>(G.Kind.size());
       G.Kind.push_back(K);
     }
   }
 
-  std::vector<int32_t> IDoms = computeBlockIDoms(FF.BlockSuccs);
-  std::vector<int32_t> Depths = dominatorDepths(IDoms);
+  std::vector<int32_t> Depths = computeBlockDominance(FF.BlockSuccs).Depth;
   size_t NK = G.Kind.size();
   G.NodeSem.reserve(NK);
   G.Depth.reserve(NK);
-  G.Succs.resize(NK);
+  G.Edges.resize(1);
+  G.Edges[0].resize(NK);
   for (size_t B = 0; B != N; ++B) {
     if (KeyIdx[B] < 0)
       continue;
@@ -129,7 +121,7 @@ KeyGraph buildKeyGraph(const FunctionFeatures &FF) {
           Visited[S] = 1;
           Work.push_back(S);
         }
-    std::vector<uint32_t> &Out = G.Succs[static_cast<size_t>(KeyIdx[B])];
+    std::vector<uint32_t> &Out = G.Edges[0][static_cast<size_t>(KeyIdx[B])];
     for (size_t W = 0; W != Work.size(); ++W) {
       uint32_t Cur = Work[W];
       if (KeyIdx[Cur] >= 0) {
@@ -145,114 +137,16 @@ KeyGraph buildKeyGraph(const FunctionFeatures &FF) {
     }
     std::sort(Out.begin(), Out.end());
     Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-    G.NumEdges += Out.size();
   }
   return G;
 }
 
-/// Node similarity: semantic-label cosine, scaled by kind agreement
-/// (Jaccard over the KeyKind bits — a store block matching a call block is
-/// weaker evidence than store-for-store) and damped by dominator-depth
-/// distance.
-double nodeSimilarity(const KeyGraph &A, uint32_t I, const KeyGraph &B,
-                      uint32_t J) {
-  double Sem = cosineSimilarity(A.NodeSem[I], B.NodeSem[J]);
-  if (Sem <= 0.0)
-    return 0.0;
-  unsigned Inter = static_cast<unsigned>(A.Kind[I] & B.Kind[J]);
-  unsigned Union = static_cast<unsigned>(A.Kind[I] | B.Kind[J]);
-  double Jac = Union ? (double)__builtin_popcount(Inter) /
-                           (double)__builtin_popcount(Union)
-                     : 1.0;
-  double Sim = Sem * (0.5 + 0.5 * Jac);
-  int32_t DA = A.Depth[I], DB = B.Depth[J];
-  if (DA < 0 || DB < 0)
-    return 0.25 * Sim; // Unreachable block: weak evidence only.
-  return Sim * std::exp(-0.2 * std::abs(DA - DB));
-}
-
-/// Seeded greedy matching over two reduced graphs; graph-edit similarity
-/// in [0, 1]. Structure mirrors OrcasTool::graphEditSimilarity; the
-/// frontier expands along contracted edges only.
-double keyGraphSimilarity(const KeyGraph &A, const KeyGraph &B) {
-  size_t NA = A.NodeSem.size(), NB = B.NodeSem.size();
-  if (NA == 0 || NB == 0)
-    return NA == NB ? 1.0 : 0.0;
-
-  constexpr double MinNodeSim = 0.1;
-  std::vector<int32_t> MatchA(NA, -1), MatchB(NB, -1);
-  std::vector<std::pair<uint32_t, uint32_t>> Matched;
-  Matched.reserve(std::min(NA, NB));
-  double NodeScore = 0.0;
-
-  struct Candidate {
-    std::pair<uint32_t, uint32_t> Pair;
-    double Sim;
-  };
-  std::vector<Candidate> Frontier;
-  auto Adopt = [&](uint32_t I, uint32_t J, double Sim) {
-    MatchA[I] = static_cast<int32_t>(J);
-    MatchB[J] = static_cast<int32_t>(I);
-    Matched.push_back({I, J});
-    NodeScore += Sim;
-    for (uint32_t SA : A.Succs[I])
-      for (uint32_t SB : B.Succs[J]) {
-        double S = nodeSimilarity(A, SA, B, SB);
-        if (S > MinNodeSim)
-          Frontier.push_back({{SA, SB}, S});
-      }
-  };
-  // Entries always correspond (node 0 is the entry's key index: block 0 is
-  // key and classified first).
-  double EntrySim = nodeSimilarity(A, 0, B, 0);
-  Adopt(0, 0, std::max(EntrySim, MinNodeSim));
-
-  for (;;) {
-    Frontier.erase(std::remove_if(Frontier.begin(), Frontier.end(),
-                                  [&](const Candidate &C) {
-                                    return MatchA[C.Pair.first] >= 0 ||
-                                           MatchB[C.Pair.second] >= 0;
-                                  }),
-                   Frontier.end());
-    double BestSim = MinNodeSim;
-    size_t BestIdx = SIZE_MAX;
-    for (size_t C = 0; C != Frontier.size(); ++C) {
-      if (Frontier[C].Sim > BestSim ||
-          (Frontier[C].Sim == BestSim && BestIdx != SIZE_MAX &&
-           Frontier[C].Pair < Frontier[BestIdx].Pair))
-        BestSim = Frontier[C].Sim, BestIdx = C;
-    }
-    if (BestIdx == SIZE_MAX)
-      break;
-    auto [I, J] = Frontier[BestIdx].Pair;
-    Adopt(I, J, BestSim);
-  }
-
-  size_t Preserved = 0;
-  auto HasEdge = [](const std::vector<uint32_t> &Edges, uint32_t To) {
-    return std::find(Edges.begin(), Edges.end(), To) != Edges.end();
-  };
-  for (auto [I, J] : Matched)
-    for (uint32_t SA : A.Succs[I])
-      if (MatchA[SA] >= 0 &&
-          HasEdge(B.Succs[J], static_cast<uint32_t>(MatchA[SA])))
-        ++Preserved;
-  double EdgeScore = A.NumEdges + B.NumEdges == 0
-                         ? 1.0
-                         : 2.0 * (double)Preserved /
-                               (double)(A.NumEdges + B.NumEdges);
-  double MatchedNodeScore = 2.0 * NodeScore / (double)(NA + NB);
-  return 0.65 * MatchedNodeScore + 0.35 * EdgeScore;
-}
-
-/// Call-graph context agreement in (0, 1]: in/out degree similarity.
-double callContext(const FunctionFeatures &X, const FunctionFeatures &Y) {
-  double In = 1.0 - std::abs((double)X.CallGraphIn - (double)Y.CallGraphIn) /
-                        (X.CallGraphIn + Y.CallGraphIn + 1.0);
-  double Out = 1.0 -
-               std::abs((double)X.CallGraphOut - (double)Y.CallGraphOut) /
-                   (X.CallGraphOut + Y.CallGraphOut + 1.0);
-  return In * Out;
+/// The key-graph similarity, blended with a whole-function opcode
+/// histogram cosine.
+double keyScoreMix(double Graph, const FunctionFeatures &X,
+                   const FunctionFeatures &Y) {
+  double OpCos = cosineSimilarity(X.OpcodeHist, Y.OpcodeHist);
+  return 0.8 * Graph + 0.2 * std::max(OpCos, 0.0);
 }
 
 class SemDiffTool : public DiffTool {
@@ -264,56 +158,12 @@ public:
     T.UsesCallGraph = true; // Call-context term + call-kind node labels.
     return T;
   }
-  DiffResult diff(const BinaryImage &A, const ImageFeatures &FA,
-                  const BinaryImage &B,
-                  const ImageFeatures &FB) const override;
-};
-
-DiffResult SemDiffTool::diff(const BinaryImage & /*A*/, const ImageFeatures &FA,
-                             const BinaryImage & /*B*/,
-                             const ImageFeatures &FB) const {
-  DiffResult R;
-  size_t NA = FA.Funcs.size(), NB = FB.Funcs.size();
-  R.Rankings.resize(NA);
-
-  std::vector<KeyGraph> GA(NA), GB(NB);
-  for (size_t I = 0; I != NA; ++I)
-    GA[I] = buildKeyGraph(FA.Funcs[I]);
-  for (size_t J = 0; J != NB; ++J)
-    GB[J] = buildKeyGraph(FB.Funcs[J]);
-
-  double TopSum = 0.0;
-  for (size_t I = 0; I != NA; ++I) {
-    std::vector<double> Sim(NB);
-    for (size_t J = 0; J != NB; ++J) {
-      // Cheap pre-filter as in the ORCAS backend: hopeless pairs never
-      // reach the matcher, and their fallback score stays below any
-      // matched pair's.
-      double Gate = cosineSimilarity(FA.Funcs[I].SemanticVec,
-                                     FB.Funcs[J].SemanticVec) *
-                    shapeAffinity(FA.Funcs[I], FB.Funcs[J]);
-      if (Gate < 0.005) {
-        Sim[J] = 0.05 * std::max(Gate, 0.0);
-        continue;
-      }
-      double Graph = keyGraphSimilarity(GA[I], GB[J]);
-      double OpCos = cosineSimilarity(FA.Funcs[I].OpcodeHist,
-                                      FB.Funcs[J].OpcodeHist);
-      Sim[J] = (0.8 * Graph + 0.2 * std::max(OpCos, 0.0)) *
-               (0.85 + 0.15 * callContext(FA.Funcs[I], FB.Funcs[J]));
-    }
-    std::vector<uint32_t> Order(NB);
-    for (size_t J = 0; J != NB; ++J)
-      Order[J] = static_cast<uint32_t>(J);
-    std::stable_sort(Order.begin(), Order.end(),
-                     [&](uint32_t X, uint32_t Y) { return Sim[X] > Sim[Y]; });
-    if (!Order.empty())
-      TopSum += std::min(std::max(Sim[Order.front()], 0.0), 1.0);
-    R.Rankings[I] = std::move(Order);
+  DiffResult diff(const BinaryImage & /*A*/, const ImageFeatures &FA,
+                  const BinaryImage & /*B*/,
+                  const ImageFeatures &FB) const override {
+    return rankGraphMatches(FA, FB, buildKeyGraph, keyScoreMix);
   }
-  R.WholeBinarySimilarity = NA ? TopSum / NA : 0.0;
-  return R;
-}
+};
 
 } // namespace
 

@@ -191,6 +191,26 @@ private:
 // The adapter tool
 //===----------------------------------------------------------------------===//
 
+/// A worker's rankings must have one row per A function and index only
+/// B's functions: the metrics index B.Functions with them unchecked, so a
+/// worker answering out of range would crash the harness.
+bool rankingsFit(const DiffResult &R, size_t NA, size_t NB, std::string &Err) {
+  if (R.Rankings.size() != NA) {
+    Err = std::to_string(R.Rankings.size()) + " ranking rows for " +
+          std::to_string(NA) + " A functions";
+    return false;
+  }
+  for (size_t Row = 0; Row != NA; ++Row)
+    for (uint32_t J : R.Rankings[Row])
+      if (J >= NB) {
+        Err = "row " + std::to_string(Row) + " ranks index " +
+              std::to_string(J) + ", B has " + std::to_string(NB) +
+              " functions";
+        return false;
+      }
+  return true;
+}
+
 class SubprocessDiffTool : public DiffTool {
 public:
   explicit SubprocessDiffTool(SubprocessToolSpec Spec)
@@ -276,6 +296,9 @@ public:
         // surface as one — never escape the per-task catch.
         Err = E.what();
       }
+      if (Decoded && Resp.Ok)
+        Decoded = rankingsFit(Resp.Result, A.Functions.size(),
+                              B.Functions.size(), Err);
       if (!Decoded) {
         WorkerPool::destroy(W);
         throw DiffToolError(describe("malformed response", Err));

@@ -20,6 +20,10 @@
 ///     is SIGKILLed and the call throws DiffToolError — it never stalls a
 ///     shard; a crashed worker (EOF) is respawned and the request retried
 ///     once,
+///   * a response that does not decode, or whose rankings do not fit the
+///     image pair (a row count other than A's function count, an index
+///     past B's functions), kills the worker and throws DiffToolError —
+///     the metrics would otherwise index B's functions out of bounds,
 ///   * the `khaos-diff-worker` executable (tools/) serves the in-process
 ///     registry tools over the protocol, which is what the pre-registered
 ///     `safe-oop` backend runs — proving the adapter end-to-end with

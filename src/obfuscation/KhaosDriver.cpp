@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <limits>
 #include <map>
 #include <memory>
@@ -63,6 +64,28 @@ const char *khaos::obfuscationModeName(ObfuscationMode Mode) {
     return "SplitBB";
   }
   return "?";
+}
+
+bool khaos::parseObfuscationModeName(const std::string &Name,
+                                     ObfuscationMode &Out) {
+  auto Canon = [](const std::string &S) {
+    std::string C;
+    for (char Ch : S) {
+      if (Ch == '.' || Ch == '-' || Ch == '_')
+        continue;
+      C += static_cast<char>(std::tolower(static_cast<unsigned char>(Ch)));
+    }
+    return C;
+  };
+  const std::string Want = Canon(Name);
+  // Every enumerator: SplitBB is the last (see ObfuscationMode).
+  for (unsigned M = 0; M <= static_cast<unsigned>(ObfuscationMode::SplitBB);
+       ++M)
+    if (Canon(obfuscationModeName(static_cast<ObfuscationMode>(M))) == Want) {
+      Out = static_cast<ObfuscationMode>(M);
+      return true;
+    }
+  return false;
 }
 
 bool khaos::modeUsesFission(ObfuscationMode Mode) {

@@ -43,7 +43,8 @@ enum class ObfuscationMode : uint8_t {
   FuFiAll, ///< Fission, then fuse sepFuncs + unprocessed oriFuncs.
   // Arms-race roster additions (post-paper; real obfuscator staples).
   // Appended so existing modes keep their serialized ArtifactKey values.
-  // The last enumerator bounds the KEV1 mode byte (EvalService.cpp).
+  // The last enumerator bounds the KEV1 mode byte (EvalService.cpp) and
+  // the enumerators parseObfuscationModeName() tries.
   MBA,     ///< Mixed boolean-arithmetic substitution (deep chains).
   StrEnc,  ///< String/constant encryption with a runtime decode stub.
   IndCall, ///< Direct calls routed through a shuffled dispatch table.
@@ -55,6 +56,11 @@ const std::vector<ObfuscationMode> &allObfuscationModes();
 
 /// Printable mode name matching the paper's legends.
 const char *obfuscationModeName(ObfuscationMode Mode);
+
+/// Parses any mode by its obfuscationModeName() spelling, ignoring case
+/// and the '.', '-' and '_' separators ("FuFi.all", "fufi_all" and
+/// "fla10" all parse).
+bool parseObfuscationModeName(const std::string &Name, ObfuscationMode &Out);
 
 /// Result of one obfuscation run.
 struct ObfuscationResult {

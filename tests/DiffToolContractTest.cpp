@@ -22,19 +22,25 @@
 ///     over the transposed pair (no tool currently claims score symmetry,
 ///     so only shape is asserted);
 ///   * degenerate inputs — empty modules and single-function images
-///     neither crash nor produce malformed rankings.
+///     neither crash nor produce malformed rankings;
+///   * pinned output — every ranking row and the bit pattern of the
+///     whole-binary similarity, over a fixed set of small image pairs,
+///     hash to a recorded per-tool digest, so a refactor of the shared
+///     scoring and ranking code cannot move a single result unnoticed.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "diffing/Metrics.h"
 #include "diffing/SubprocessDiffTool.h"
 #include "harness/EvalScheduler.h"
+#include "workloads/Suites.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <set>
 
 using namespace khaos;
@@ -194,6 +200,70 @@ TEST_P(DiffToolContract, SingleFunctionSelfDiff) {
   EXPECT_EQ(precisionAt1(S.Solo, S.Solo, R), 1.0);
 }
 
+/// The digest inputs: two CoreUtils programs, each against its None, Fla,
+/// Fission and Fusion builds — the identity pair, an intra-procedural
+/// mode and both inter-procedural primitives. Built once per process.
+const std::vector<DiffImages> &digestPairs() {
+  static const std::vector<DiffImages> Pairs = [] {
+    std::vector<Workload> CU = coreUtilsSuite();
+    EvalPipeline Pipe;
+    std::vector<DiffImages> Out;
+    for (size_t W = 0; W != 2; ++W)
+      for (ObfuscationMode M :
+           {ObfuscationMode::None, ObfuscationMode::Fla,
+            ObfuscationMode::Fission, ObfuscationMode::Fusion})
+        Out.push_back(Pipe.diffImages(CU[W], M));
+    return Out;
+  }();
+  return Pairs;
+}
+
+/// FNV-1a over the little-endian bytes of \p V.
+uint64_t mixDigest(uint64_t H, uint64_t V) {
+  for (unsigned Byte = 0; Byte != 8; ++Byte) {
+    H ^= (V >> (8 * Byte)) & 0xFF;
+    H *= 0x100000001b3ull;
+  }
+  return H;
+}
+
+TEST_P(DiffToolContract, OutputDigestIsPinned) {
+  // A change to any of these values is a change to the published figures
+  // and must be deliberate; a new backend records its digest here. The
+  // out-of-process safe-oop is SAFE over the wire, so it shares SAFE's.
+  constexpr uint64_t SafeDigest = 0xd0459ee2ec409cadull;
+  static const std::map<std::string, uint64_t> Expected = {
+      {"BinDiff", 0xf7e619ddfeed54e0ull},
+      {"VulSeeker", 0xec31824072fab2b4ull},
+      {"Asm2Vec", 0xf94c86ea06db372bull},
+      {"SAFE", SafeDigest},
+      {"DeepBinDiff", 0x21828e6cd1ff2393ull},
+      {"jtrans", 0x6099f612a43b81f9ull},
+      {"orcas", 0x668918ab44babd6dull},
+      {"semdiff", 0x4db1b6d3058b2b87ull},
+      {"safe-oop", SafeDigest},
+  };
+  auto It = Expected.find(GetParam());
+  ASSERT_NE(It, Expected.end()) << "no recorded digest for " << GetParam();
+
+  auto T = tool();
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (const DiffImages &I : digestPairs()) {
+    ASSERT_TRUE(I.Ok);
+    DiffResult R = T->diff(I.A, I.FA, I.B, I.FB);
+    H = mixDigest(H, R.Rankings.size());
+    for (const std::vector<uint32_t> &Row : R.Rankings) {
+      H = mixDigest(H, Row.size());
+      for (uint32_t J : Row)
+        H = mixDigest(H, J);
+    }
+    uint64_t Bits;
+    std::memcpy(&Bits, &R.WholeBinarySimilarity, 8);
+    H = mixDigest(H, Bits);
+  }
+  EXPECT_EQ(H, It->second) << std::hex << "digest 0x" << H;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllRegisteredTools, DiffToolContract,
     ::testing::ValuesIn(registeredToolNames()),
@@ -205,6 +275,28 @@ INSTANTIATE_TEST_SUITE_P(
           C = '_';
       return Name;
     });
+
+/// The shared ranking routine itself: descending scores, ties in index
+/// order, and the per-tool clamp on the mean best score — the clamps only
+/// bind on scores the digest pairs never produce.
+TEST(RankByScore, OrdersTiesByIndexAndClampsTheMeanBest) {
+  const std::vector<std::vector<double>> Sim = {{0.5, 0.9, 0.9},
+                                                {-2.0, -3.0, -1.0}};
+  auto Score = [&](size_t I, size_t J) { return Sim[I][J]; };
+  DiffResult R = rankByScore(2, 3, Score);
+  EXPECT_EQ(R.Rankings,
+            (std::vector<std::vector<uint32_t>>{{1, 2, 0}, {2, 0, 1}}));
+  EXPECT_EQ(R.WholeBinarySimilarity, (0.9 + -1.0) / 2);
+  EXPECT_EQ(rankByScore(2, 3, Score, /*Lo=*/0.0).WholeBinarySimilarity,
+            0.9 / 2);
+  EXPECT_EQ(rankByScore(2, 3, Score, -HUGE_VAL, /*Hi=*/0.5)
+                .WholeBinarySimilarity,
+            (0.5 + -1.0) / 2);
+  // No B functions: one empty ranking per A function, similarity 0.
+  R = rankByScore(2, 0, Score);
+  EXPECT_EQ(R.Rankings, (std::vector<std::vector<uint32_t>>{{}, {}}));
+  EXPECT_EQ(R.WholeBinarySimilarity, 0.0);
+}
 
 //===----------------------------------------------------------------------===//
 // Matrix-level determinism: thread count and repeated seeds. One test for

@@ -27,6 +27,7 @@
 #include <cstring>
 #include <thread>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 using namespace khaos;
@@ -370,6 +371,84 @@ TEST(SubprocessDiffTool, CrashedWorkerIsRespawnedAndRetrySucceeds) {
   shutdownDiffWorkers();
   DiffResult Again = createDiffTool("safe-oop")->diff(I.A, I.FA, I.B, I.FB);
   EXPECT_EQ(Again.Rankings, Expected.Rankings);
+}
+
+TEST(SubprocessDiffTool, RankingsThatDoNotFitThePairAreRejected) {
+  // A worker that answers every request with a canned, well-formed
+  // response frame, whatever it was asked. Precision@1 indexes B's
+  // functions with the rankings, so an out-of-range index must fail the
+  // task instead of reaching the metrics.
+  std::string Frame = ::testing::TempDir() + "khaos-bad-rank-" +
+                      std::to_string(::getpid());
+  if (!isDiffToolRegistered("test-bad-rank")) {
+    SubprocessToolSpec Bad;
+    Bad.Name = "test-bad-rank";
+    Bad.Command = {"/bin/sh", "-c", "cat '" + Frame + "'; cat >/dev/null"};
+    Bad.TimeoutMs = 5000;
+    ASSERT_TRUE(registerSubprocessDiffTool(Bad));
+  }
+  auto Answer = [&](const DiffResult &R) {
+    DiffWireResponse Resp;
+    Resp.Ok = true;
+    Resp.Result = R;
+    int Fd = ::open(Frame.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0600);
+    ASSERT_GE(Fd, 0);
+    std::string Err;
+    EXPECT_EQ(writeDiffFrame(Fd, encodeDiffResponse(Resp), -1, Err),
+              FrameIOResult::Ok)
+        << Err;
+    ::close(Fd);
+  };
+  auto ErrorOf = [](const DiffImages &I) -> std::string {
+    try {
+      createDiffTool("test-bad-rank")->diff(I.A, I.FA, I.B, I.FB);
+    } catch (const DiffToolError &E) {
+      return E.what();
+    }
+    return "accepted";
+  };
+
+  DiffImages I = testImages();
+  ASSERT_TRUE(I.Ok);
+  DiffResult R;
+  R.Rankings.assign(I.A.Functions.size(), {0});
+  R.Rankings[3] = {1, 4000000000u};
+  Answer(R);
+  std::string Msg = ErrorOf(I);
+  EXPECT_NE(Msg.find("malformed response"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find("row 3 ranks index 4000000000"), std::string::npos)
+      << Msg;
+
+  // One row short. The previous worker was destroyed, not pooled: a
+  // pooled one would sit on the request and time out instead.
+  R.Rankings.assign(I.A.Functions.size() - 1, {0});
+  Answer(R);
+  Msg = ErrorOf(I);
+  EXPECT_NE(Msg.find("malformed response"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find("ranking rows"), std::string::npos) << Msg;
+
+  // In a matrix the bad backend's tasks render n/a; the sibling tool and
+  // the process carry on.
+  ProgramSpec S;
+  S.Name = "badrankmx";
+  S.NumFunctions = 10;
+  S.Seed = 7;
+  std::vector<Workload> Suite{{S.Name, generateMiniCProgram(S), {}, {}}};
+  EvalPipeline Pipe;
+  R.Rankings.assign(Pipe.baselineImage(Suite[0])->Image.Functions.size(),
+                    {4000000000u});
+  Answer(R);
+  EvalScheduler Sched({/*Threads=*/2, /*Seed=*/0xc906});
+  EvalRunStats Run;
+  auto Cells = Sched.precisionMatrix(Suite, {ObfuscationMode::Sub},
+                                     {"Asm2Vec", "test-bad-rank"}, &Run);
+  ASSERT_EQ(Cells.size(), 1u);
+  ASSERT_TRUE(Cells[0].Ok);
+  ASSERT_EQ(Cells[0].PerTool.size(), 2u);
+  EXPECT_GE(Cells[0].PerTool[0], 0.0);
+  EXPECT_EQ(Cells[0].PerTool[1], -1.0);
+  EXPECT_EQ(Run.ToolFailures, 1u);
+  std::remove(Frame.c_str());
 }
 
 } // namespace

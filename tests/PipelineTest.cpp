@@ -207,6 +207,39 @@ TEST(Analysis, DominatorTreeMatchesReferenceOnRandomCFGs) {
     for (BasicBlock *BB : DT.getRPO())
       Covered += DT.getChildren(BB).size();
     EXPECT_EQ(Covered + 1, DT.getRPO().size());
+
+    // The index-level core (what the diffing backends run on machine
+    // CFGs) on the same successor lists as block indices, plus one
+    // out-of-range successor it must ignore: same RPO and immediate
+    // dominators as the tree, and depth |Dom(b)| - 1.
+    std::map<BasicBlock *, uint32_t> Index;
+    for (unsigned I = 0; I != N; ++I)
+      Index[BBs[I]] = I;
+    std::vector<std::vector<uint32_t>> Succs(N);
+    for (unsigned I = 0; I != N; ++I)
+      for (BasicBlock *S : BBs[I]->successors())
+        Succs[I].push_back(Index[S]);
+    std::vector<uint32_t> &Bad = Succs[Rng.nextBelow(N)];
+    Bad.insert(Bad.begin() + Rng.nextBelow(Bad.size() + 1),
+               N + static_cast<uint32_t>(Rng.nextBelow(4)));
+    BlockDominance D = computeBlockDominance(Succs);
+    ASSERT_EQ(D.RPO.size(), DT.getRPO().size()) << "seed " << Seed;
+    ASSERT_EQ(D.IDom.size(), D.RPO.size()) << "seed " << Seed;
+    EXPECT_EQ(D.IDom[0], 0u) << "seed " << Seed;
+    for (size_t I = 0; I != D.RPO.size(); ++I) {
+      EXPECT_EQ(BBs[D.RPO[I]], DT.getRPO()[I]) << "seed " << Seed;
+      if (I != 0) {
+        EXPECT_EQ(BBs[D.RPO[D.IDom[I]]], DT.getIDom(BBs[D.RPO[I]]))
+            << "seed " << Seed;
+      }
+    }
+    ASSERT_EQ(D.Depth.size(), N);
+    for (unsigned I = 0; I != N; ++I) {
+      int32_t Want = Seen.count(BBs[I])
+                         ? static_cast<int32_t>(Dom[BBs[I]].size()) - 1
+                         : -1;
+      EXPECT_EQ(D.Depth[I], Want) << "seed " << Seed << " b" << I;
+    }
   }
 }
 
