@@ -49,10 +49,13 @@
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -89,27 +92,34 @@ inline const char *flagValue(int Argc, char **Argv, int &I,
   return nullptr;
 }
 
-/// Strict byte-count parser for the store/disk capacity flags. strtoull
-/// alone is too forgiving for a capacity: it wraps "-1" to 2^64-1,
-/// accepts "12abc" as 12 and saturates overflow — all of which would turn
-/// a typo'd cap into a silently unbounded (or empty) cache. Rejects
-/// anything but a full, non-negative, in-range decimal/0x integer with
-/// the same exit-2 usage convention `--tools` validation uses.
-inline uint64_t parseByteCount(const char *V, const char *Flag,
-                               const char *Bench) {
-  const char *P = V;
-  while (*P == ' ' || *P == '\t')
-    ++P;
-  bool Bad = *P == '\0' || *P == '-' || *P == '+';
+/// Strict parser behind every numeric flag: the store/disk capacities,
+/// --threads, --seed, --shards, --shard-index, --tool-timeout-ms and
+/// khaos-fuzz's --budget. strtoul alone is too forgiving: it wraps "-1"
+/// to the type's maximum, reads "12xyz" as 12 and "abc" as 0 (a zero
+/// --tool-timeout-ms silently means "wait forever"), and saturates
+/// overflow. Accepts only a whole decimal or 0x-hex token no larger than
+/// \p Max; a leading 0 before more digits (octal to strtoull) is refused
+/// as ambiguous. Anything else exits 2 with a message naming the flag and
+/// the value, the convention `--tools` validation uses.
+inline uint64_t parseUnsignedFlag(const char *V, const char *Flag,
+                                  const char *Bench,
+                                  uint64_t Max = UINT64_MAX) {
+  bool Hex = V[0] == '0' && (V[1] == 'x' || V[1] == 'X');
+  const char *Digits = Hex ? V + 2 : V;
+  size_t Len = std::strlen(Digits);
+  bool Bad = Len == 0 || (!Hex && Digits[0] == '0' && Len > 1);
+  for (size_t I = 0; I != Len; ++I) {
+    unsigned char C = static_cast<unsigned char>(Digits[I]);
+    Bad |= !(Hex ? std::isxdigit(C) : std::isdigit(C));
+  }
   errno = 0;
-  char *End = nullptr;
-  unsigned long long N = std::strtoull(P, &End, 0);
-  if (Bad || End == P || *End != '\0' || errno == ERANGE) {
+  unsigned long long N = std::strtoull(Digits, nullptr, Hex ? 16 : 10);
+  if (Bad || errno == ERANGE || N > Max) {
     std::fprintf(stderr,
-                 "%s: invalid byte count '%s' for %s\n"
-                 "usage: %s BYTES with BYTES a non-negative integer "
-                 "(decimal or 0x-hex, 0 = unbounded)\n",
-                 Bench, V, Flag, Flag);
+                 "%s: invalid value '%s' for %s\n"
+                 "usage: %s N with N a non-negative integer (decimal or "
+                 "0x-hex) no larger than %llu\n",
+                 Bench, V, Flag, Flag, static_cast<unsigned long long>(Max));
     std::exit(2);
   }
   return static_cast<uint64_t>(N);
@@ -179,38 +189,44 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
                    std::string &StyleSpec) {
   return {
       {"--threads", "N", "scheduler worker threads (0 = hardware)",
-       [&C](const char *V) {
-         C.Threads = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+       [&C, Bench](const char *V) {
+         C.Threads = static_cast<unsigned>(
+             parseUnsignedFlag(V, "--threads", Bench, UINT_MAX));
        }},
       {"--seed", "S", "base run seed (cell seeds derive from it)",
-       [&C](const char *V) { C.Seed = std::strtoull(V, nullptr, 0); }},
+       [&C, Bench](const char *V) {
+         C.Seed = parseUnsignedFlag(V, "--seed", Bench);
+       }},
       {"--no-cache", nullptr, "recompute every artifact (identical output)",
        [&C](const char *) { C.CacheEnabled = false; }},
       {"--shards", "N", "split the matrix across N processes",
-       [&C](const char *V) {
-         C.Shards = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+       [&C, Bench](const char *V) {
+         C.Shards = static_cast<unsigned>(
+             parseUnsignedFlag(V, "--shards", Bench, UINT_MAX));
        }},
       {"--shard-index", "I", "which shard this process owns (0-based)",
-       [&C](const char *V) {
-         C.ShardIdx = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+       [&C, Bench](const char *V) {
+         C.ShardIdx = static_cast<unsigned>(
+             parseUnsignedFlag(V, "--shard-index", Bench, UINT_MAX));
        }},
       {"--store-max-bytes", "B", "LRU-bound the in-memory artifact store",
        [&C, Bench](const char *V) {
-         C.StoreMaxBytes = parseByteCount(V, "--store-max-bytes", Bench);
+         C.StoreMaxBytes = parseUnsignedFlag(V, "--store-max-bytes", Bench);
        }},
       {"--cache-dir", "DIR", "persist serializable artifacts on disk",
        [&C](const char *V) { C.CacheDir = V; }},
       {"--disk-max-bytes", "B", "capacity of the on-disk cache tier",
        [&C, Bench](const char *V) {
-         C.DiskMaxBytes = parseByteCount(V, "--disk-max-bytes", Bench);
+         C.DiskMaxBytes = parseUnsignedFlag(V, "--disk-max-bytes", Bench);
        }},
       {"--connect", "SOCKET", "route eval work to a khaos-evald daemon",
        [&C](const char *V) { C.ConnectPath = V; }},
       {"--tool-timeout-ms", "T", "round-trip budget of -oop diff backends",
-       [](const char *V) {
+       [Bench](const char *V) {
          // A process-wide knob of the worker pool, not scheduler state.
-         setDiffWorkerTimeoutMs(
-             static_cast<unsigned>(std::strtoul(V, nullptr, 10)));
+         // The pool hands it to poll() as an int.
+         setDiffWorkerTimeoutMs(static_cast<unsigned>(
+             parseUnsignedFlag(V, "--tool-timeout-ms", Bench, INT_MAX)));
        }},
       {"--vm", "ENGINE", "execution engine: reference|precompiled",
        [&C](const char *V) {
@@ -305,8 +321,8 @@ inline void resolveBaselineFlags(EvalScheduler::Config &C, const char *Bench,
 }
 
 /// Parses the shared scheduler/pipeline flags (see the file comment for
-/// the roster; both `--flag V` and `--flag=V` spellings). Capacity flags
-/// go through parseByteCount, `--baseline-opt`/`--codegen`/
+/// the roster; both `--flag V` and `--flag=V` spellings). Numeric flags
+/// go through parseUnsignedFlag, `--baseline-opt`/`--codegen`/
 /// `--compiler-style` through the BuildConfig parsers (exit 2 on
 /// garbage); unrecognized arguments are ignored. Benches with a
 /// build-config axis pass \p BaselineAxis to receive the `--baseline-opt`
@@ -321,6 +337,15 @@ parseSchedulerArgs(int Argc, char **Argv,
   std::string BaselineSpec, CodegenSpec, StyleSpec;
   applyBenchFlags(Argc, Argv, schedulerFlagSpecs(C, Bench, BaselineSpec,
                                                  CodegenSpec, StyleSpec));
+  // The scheduler reads --shards 0 as 1 and aborts on an index outside
+  // the split; at the command line that is a usage error.
+  if (C.ShardIdx >= std::max(C.Shards, 1u)) {
+    std::fprintf(stderr,
+                 "%s: --shard-index %u out of range for --shards %u "
+                 "(expected 0..%u)\n",
+                 Bench, C.ShardIdx, C.Shards, std::max(C.Shards, 1u) - 1);
+    std::exit(2);
+  }
   resolveBaselineFlags(C, Bench, BaselineSpec, CodegenSpec, StyleSpec,
                        BaselineAxis, StyleAxis);
   return C;

@@ -21,301 +21,169 @@ namespace {
 /// an absurd allocation from a bogus length prefix.
 constexpr uint32_t MaxFrameBytes = 1u << 30;
 
-//===----------------------------------------------------------------------===//
-// Image / feature / result encoding.
-//===----------------------------------------------------------------------===//
+constexpr WireProtocol KDW1{DiffWireMagic, DiffWireVersion,
+                            /*HasKind=*/false};
+
+/// The request body: the tool name, then the full diff() signature.
+template <typename IO, typename Request>
+void requestLayout(IO &X, Request &Req) {
+  X.str(Req.Tool);
+  binaryImageLayout(X, Req.A);
+  imageFeaturesLayout(X, Req.FA);
+  binaryImageLayout(X, Req.B);
+  imageFeaturesLayout(X, Req.FB);
+}
 
 } // namespace
 
-void khaos::writeBinaryImage(WireWriter &W, const BinaryImage &Img) {
-  W.str(Img.Name);
-  W.vec(Img.Functions, [&](const MFunction &F) {
-    W.str(F.Name);
-    W.u64(F.Address);
-    W.u8(F.Exported ? 1 : 0);
-    W.vec(F.Origins, [&](const std::string &O) { W.str(O); });
-    W.vec(F.Blocks, [&](const MBlock &B) {
-      W.str(B.Name);
-      W.vec(B.Insts, [&](const MInst &I) {
-        W.u8(static_cast<uint8_t>(I.Op));
-        W.u8(static_cast<uint8_t>((I.HasMemOperand ? 1 : 0) |
-                                  (I.HasImmediate ? 2 : 0)));
-        W.i32(I.SymId);
-        W.i64(I.Imm);
-      });
-      W.vec(B.Succs, [&](uint32_t S) { W.u32(S); });
-    });
-  });
-  W.vec(Img.Symbols, [&](const std::string &S) { W.str(S); });
-  W.vec(Img.DataRelocs, [&](const DataRelocation &R) {
-    W.str(R.GlobalName);
-    W.u64(R.Offset);
-    W.i32(R.SymId);
-    W.i64(R.Addend);
-  });
-  // The name->index map is serialized explicitly rather than rebuilt, so a
-  // decoded image is field-for-field identical to the encoded one even for
-  // degenerate inputs (duplicate names, stale entries).
-  W.u32(static_cast<uint32_t>(Img.FunctionIndex.size()));
-  for (const auto &Entry : Img.FunctionIndex) {
-    W.str(Entry.first);
-    W.u32(Entry.second);
-  }
-}
-
-bool khaos::readBinaryImage(WireReader &R, BinaryImage &Img) {
-  Img.Name = R.str();
-  uint32_t NF = R.count();
-  Img.Functions.resize(NF);
-  for (uint32_t FI = 0; FI != NF && R.ok(); ++FI) {
-    MFunction &F = Img.Functions[FI];
-    F.Name = R.str();
-    F.Address = R.u64();
-    F.Exported = R.u8() != 0;
-    uint32_t NO = R.count();
-    F.Origins.resize(NO);
-    for (uint32_t I = 0; I != NO && R.ok(); ++I)
-      F.Origins[I] = R.str();
-    uint32_t NB = R.count();
-    F.Blocks.resize(NB);
-    for (uint32_t BI = 0; BI != NB && R.ok(); ++BI) {
-      MBlock &B = F.Blocks[BI];
-      B.Name = R.str();
-      uint32_t NI = R.count();
-      B.Insts.resize(NI);
-      for (uint32_t I = 0; I != NI && R.ok(); ++I) {
-        MInst &In = B.Insts[I];
-        In.Op = static_cast<MOp>(R.u8());
-        uint8_t Flags = R.u8();
-        In.HasMemOperand = (Flags & 1) != 0;
-        In.HasImmediate = (Flags & 2) != 0;
-        In.SymId = R.i32();
-        In.Imm = R.i64();
-      }
-      uint32_t NS = R.count();
-      B.Succs.resize(NS);
-      for (uint32_t I = 0; I != NS && R.ok(); ++I)
-        B.Succs[I] = R.u32();
-    }
-  }
-  uint32_t NSym = R.count();
-  Img.Symbols.resize(NSym);
-  for (uint32_t I = 0; I != NSym && R.ok(); ++I)
-    Img.Symbols[I] = R.str();
-  uint32_t NRel = R.count();
-  Img.DataRelocs.resize(NRel);
-  for (uint32_t I = 0; I != NRel && R.ok(); ++I) {
-    DataRelocation &Rel = Img.DataRelocs[I];
-    Rel.GlobalName = R.str();
-    Rel.Offset = R.u64();
-    Rel.SymId = R.i32();
-    Rel.Addend = R.i64();
-  }
-  uint32_t NIdx = R.count();
-  Img.FunctionIndex.clear();
-  for (uint32_t I = 0; I != NIdx && R.ok(); ++I) {
-    std::string Name = R.str();
-    uint32_t Idx = R.u32();
-    Img.FunctionIndex.emplace(std::move(Name), Idx);
-  }
-  return R.ok();
-}
-
-void khaos::writeImageFeatures(WireWriter &W, const ImageFeatures &F) {
-  W.vec(F.Funcs, [&](const FunctionFeatures &FF) {
-    W.str(FF.Name);
-    W.u32(FF.NumBlocks);
-    W.u32(FF.NumEdges);
-    W.u32(FF.NumCalls);
-    W.u32(FF.NumIndirectCalls);
-    W.u32(FF.NumInsts);
-    W.u32(FF.CallGraphIn);
-    W.u32(FF.CallGraphOut);
-    W.vec(FF.Callees, [&](uint32_t C) { W.u32(C); });
-    W.vec(FF.OpcodeHist, [&](double D) { W.f64(D); });
-    W.vec(FF.SemanticVec, [&](double D) { W.f64(D); });
-    W.vec(FF.Immediates, [&](int64_t V) { W.i64(V); });
-    W.vec(FF.TokenSeq, [&](unsigned T) { W.u32(T); });
-    W.vec(FF.BlockHists, [&](const std::vector<double> &H) {
-      W.vec(H, [&](double D) { W.f64(D); });
-    });
-    W.vec(FF.BlockSuccs, [&](const std::vector<uint32_t> &S) {
-      W.vec(S, [&](uint32_t V) { W.u32(V); });
-    });
-  });
-}
-
-bool khaos::readImageFeatures(WireReader &R, ImageFeatures &F) {
-
-  uint32_t NF = R.count();
-  F.Funcs.resize(NF);
-  for (uint32_t I = 0; I != NF && R.ok(); ++I) {
-    FunctionFeatures &FF = F.Funcs[I];
-    FF.Name = R.str();
-    FF.NumBlocks = R.u32();
-    FF.NumEdges = R.u32();
-    FF.NumCalls = R.u32();
-    FF.NumIndirectCalls = R.u32();
-    FF.NumInsts = R.u32();
-    FF.CallGraphIn = R.u32();
-    FF.CallGraphOut = R.u32();
-    uint32_t N = R.count();
-    FF.Callees.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J)
-      FF.Callees[J] = R.u32();
-    N = R.count();
-    FF.OpcodeHist.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J)
-      FF.OpcodeHist[J] = R.f64();
-    N = R.count();
-    FF.SemanticVec.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J)
-      FF.SemanticVec[J] = R.f64();
-    N = R.count();
-    FF.Immediates.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J)
-      FF.Immediates[J] = R.i64();
-    N = R.count();
-    FF.TokenSeq.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J)
-      FF.TokenSeq[J] = R.u32();
-    N = R.count();
-    FF.BlockHists.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J) {
-      uint32_t M = R.count();
-      FF.BlockHists[J].resize(M);
-      for (uint32_t K = 0; K != M && R.ok(); ++K)
-        FF.BlockHists[J][K] = R.f64();
-    }
-    N = R.count();
-    FF.BlockSuccs.resize(N);
-    for (uint32_t J = 0; J != N && R.ok(); ++J) {
-      uint32_t M = R.count();
-      FF.BlockSuccs[J].resize(M);
-      for (uint32_t K = 0; K != M && R.ok(); ++K)
-        FF.BlockSuccs[J][K] = R.u32();
-    }
-  }
-  return R.ok();
-}
+//===----------------------------------------------------------------------===//
+// Shared framing.
+//===----------------------------------------------------------------------===//
 
 namespace {
 
-void writeHeader(WireWriter &W, DiffWireType Type) {
-  W.u32(DiffWireMagic);
-  W.u16(DiffWireVersion);
-  W.u8(static_cast<uint8_t>(Type));
+/// The frame header: u32 magic, u16 version, u8 type, then a u8 kind when
+/// the protocol has one.
+struct FrameHeader {
+  uint32_t Magic = 0;
+  uint16_t Version = 0;
+  WireFrameType Type = WireFrameType::Request;
+  uint8_t Kind = 0;
+};
+
+template <typename IO, typename Header>
+void headerLayout(IO &X, Header &H, bool HasKind) {
+  X.u32(H.Magic);
+  X.u16(H.Version);
+  X.u8(H.Type);
+  if (HasKind)
+    X.u8(H.Kind);
 }
 
-/// Checks magic + version and returns the message type (0 on failure).
-uint8_t readHeader(WireReader &R, std::string &Err) {
-  uint32_t Magic = R.u32();
-  uint16_t Version = R.u16();
-  uint8_t Type = R.u8();
+/// Reads the header and checks magic + version.
+bool readHeader(WireReader &R, const WireProtocol &P, FrameHeader &H,
+                std::string &Err) {
+  headerLayout(R, H, P.HasKind);
   if (!R.ok()) {
     Err = "truncated frame header";
-    return 0;
+    return false;
   }
-  if (Magic != DiffWireMagic) {
+  if (H.Magic != P.Magic) {
     Err = "bad frame magic";
-    return 0;
-  }
-  if (Version != DiffWireVersion) {
-    Err = "unsupported protocol version " + std::to_string(Version);
-    return 0;
-  }
-  return Type;
-}
-
-} // namespace
-
-std::vector<uint8_t> khaos::encodeDiffRequest(const DiffWireRequest &Req) {
-  WireWriter W;
-  writeHeader(W, DiffWireType::Request);
-  W.str(Req.Tool);
-  writeBinaryImage(W, Req.A);
-  writeImageFeatures(W, Req.FA);
-  writeBinaryImage(W, Req.B);
-  writeImageFeatures(W, Req.FB);
-  return std::move(W.Buf);
-}
-
-std::vector<uint8_t> khaos::encodeDiffResponse(const DiffWireResponse &Resp) {
-  WireWriter W;
-  if (!Resp.Ok) {
-    writeHeader(W, DiffWireType::ResponseError);
-    W.str(Resp.Error);
-    return std::move(W.Buf);
-  }
-  writeHeader(W, DiffWireType::ResponseOk);
-  W.vec(Resp.Result.Rankings, [&](const std::vector<uint32_t> &Ranking) {
-    W.vec(Ranking, [&](uint32_t V) { W.u32(V); });
-  });
-  W.f64(Resp.Result.WholeBinarySimilarity);
-  return std::move(W.Buf);
-}
-
-bool khaos::decodeDiffRequest(const std::vector<uint8_t> &Payload,
-                              DiffWireRequest &Req, std::string &Err) {
-  WireReader R(Payload.data(), Payload.size());
-  uint8_t Type = readHeader(R, Err);
-  if (Type == 0)
-    return false;
-  if (Type != static_cast<uint8_t>(DiffWireType::Request)) {
-    Err = "expected a request frame";
     return false;
   }
-  Req.Tool = R.str();
-  if (!readBinaryImage(R, Req.A) || !readImageFeatures(R, Req.FA) ||
-      !readBinaryImage(R, Req.B) || !readImageFeatures(R, Req.FB)) {
-    Err = "truncated request body";
-    return false;
-  }
-  if (!R.atEnd()) {
-    Err = "trailing bytes after request body";
+  if (H.Version != P.Version) {
+    Err = "unsupported protocol version " + std::to_string(H.Version);
     return false;
   }
   return true;
 }
 
-bool khaos::decodeDiffResponse(const std::vector<uint8_t> &Payload,
-                               DiffWireResponse &Resp, std::string &Err) {
-  WireReader R(Payload.data(), Payload.size());
-  uint8_t Type = readHeader(R, Err);
-  if (Type == 0)
+} // namespace
+
+WireWriter khaos::beginFrame(const WireProtocol &P, WireFrameType Type,
+                             uint8_t Kind) {
+  const FrameHeader H{P.Magic, P.Version, Type, Kind};
+  WireWriter W;
+  headerLayout(W, H, P.HasKind);
+  return W;
+}
+
+WireWriter khaos::beginResponse(const WireProtocol &P, bool Ok,
+                                const std::string &Error, uint8_t Kind) {
+  WireWriter W = beginFrame(
+      P, Ok ? WireFrameType::ResponseOk : WireFrameType::ResponseError, Kind);
+  if (!Ok)
+    W.str(Error);
+  return W;
+}
+
+bool khaos::openRequest(WireReader &R, const WireProtocol &P,
+                        std::string &Err, uint8_t *Kind) {
+  FrameHeader H;
+  if (!readHeader(R, P, H, Err))
     return false;
-  if (Type == static_cast<uint8_t>(DiffWireType::ResponseError)) {
-    Resp.Ok = false;
-    Resp.Error = R.str();
+  if (H.Type != WireFrameType::Request) {
+    Err = "expected a request frame";
+    return false;
+  }
+  if (Kind)
+    *Kind = H.Kind;
+  return true;
+}
+
+bool khaos::openResponse(WireReader &R, const WireProtocol &P, bool &Ok,
+                         std::string &Error, std::string &Err,
+                         uint8_t *Kind) {
+  FrameHeader H;
+  if (!readHeader(R, P, H, Err))
+    return false;
+  if (Kind)
+    *Kind = H.Kind;
+  Ok = H.Type == WireFrameType::ResponseOk;
+  if (H.Type == WireFrameType::ResponseError) {
+    R.str(Error);
     if (!R.ok() || !R.atEnd()) {
       Err = "malformed error response";
       return false;
     }
     return true;
   }
-  if (Type != static_cast<uint8_t>(DiffWireType::ResponseOk)) {
+  if (!Ok) {
     Err = "expected a response frame";
     return false;
   }
-  Resp.Ok = true;
-  uint32_t N = R.count();
-  Resp.Result.Rankings.resize(N);
-  for (uint32_t I = 0; I != N && R.ok(); ++I) {
-    uint32_t M = R.count();
-    Resp.Result.Rankings[I].resize(M);
-    for (uint32_t J = 0; J != M && R.ok(); ++J)
-      Resp.Result.Rankings[I][J] = R.u32();
-  }
-  Resp.Result.WholeBinarySimilarity = R.f64();
+  return true;
+}
+
+bool khaos::closeBody(const WireReader &R, const char *What,
+                      std::string &Err) {
   if (!R.ok()) {
-    Err = "truncated response body";
+    Err = std::string("truncated ") + What + " body";
     return false;
   }
   if (!R.atEnd()) {
-    Err = "trailing bytes after response body";
+    Err = std::string("trailing bytes after ") + What + " body";
     return false;
   }
   return true;
+}
+
+//===----------------------------------------------------------------------===//
+// KDW1 messages.
+//===----------------------------------------------------------------------===//
+
+std::vector<uint8_t> khaos::encodeDiffRequest(const DiffWireRequest &Req) {
+  WireWriter W = beginFrame(KDW1, WireFrameType::Request);
+  requestLayout(W, Req);
+  return std::move(W.Buf);
+}
+
+std::vector<uint8_t> khaos::encodeDiffResponse(const DiffWireResponse &Resp) {
+  WireWriter W = beginResponse(KDW1, Resp.Ok, Resp.Error);
+  if (Resp.Ok)
+    diffResultLayout(W, Resp.Result);
+  return std::move(W.Buf);
+}
+
+bool khaos::decodeDiffRequest(const std::vector<uint8_t> &Payload,
+                              DiffWireRequest &Req, std::string &Err) {
+  WireReader R(Payload);
+  if (!openRequest(R, KDW1, Err))
+    return false;
+  requestLayout(R, Req);
+  return closeBody(R, "request", Err);
+}
+
+bool khaos::decodeDiffResponse(const std::vector<uint8_t> &Payload,
+                               DiffWireResponse &Resp, std::string &Err) {
+  WireReader R(Payload);
+  if (!openResponse(R, KDW1, Resp.Ok, Resp.Error, Err))
+    return false;
+  if (!Resp.Ok)
+    return true;
+  diffResultLayout(R, Resp.Result);
+  return closeBody(R, "response", Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,6 +7,7 @@
 #include "harness/ArtifactStore.h"
 
 #include "harness/DiskCache.h"
+#include "support/Hashing.h"
 
 #include <cassert>
 #include <tuple>
@@ -55,22 +56,16 @@ bool ArtifactKey::operator==(const ArtifactKey &O) const {
 }
 
 uint64_t ArtifactKey::address() const {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I != 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xff;
-      H *= 0x100000001b3ull;
-    }
-  };
-  for (char C : Workload) {
-    H ^= static_cast<unsigned char>(C);
-    H *= 0x100000001b3ull;
+  // The workload name's bytes, then each numeric field as 8
+  // little-endian bytes.
+  uint64_t H = fnv1a(Workload.data(), Workload.size());
+  for (uint64_t V : {static_cast<uint64_t>(Mode), Seed,
+                     static_cast<uint64_t>(Stage), Extra, SourceHash}) {
+    uint8_t LE[8];
+    for (int I = 0; I != 8; ++I)
+      LE[I] = static_cast<uint8_t>(V >> (I * 8));
+    H = fnv1a(LE, 8, H);
   }
-  Mix(static_cast<uint64_t>(Mode));
-  Mix(Seed);
-  Mix(static_cast<uint64_t>(Stage));
-  Mix(Extra);
-  Mix(SourceHash);
   return H;
 }
 

@@ -7,6 +7,7 @@
 #include "harness/DiskCache.h"
 
 #include "diffing/DiffWorkerProtocol.h"
+#include "support/Hashing.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -23,35 +24,32 @@ using namespace khaos;
 
 namespace {
 
-/// FNV-1a over a byte range — the envelope checksum. Covers everything
-/// after the checksum field itself (key + payload), so any bit flip in
-/// either is caught.
-uint64_t fnv1a(const uint8_t *P, size_t N) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (size_t I = 0; I != N; ++I) {
-    H ^= P[I];
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
+/// Everything of an artifact file ahead of its payload bytes. The full
+/// key makes an address collision read as a miss rather than as another
+/// key's bytes; the FNV-1a checksum covers everything after itself (key
+/// and payload), so any bit flip in either is caught.
+struct Envelope {
+  uint32_t Magic = DiskCacheMagic;
+  uint16_t Version = DiskCacheVersion;
+  uint64_t Checksum = 0;
+  ArtifactKey Key;
+  uint32_t PayloadBytes = 0;
+};
 
-void writeKey(WireWriter &W, const ArtifactKey &K) {
-  W.str(K.Workload);
-  W.u8(static_cast<uint8_t>(K.Mode));
-  W.u64(K.Seed);
-  W.u8(static_cast<uint8_t>(K.Stage));
-  W.u64(K.Extra);
-  W.u64(K.SourceHash);
-}
+/// Where the checksummed bytes start: after magic, version and checksum.
+constexpr size_t ChecksummedOff = 4 + 2 + 8;
 
-bool readKey(WireReader &R, ArtifactKey &K) {
-  K.Workload = R.str();
-  K.Mode = static_cast<ObfuscationMode>(R.u8());
-  K.Seed = R.u64();
-  K.Stage = static_cast<ArtifactStage>(R.u8());
-  K.Extra = R.u64();
-  K.SourceHash = R.u64();
-  return R.ok();
+template <typename IO, typename Env> void envelopeLayout(IO &X, Env &E) {
+  X.u32(E.Magic);
+  X.u16(E.Version);
+  X.u64(E.Checksum);
+  X.str(E.Key.Workload);
+  X.u8(E.Key.Mode);
+  X.u64(E.Key.Seed);
+  X.u8(E.Key.Stage);
+  X.u64(E.Key.Extra);
+  X.u64(E.Key.SourceHash);
+  X.u32(E.PayloadBytes);
 }
 
 bool readWholeFile(const std::string &Path, std::vector<uint8_t> &Out) {
@@ -166,37 +164,29 @@ DiskGetStatus DiskCache::get(const ArtifactKey &K,
     return DiskGetStatus::Miss;
   }
 
-  // Validate the envelope. Header first, then the checksum over the
-  // remainder, then the full key.
+  // Validate the envelope: header, checksum over the remainder, then the
+  // full key.
   auto Reject = [&]() {
     ::unlink(Path.c_str());
     forgetLocked(Name);
     return DiskGetStatus::Corrupt;
   };
-  WireReader Hdr(Raw.data(), Raw.size());
-  uint32_t Magic = Hdr.u32();
-  uint16_t Version = Hdr.u16();
-  uint64_t Checksum = Hdr.u64();
-  if (!Hdr.ok() || Magic != DiskCacheMagic || Version != DiskCacheVersion)
+  WireReader R(Raw);
+  Envelope E;
+  envelopeLayout(R, E);
+  if (!R.ok() || E.Magic != DiskCacheMagic ||
+      E.Version != DiskCacheVersion ||
+      E.Checksum != fnv1a(Raw.data() + ChecksummedOff,
+                          Raw.size() - ChecksummedOff))
     return Reject();
-  constexpr size_t ChecksummedOff = 4 + 2 + 8;
-  if (Checksum != fnv1a(Raw.data() + ChecksummedOff,
-                        Raw.size() - ChecksummedOff))
-    return Reject();
-
-  WireReader R(Raw.data() + ChecksummedOff, Raw.size() - ChecksummedOff);
-  ArtifactKey Stored;
-  if (!readKey(R, Stored))
-    return Reject();
-  if (!(Stored == K)) {
+  if (!(E.Key == K)) {
     // A valid artifact for a different key at the same 64-bit address:
     // serve nothing, keep the file (the next put for our key overwrites).
     return DiskGetStatus::Miss;
   }
-  uint32_t N = R.count();
-  if (!R.ok() || R.remaining() != N)
+  if (R.remaining() != E.PayloadBytes)
     return Reject();
-  Payload.assign(Raw.end() - N, Raw.end());
+  Payload.assign(Raw.end() - E.PayloadBytes, Raw.end());
 
   // Refresh the LRU tick; (re)index files another process wrote.
   FileInfo &FI = Files[Name];
@@ -226,17 +216,15 @@ void DiskCache::evictLocked(const std::string &Keep) {
 
 unsigned DiskCache::put(const ArtifactKey &K,
                         const std::vector<uint8_t> &Payload) {
-  WireWriter Body; // Everything the checksum covers.
-  writeKey(Body, K);
-  Body.u32(static_cast<uint32_t>(Payload.size()));
-  Body.Buf.insert(Body.Buf.end(), Payload.begin(), Payload.end());
-
+  Envelope E; // The checksum is filled in once the rest is written.
+  E.Key = K;
+  E.PayloadBytes = static_cast<uint32_t>(Payload.size());
   WireWriter File;
-  File.Buf.reserve(14 + Body.Buf.size()); // magic + version + checksum
-  File.u32(DiskCacheMagic);
-  File.u16(DiskCacheVersion);
-  File.u64(fnv1a(Body.Buf.data(), Body.Buf.size()));
-  File.Buf.insert(File.Buf.end(), Body.Buf.begin(), Body.Buf.end());
+  envelopeLayout(File, E);
+  File.Buf.insert(File.Buf.end(), Payload.begin(), Payload.end());
+  uint64_t Checksum = fnv1a(File.Buf.data() + ChecksummedOff,
+                            File.Buf.size() - ChecksummedOff);
+  std::memcpy(File.Buf.data() + ChecksummedOff - 8, &Checksum, 8);
 
   if (Cfg.MaxBytes != 0 && File.Buf.size() > Cfg.MaxBytes)
     return 0; // Larger than the whole cache: not storable.

@@ -32,45 +32,76 @@ void ignoreSigpipeOnce() {
   (void)Done;
 }
 
-void writeHeader(WireWriter &W, EvalWireType Type, EvalWireKind Kind) {
-  W.u32(EvalWireMagic);
-  W.u16(EvalWireVersion);
-  W.u8(static_cast<uint8_t>(Type));
-  W.u8(static_cast<uint8_t>(Kind));
+constexpr WireProtocol KEV1{EvalWireMagic, EvalWireVersion,
+                            /*HasKind=*/true};
+
+/// The request body: one layout per kind. False for a kind byte that
+/// names no EvalWireKind.
+template <typename IO, typename Request>
+bool requestLayout(IO &X, Request &Req) {
+  switch (Req.Kind) {
+  case EvalWireKind::Ping:
+    return true;
+  case EvalWireKind::Overhead:
+    X.str(Req.WorkloadName);
+    X.str(Req.WorkloadSource);
+    X.u8(Req.Mode);
+    X.u64(Req.Seed);
+    return true;
+  case EvalWireKind::DiffTask:
+    X.str(Req.WorkloadName);
+    X.str(Req.WorkloadSource);
+    X.seq(Req.VulnFunctions, [&](auto &Name) { X.str(Name); });
+    X.u8(Req.Mode);
+    X.u64(Req.Seed);
+    X.str(Req.Tool);
+    X.u8(Req.BaselineLevel);
+    X.u8(Req.BaselineCodegen);
+    return true;
+  case EvalWireKind::FuzzBatch:
+    X.u64(Req.FuzzSeed);
+    X.u32(Req.FuzzBudget);
+    X.u8(Req.FuzzEngine);
+    X.u8(Req.FuzzCrossVM);
+    X.u8(Req.FuzzVerbose);
+    return true;
+  }
+  return false;
 }
 
-/// Checks magic + version; returns false with \p Err on mismatch.
-bool readHeader(WireReader &R, uint8_t &Type, uint8_t &Kind,
-                std::string &Err) {
-  uint32_t Magic = R.u32();
-  uint16_t Version = R.u16();
-  Type = R.u8();
-  Kind = R.u8();
-  if (!R.ok()) {
-    Err = "truncated frame header";
-    return false;
+/// The ok-response body: one layout per kind, false for an unknown one.
+template <typename IO, typename Response>
+bool responseLayout(IO &X, Response &Resp) {
+  switch (Resp.Kind) {
+  case EvalWireKind::Ping:
+    X.u8(Resp.Engine);
+    X.u8(Resp.CacheEnabled);
+    X.u8(Resp.HasDiskTier);
+    X.u8(Resp.BaselineLevel);
+    X.u8(Resp.BaselineCodegen);
+    return true;
+  case EvalWireKind::Overhead:
+    X.u8(Resp.Measured);
+    X.f64(Resp.Percent);
+    return true;
+  case EvalWireKind::DiffTask:
+    X.u8(Resp.ImagesOk);
+    X.u8(Resp.ToolOk);
+    X.str(Resp.ToolError);
+    X.f64(Resp.Precision);
+    X.f64(Resp.Similarity);
+    X.seq(Resp.VulnRanks, [&](auto &Rank) { X.u32(Rank); });
+    return true;
+  case EvalWireKind::FuzzBatch:
+    X.u32(Resp.Cases);
+    X.u32(Resp.Cells);
+    X.u32(Resp.Passes);
+    X.u32(Resp.BaselineErrors);
+    X.u32(Resp.DivergenceCount);
+    X.str(Resp.Text);
+    return true;
   }
-  if (Magic != EvalWireMagic) {
-    Err = "bad frame magic";
-    return false;
-  }
-  if (Version != EvalWireVersion) {
-    Err = "unsupported protocol version " + std::to_string(Version);
-    return false;
-  }
-  return true;
-}
-
-void writeStrVec(WireWriter &W, const std::vector<std::string> &V) {
-  W.vec(V, [&](const std::string &S) { W.str(S); });
-}
-
-bool readStrVec(WireReader &R, std::vector<std::string> &V) {
-  uint32_t N = R.count();
-  V.resize(N);
-  for (uint32_t I = 0; I != N && R.ok(); ++I)
-    V[I] = R.str();
-  return R.ok();
+  return false;
 }
 
 /// Wire bytes are cast straight to enums, so one that names no
@@ -103,196 +134,48 @@ bool checkFieldRanges(const EvalRequest &Req, std::string &Err) {
 } // namespace
 
 std::vector<uint8_t> khaos::encodeEvalRequest(const EvalRequest &Req) {
-  WireWriter W;
-  writeHeader(W, EvalWireType::Request, Req.Kind);
-  switch (Req.Kind) {
-  case EvalWireKind::Ping:
-    break;
-  case EvalWireKind::Overhead:
-    W.str(Req.WorkloadName);
-    W.str(Req.WorkloadSource);
-    W.u8(static_cast<uint8_t>(Req.Mode));
-    W.u64(Req.Seed);
-    break;
-  case EvalWireKind::DiffTask:
-    W.str(Req.WorkloadName);
-    W.str(Req.WorkloadSource);
-    writeStrVec(W, Req.VulnFunctions);
-    W.u8(static_cast<uint8_t>(Req.Mode));
-    W.u64(Req.Seed);
-    W.str(Req.Tool);
-    W.u8(Req.BaselineLevel);
-    W.u8(Req.BaselineCodegen);
-    break;
-  case EvalWireKind::FuzzBatch:
-    W.u64(Req.FuzzSeed);
-    W.u32(Req.FuzzBudget);
-    W.u8(Req.FuzzEngine);
-    W.u8(Req.FuzzCrossVM);
-    W.u8(Req.FuzzVerbose);
-    break;
-  }
+  WireWriter W = beginFrame(KEV1, WireFrameType::Request,
+                            static_cast<uint8_t>(Req.Kind));
+  requestLayout(W, Req);
   return std::move(W.Buf);
 }
 
 bool khaos::decodeEvalRequest(const std::vector<uint8_t> &Payload,
                               EvalRequest &Req, std::string &Err) {
-  WireReader R(Payload.data(), Payload.size());
-  uint8_t Type = 0, Kind = 0;
-  if (!readHeader(R, Type, Kind, Err))
+  WireReader R(Payload);
+  uint8_t Kind = 0;
+  if (!openRequest(R, KEV1, Err, &Kind))
     return false;
-  if (Type != static_cast<uint8_t>(EvalWireType::Request)) {
-    Err = "expected a request frame";
-    return false;
-  }
   Req.Kind = static_cast<EvalWireKind>(Kind);
-  switch (Req.Kind) {
-  case EvalWireKind::Ping:
-    break;
-  case EvalWireKind::Overhead:
-    Req.WorkloadName = R.str();
-    Req.WorkloadSource = R.str();
-    Req.Mode = static_cast<ObfuscationMode>(R.u8());
-    Req.Seed = R.u64();
-    break;
-  case EvalWireKind::DiffTask:
-    Req.WorkloadName = R.str();
-    Req.WorkloadSource = R.str();
-    readStrVec(R, Req.VulnFunctions);
-    Req.Mode = static_cast<ObfuscationMode>(R.u8());
-    Req.Seed = R.u64();
-    Req.Tool = R.str();
-    Req.BaselineLevel = R.u8();
-    Req.BaselineCodegen = R.u8();
-    break;
-  case EvalWireKind::FuzzBatch:
-    Req.FuzzSeed = R.u64();
-    Req.FuzzBudget = R.u32();
-    Req.FuzzEngine = R.u8();
-    Req.FuzzCrossVM = R.u8();
-    Req.FuzzVerbose = R.u8();
-    break;
-  default:
+  if (!requestLayout(R, Req)) {
     Err = "unknown request kind " + std::to_string(Kind);
     return false;
   }
-  if (!R.ok()) {
-    Err = "truncated request body";
-    return false;
-  }
-  if (!R.atEnd()) {
-    Err = "trailing bytes after request body";
-    return false;
-  }
-  return checkFieldRanges(Req, Err);
+  return closeBody(R, "request", Err) && checkFieldRanges(Req, Err);
 }
 
 std::vector<uint8_t> khaos::encodeEvalResponse(const EvalResponse &Resp) {
-  WireWriter W;
-  if (!Resp.Ok) {
-    writeHeader(W, EvalWireType::ResponseError, Resp.Kind);
-    W.str(Resp.Error);
-    return std::move(W.Buf);
-  }
-  writeHeader(W, EvalWireType::ResponseOk, Resp.Kind);
-  switch (Resp.Kind) {
-  case EvalWireKind::Ping:
-    W.u8(Resp.Engine);
-    W.u8(Resp.CacheEnabled);
-    W.u8(Resp.HasDiskTier);
-    W.u8(Resp.BaselineLevel);
-    W.u8(Resp.BaselineCodegen);
-    break;
-  case EvalWireKind::Overhead:
-    W.u8(Resp.Measured);
-    W.f64(Resp.Percent);
-    break;
-  case EvalWireKind::DiffTask:
-    W.u8(Resp.ImagesOk);
-    W.u8(Resp.ToolOk);
-    W.str(Resp.ToolError);
-    W.f64(Resp.Precision);
-    W.f64(Resp.Similarity);
-    W.vec(Resp.VulnRanks, [&](uint32_t V) { W.u32(V); });
-    break;
-  case EvalWireKind::FuzzBatch:
-    W.u32(Resp.Cases);
-    W.u32(Resp.Cells);
-    W.u32(Resp.Passes);
-    W.u32(Resp.BaselineErrors);
-    W.u32(Resp.DivergenceCount);
-    W.str(Resp.Text);
-    break;
-  }
+  WireWriter W = beginResponse(KEV1, Resp.Ok, Resp.Error,
+                               static_cast<uint8_t>(Resp.Kind));
+  if (Resp.Ok)
+    responseLayout(W, Resp);
   return std::move(W.Buf);
 }
 
 bool khaos::decodeEvalResponse(const std::vector<uint8_t> &Payload,
                                EvalResponse &Resp, std::string &Err) {
-  WireReader R(Payload.data(), Payload.size());
-  uint8_t Type = 0, Kind = 0;
-  if (!readHeader(R, Type, Kind, Err))
+  WireReader R(Payload);
+  uint8_t Kind = 0;
+  if (!openResponse(R, KEV1, Resp.Ok, Resp.Error, Err, &Kind))
     return false;
   Resp.Kind = static_cast<EvalWireKind>(Kind);
-  if (Type == static_cast<uint8_t>(EvalWireType::ResponseError)) {
-    Resp.Ok = false;
-    Resp.Error = R.str();
-    if (!R.ok() || !R.atEnd()) {
-      Err = "malformed error response";
-      return false;
-    }
+  if (!Resp.Ok)
     return true;
-  }
-  if (Type != static_cast<uint8_t>(EvalWireType::ResponseOk)) {
-    Err = "expected a response frame";
-    return false;
-  }
-  Resp.Ok = true;
-  switch (Resp.Kind) {
-  case EvalWireKind::Ping:
-    Resp.Engine = R.u8();
-    Resp.CacheEnabled = R.u8();
-    Resp.HasDiskTier = R.u8();
-    Resp.BaselineLevel = R.u8();
-    Resp.BaselineCodegen = R.u8();
-    break;
-  case EvalWireKind::Overhead:
-    Resp.Measured = R.u8();
-    Resp.Percent = R.f64();
-    break;
-  case EvalWireKind::DiffTask: {
-    Resp.ImagesOk = R.u8();
-    Resp.ToolOk = R.u8();
-    Resp.ToolError = R.str();
-    Resp.Precision = R.f64();
-    Resp.Similarity = R.f64();
-    uint32_t N = R.count();
-    Resp.VulnRanks.resize(N);
-    for (uint32_t I = 0; I != N && R.ok(); ++I)
-      Resp.VulnRanks[I] = R.u32();
-    break;
-  }
-  case EvalWireKind::FuzzBatch:
-    Resp.Cases = R.u32();
-    Resp.Cells = R.u32();
-    Resp.Passes = R.u32();
-    Resp.BaselineErrors = R.u32();
-    Resp.DivergenceCount = R.u32();
-    Resp.Text = R.str();
-    break;
-  default:
+  if (!responseLayout(R, Resp)) {
     Err = "unknown response kind " + std::to_string(Kind);
     return false;
   }
-  if (!R.ok()) {
-    Err = "truncated response body";
-    return false;
-  }
-  if (!R.atEnd()) {
-    Err = "trailing bytes after response body";
-    return false;
-  }
-  return true;
+  return closeBody(R, "response", Err);
 }
 
 //===----------------------------------------------------------------------===//

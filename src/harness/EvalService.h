@@ -23,14 +23,17 @@
 ///                  style — bit 5 of the baseline codegen byte — so a v2
 ///                  peer, which would silently ignore the style and alias
 ///                  clang/gcc artifact keys, is rejected at the header)
-///   u8  type    1 = request, 2 = response (ok), 3 = response (error)
+///   u8  type    WireFrameType: 1 = request, 2 = response (ok),
+///               3 = response (error)
 ///   u8  kind    EvalWireKind
 ///
-/// Encodings use the same conventions as the diff-worker frames — fixed
-/// layout per kind, no optional fields, doubles as raw IEEE-754 bit
-/// patterns — so a bench running --connect produces byte-identical
-/// stdout to the same bench running in-process (EvalServiceTest pins a
-/// golden frame so the format cannot drift silently).
+/// Encodings use the diff-worker framing (WireProtocol, openRequest/
+/// openResponse/closeBody) and its conventions — one layout function per
+/// kind serving encoder and decoder alike, no optional fields, doubles as
+/// raw IEEE-754 bit patterns — so a bench running --connect produces
+/// byte-identical stdout to the same bench running in-process
+/// (EvalServiceTest pins every kind's frames so the format cannot drift
+/// silently).
 ///
 /// Isolation: each connection is served by its own thread; diff tools
 /// keep their per-request subprocess isolation (the SubprocessDiffTool
@@ -79,12 +82,6 @@ enum class EvalWireKind : uint8_t {
   /// One deterministic fuzz batch: (seed, budget, engine, cross-vm) in,
   /// verdict text + counters out.
   FuzzBatch = 4,
-};
-
-enum class EvalWireType : uint8_t {
-  Request = 1,
-  ResponseOk = 2,
-  ResponseError = 3,
 };
 
 /// One request, tagged by Kind; only the fields of that kind are

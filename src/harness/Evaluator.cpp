@@ -11,6 +11,7 @@
 #include "frontend/IRGen.h"
 #include "vm/PrecompiledInterpreter.h"
 #include "ir/Verifier.h"
+#include "support/Hashing.h"
 #include "transform/Cloning.h"
 
 using namespace khaos;
@@ -21,31 +22,16 @@ namespace {
 /// workloads that merely share a name (the content-address part of the
 /// ArtifactKey contract).
 uint64_t fingerprintSource(const Workload &W) {
-  uint64_t F = 0xcbf29ce484222325ull;
-  for (char C : W.Source) {
-    F ^= static_cast<unsigned char>(C);
-    F *= 0x100000001b3ull;
-  }
-  return F;
+  return fnv1a(W.Source.data(), W.Source.size());
 }
 
-/// FNV-1a of a tool name, half of the DiffOutcome stage's Extra: two
-/// tools over the same cell must not alias.
-uint64_t fingerprintToolName(const std::string &Name) {
-  uint64_t F = 0xcbf29ce484222325ull;
-  for (char C : Name) {
-    F ^= static_cast<unsigned char>(C);
-    F *= 0x100000001b3ull;
-  }
-  return F;
-}
-
-/// The DiffOutcome stage's Extra: tool name mixed with the baseline
-/// build config. A cell diffed against an O0 reference is a different
-/// experiment than the same cell against O2 — the keys must say so.
+/// The DiffOutcome stage's Extra: the tool name's FNV-1a (two tools over
+/// the same cell must not alias) mixed with the baseline build config. A
+/// cell diffed against an O0 reference is a different experiment than
+/// the same cell against O2 — the keys must say so.
 uint64_t fingerprintToolAndConfig(const std::string &Name,
                                   const BuildConfig &BC) {
-  uint64_t F = fingerprintToolName(Name);
+  uint64_t F = fnv1a(Name.data(), Name.size());
   F ^= BC.fingerprint() + 0x9e3779b97f4a7c15ull + (F << 6) + (F >> 2);
   return F;
 }
@@ -70,137 +56,79 @@ uint64_t fingerprintFission(const FissionOptions &Opts) {
 // Disk-tier codecs. Only plain-data stages have one: the module-holding
 // stages (Baseline, FissionStage, PrecompiledModule) would need an IR
 // serializer to persist, and recompiling them is exactly what a disk-hit
-// on the downstream image/run/diff stages avoids anyway. Every codec
-// declines to Encode failure artifacts — a transient failure (frontend
-// bug under a fuzzer seed, a worker timeout) must not become permanent
-// across processes. Encodings reuse the diff-worker wire primitives, so
-// a decoded artifact is field-for-field identical to the computed one
-// (doubles travel as raw bit patterns): cold vs. warm runs stay
-// byte-identical, the disk tier's contract.
+// on the downstream image/run/diff stages avoids anyway. Each payload is
+// one layout function over the diff-worker wire classes, so a decoded
+// artifact is field-for-field identical to the computed one (doubles
+// travel as raw bit patterns): cold vs. warm runs stay byte-identical,
+// the disk tier's contract.
 //===----------------------------------------------------------------------===//
 
-void writeExecResult(WireWriter &W, const ExecResult &R) {
-  W.u8(R.Ok ? 1 : 0);
-  W.str(R.Error);
-  W.str(R.FaultFunction);
-  W.str(R.FaultBlock);
-  W.i64(R.ExitValue);
-  W.str(R.Stdout);
-  W.u64(R.Steps);
-  W.u64(R.Cost);
-}
-
-bool readExecResult(WireReader &R, ExecResult &Out) {
-  Out.Ok = R.u8() != 0;
-  Out.Error = R.str();
-  Out.FaultFunction = R.str();
-  Out.FaultBlock = R.str();
-  Out.ExitValue = R.i64();
-  Out.Stdout = R.str();
-  Out.Steps = R.u64();
-  Out.Cost = R.u64();
-  return R.ok();
+/// The codec of stage artifact \p A whose payload is \p Layout. It never
+/// encodes a failure artifact — a transient failure (frontend bug under a
+/// fuzzer seed, a worker timeout) must not become permanent across
+/// processes — and decodes only a payload the layout consumes exactly, so
+/// an entry written under another layout recomputes.
+template <typename A, typename LayoutFn>
+ArtifactCodec layoutCodec(LayoutFn Layout) {
+  return {[Layout](const void *V, std::vector<uint8_t> &Out) {
+            const A &Art = *static_cast<const A *>(V);
+            if (!Art.Ok)
+              return false;
+            WireWriter W;
+            Layout(W, Art);
+            Out = std::move(W.Buf);
+            return true;
+          },
+          [Layout](const uint8_t *D, size_t N) -> std::shared_ptr<const void> {
+            WireReader R(D, N);
+            auto Art = std::make_shared<A>();
+            Layout(R, *Art);
+            if (!R.ok() || !R.atEnd())
+              return nullptr;
+            Art->Ok = true;
+            return Art;
+          }};
 }
 
 const ArtifactCodec &baselineRunCodec() {
-  static const ArtifactCodec C{
-      [](const void *V, std::vector<uint8_t> &Out) {
-        const auto *A =
-            static_cast<const EvalPipeline::BaselineRunArtifact *>(V);
-        if (!A->Ok)
-          return false;
-        WireWriter W;
-        writeExecResult(W, A->Run);
-        Out = std::move(W.Buf);
-        return true;
-      },
-      [](const uint8_t *D, size_t N) -> std::shared_ptr<const void> {
-        WireReader R(D, N);
-        auto A = std::make_shared<EvalPipeline::BaselineRunArtifact>();
-        if (!readExecResult(R, A->Run) || !R.atEnd())
-          return nullptr;
-        A->Ok = true;
-        return A;
-      }};
+  static const ArtifactCodec C =
+      layoutCodec<EvalPipeline::BaselineRunArtifact>([](auto &X, auto &A) {
+        X.u8(A.Run.Ok);
+        X.str(A.Run.Error);
+        X.str(A.Run.FaultFunction);
+        X.str(A.Run.FaultBlock);
+        X.i64(A.Run.ExitValue);
+        X.str(A.Run.Stdout);
+        X.u64(A.Run.Steps);
+        X.u64(A.Run.Cost);
+      });
   return C;
 }
 
 const ArtifactCodec &imageCodec() {
-  static const ArtifactCodec C{
-      [](const void *V, std::vector<uint8_t> &Out) {
-        const auto *A = static_cast<const EvalPipeline::ImageArtifact *>(V);
-        if (!A->Ok)
-          return false;
-        WireWriter W;
-        writeBinaryImage(W, A->Image);
-        writeImageFeatures(W, A->Features);
+  static const ArtifactCodec C =
+      layoutCodec<EvalPipeline::ImageArtifact>([](auto &X, auto &A) {
+        binaryImageLayout(X, A.Image);
+        imageFeaturesLayout(X, A.Features);
         // Pass telemetry travels with the image: a run served entirely
         // from the disk tier must print the same [passes] totals as the
-        // run that populated it. Entries written before this field
-        // existed fail the atEnd() check below and recompute.
-        W.u64(A->Report.SitesRewritten);
-        W.u64(A->Report.StringsEncrypted);
-        W.u64(A->Report.BlocksSplit);
-        W.u64(A->Report.BlocksInserted);
-        W.u64(A->Report.BytesGrown);
-        Out = std::move(W.Buf);
-        return true;
-      },
-      [](const uint8_t *D, size_t N) -> std::shared_ptr<const void> {
-        WireReader R(D, N);
-        auto A = std::make_shared<EvalPipeline::ImageArtifact>();
-        if (!readBinaryImage(R, A->Image) ||
-            !readImageFeatures(R, A->Features))
-          return nullptr;
-        A->Report.SitesRewritten = static_cast<unsigned>(R.u64());
-        A->Report.StringsEncrypted = static_cast<unsigned>(R.u64());
-        A->Report.BlocksSplit = static_cast<unsigned>(R.u64());
-        A->Report.BlocksInserted = static_cast<unsigned>(R.u64());
-        A->Report.BytesGrown = R.u64();
-        if (!R.ok() || !R.atEnd())
-          return nullptr;
-        A->Ok = true;
-        return A;
-      }};
+        // run that populated it.
+        X.u64(A.Report.SitesRewritten);
+        X.u64(A.Report.StringsEncrypted);
+        X.u64(A.Report.BlocksSplit);
+        X.u64(A.Report.BlocksInserted);
+        X.u64(A.Report.BytesGrown);
+      });
   return C;
 }
 
 const ArtifactCodec &diffOutcomeCodec() {
-  static const ArtifactCodec C{
-      [](const void *V, std::vector<uint8_t> &Out) {
-        const auto *A = static_cast<const EvalPipeline::DiffArtifact *>(V);
-        if (!A->Ok)
-          return false;
-        WireWriter W;
-        W.f64(A->Outcome.Precision);
-        W.f64(A->Outcome.Similarity);
-        W.vec(A->Outcome.Raw.Rankings,
-              [&](const std::vector<uint32_t> &Ranking) {
-                W.vec(Ranking, [&](uint32_t I) { W.u32(I); });
-              });
-        W.f64(A->Outcome.Raw.WholeBinarySimilarity);
-        Out = std::move(W.Buf);
-        return true;
-      },
-      [](const uint8_t *D, size_t N) -> std::shared_ptr<const void> {
-        WireReader R(D, N);
-        auto A = std::make_shared<EvalPipeline::DiffArtifact>();
-        A->Outcome.Precision = R.f64();
-        A->Outcome.Similarity = R.f64();
-        uint32_t NR = R.count();
-        A->Outcome.Raw.Rankings.resize(NR);
-        for (uint32_t I = 0; I != NR && R.ok(); ++I) {
-          uint32_t M = R.count();
-          A->Outcome.Raw.Rankings[I].resize(M);
-          for (uint32_t J = 0; J != M && R.ok(); ++J)
-            A->Outcome.Raw.Rankings[I][J] = R.u32();
-        }
-        A->Outcome.Raw.WholeBinarySimilarity = R.f64();
-        if (!R.ok() || !R.atEnd())
-          return nullptr;
-        A->Ok = true;
-        return A;
-      }};
+  static const ArtifactCodec C =
+      layoutCodec<EvalPipeline::DiffArtifact>([](auto &X, auto &A) {
+        X.f64(A.Outcome.Precision);
+        X.f64(A.Outcome.Similarity);
+        diffResultLayout(X, A.Outcome.Raw);
+      });
   return C;
 }
 

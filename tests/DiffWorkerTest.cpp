@@ -19,12 +19,14 @@
 #include "diffing/DiffWorkerProtocol.h"
 #include "diffing/SubprocessDiffTool.h"
 #include "harness/EvalScheduler.h"
+#include "workloads/Suites.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <thread>
 
 #include <fcntl.h>
@@ -193,6 +195,160 @@ TEST(DiffWireProtocol, ResponseRoundTripAndMalformedFrames) {
   EXPECT_EQ(readDiffFrame(Fds[0], None, 50, Err), FrameIOResult::Timeout);
   ::close(Fds[0]);
   ::close(Fds[1]);
+}
+
+/// "<size>:<FNV-1a of the bytes>" — a frame's identity in the pin tables.
+std::string frameDigest(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  char Buf[48];
+  std::snprintf(Buf, sizeof(Buf), "%zu:%016llx", Bytes.size(),
+                static_cast<unsigned long long>(H));
+  return Buf;
+}
+
+/// Every field of every record a KDW1 frame carries, pinned: the golden
+/// frame above covers only the header and empty images, so a field
+/// reordered inside MFunction, MBlock, MInst, FunctionFeatures or the
+/// DiffResult would pass it unnoticed. Real CoreUtils image pairs under
+/// three modes (None, the inter-procedural FuFi.all and SplitBB) encode
+/// to the recorded sizes and digests, SAFE's ok-response over each pair
+/// too, and decoding any of them re-encodes to the same bytes.
+TEST(DiffWireProtocol, RequestAndResponseLayoutsArePinned) {
+  const std::map<std::string, std::string> Pinned = {
+      {"coreutils.arch FuFi.all request", "80096:6baa328095681eb5"},
+      {"coreutils.arch FuFi.all response", "131:66a7be9dd39cf66a"},
+      {"coreutils.arch None request", "48569:4a3674a269a03ac5"},
+      {"coreutils.arch None response", "99:fad2c996a2b04dcc"},
+      {"coreutils.arch SplitBB request", "70653:732fae94ce1450c5"},
+      {"coreutils.arch SplitBB response", "99:950a9556741a7689"},
+      {"coreutils.b2sum FuFi.all request", "28864:4f4f6b4e93c090ba"},
+      {"coreutils.b2sum FuFi.all response", "119:874abf56415f91aa"},
+      {"coreutils.b2sum None request", "15811:f91caecf13b00ea9"},
+      {"coreutils.b2sum None response", "139:9e9e6d54a8aaa248"},
+      {"coreutils.b2sum SplitBB request", "22275:85e327a8e70a650b"},
+      {"coreutils.b2sum SplitBB response", "139:2da2f49666f32c12"},
+      {"error response", "25:04d98c339de400b8"},
+  };
+  std::vector<Workload> Suite = coreUtilsSuite();
+  Suite.resize(2);
+  EvalPipeline Pipe;
+  std::map<std::string, std::string> Got;
+  for (const Workload &W : Suite) {
+    for (ObfuscationMode Mode :
+         {ObfuscationMode::None, ObfuscationMode::FuFiAll,
+          ObfuscationMode::SplitBB}) {
+      auto A = Pipe.baselineImage(W);
+      auto B = Pipe.obfuscatedImage(W, Mode, 0xc906);
+      ASSERT_TRUE(A->Ok && B->Ok) << W.Name;
+      DiffWireRequest Req;
+      Req.Tool = "SAFE";
+      Req.A = A->Image;
+      Req.FA = A->Features;
+      Req.B = B->Image;
+      Req.FB = B->Features;
+      DiffWireResponse Resp;
+      Resp.Ok = true;
+      Resp.Result = createDiffTool("SAFE")->diff(Req.A, Req.FA, Req.B, Req.FB);
+      std::string Cell = W.Name + " " + obfuscationModeName(Mode);
+      std::vector<uint8_t> ReqBytes = encodeDiffRequest(Req);
+      std::vector<uint8_t> RespBytes = encodeDiffResponse(Resp);
+      Got[Cell + " request"] = frameDigest(ReqBytes);
+      Got[Cell + " response"] = frameDigest(RespBytes);
+
+      DiffWireRequest ReqBack;
+      DiffWireResponse RespBack;
+      std::string Err;
+      ASSERT_TRUE(decodeDiffRequest(ReqBytes, ReqBack, Err)) << Err;
+      ASSERT_TRUE(decodeDiffResponse(RespBytes, RespBack, Err)) << Err;
+      EXPECT_EQ(encodeDiffRequest(ReqBack), ReqBytes) << Cell;
+      EXPECT_EQ(encodeDiffResponse(RespBack), RespBytes) << Cell;
+    }
+  }
+  DiffWireResponse Error;
+  Error.Error = "worker gave up";
+  Got["error response"] = frameDigest(encodeDiffResponse(Error));
+  EXPECT_EQ(Got, Pinned);
+}
+
+/// Every strict prefix of a real request and of its ok-response — cut
+/// inside a function, a block, an instruction or a feature vector — is
+/// rejected with the header error or the truncated-body error, never a
+/// crash or a partial success. An inner element count of 0xFFFFFFFF is
+/// rejected before anything is allocated for it.
+TEST(DiffWireProtocol, TruncationsInsideNestedRecordsAreRejected) {
+  ProgramSpec S;
+  S.Name = "prefix";
+  S.NumFunctions = 3;
+  S.Seed = 4;
+  Workload W{S.Name, generateMiniCProgram(S), {}, {}};
+  EvalPipeline Pipe;
+  DiffImages I = Pipe.diffImages(W, ObfuscationMode::None);
+  ASSERT_TRUE(I.Ok);
+  DiffWireRequest Req;
+  Req.Tool = "SAFE";
+  Req.A = I.A;
+  Req.FA = I.FA;
+  Req.B = I.B;
+  Req.FB = I.FB;
+  DiffWireResponse Resp;
+  Resp.Ok = true;
+  Resp.Result = createDiffTool("SAFE")->diff(I.A, I.FA, I.B, I.FB);
+  std::vector<uint8_t> ReqBytes = encodeDiffRequest(Req);
+  std::vector<uint8_t> RespBytes = encodeDiffResponse(Resp);
+  ASSERT_LT(ReqBytes.size(), 20000u); // Keeps the quadratic sweep quick.
+  ASSERT_FALSE(Resp.Result.Rankings.empty());
+  ASSERT_FALSE(Resp.Result.Rankings[0].empty());
+
+  const size_t HeaderBytes = 7;
+  for (size_t Len = 0; Len != ReqBytes.size(); ++Len) {
+    std::vector<uint8_t> Cut(ReqBytes.begin(), ReqBytes.begin() + Len);
+    DiffWireRequest Back;
+    std::string Err;
+    ASSERT_FALSE(decodeDiffRequest(Cut, Back, Err)) << Len;
+    ASSERT_EQ(Err, Len < HeaderBytes ? "truncated frame header"
+                                     : "truncated request body")
+        << "request prefix of " << Len << " bytes";
+  }
+  for (size_t Len = 0; Len != RespBytes.size(); ++Len) {
+    std::vector<uint8_t> Cut(RespBytes.begin(), RespBytes.begin() + Len);
+    DiffWireResponse Back;
+    std::string Err;
+    ASSERT_FALSE(decodeDiffResponse(Cut, Back, Err)) << Len;
+    ASSERT_EQ(Err, Len < HeaderBytes ? "truncated frame header"
+                                     : "truncated response body")
+        << "response prefix of " << Len << " bytes";
+  }
+
+  // The first block's instruction count, three records deep: header,
+  // tool, image name, function count, then function 0's name, address,
+  // exported byte, origins and block count, then block 0's name.
+  const MFunction &F0 = Req.A.Functions.at(0);
+  size_t Off = HeaderBytes + 4 + Req.Tool.size() + 4 + Req.A.Name.size() +
+               4 + 4 + F0.Name.size() + 8 + 1 + 4;
+  for (const std::string &O : F0.Origins)
+    Off += 4 + O.size();
+  Off += 4 + 4 + F0.Blocks.at(0).Name.size();
+  uint32_t Count = 0;
+  std::memcpy(&Count, &ReqBytes.at(Off), 4);
+  ASSERT_EQ(Count, F0.Blocks[0].Insts.size());
+  std::vector<uint8_t> Huge = ReqBytes;
+  std::memset(&Huge[Off], 0xFF, 4);
+  DiffWireRequest HugeBack;
+  std::string Err;
+  EXPECT_FALSE(decodeDiffRequest(Huge, HugeBack, Err));
+  EXPECT_EQ(Err, "truncated request body");
+
+  // Row 0's length inside the rankings (after the header and the row
+  // count).
+  Huge = RespBytes;
+  std::memset(&Huge[HeaderBytes + 4], 0xFF, 4);
+  DiffWireResponse HugeResp;
+  EXPECT_FALSE(decodeDiffResponse(Huge, HugeResp, Err));
+  EXPECT_EQ(Err, "truncated response body");
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -567,6 +568,54 @@ TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
   EXPECT_EQ(ColdDiff->Outcome.Similarity, WarmDiff->Outcome.Similarity);
   EXPECT_EQ(ColdDiff->Outcome.Raw.Rankings, WarmDiff->Outcome.Raw.Rankings);
   EXPECT_EQ(MemDiff->Outcome.Raw.Rankings, ColdDiff->Outcome.Raw.Rankings);
+}
+
+/// Every .art file a cold pipeline writes for one SplitBB cell — the
+/// BaselineRun, both ImageArtifacts (the obfuscated one with a non-empty
+/// PassReport) and the DiffOutcome — pinned by name and by bytes. The
+/// names pin ArtifactKey::address(), the bytes the KDC1 envelope, the
+/// embedded key and every field of the three stage payloads: a cache
+/// directory written by one revision must be served warm by the next.
+TEST(ArtifactStoreDisk, ArtFileNamesAndBytesArePinned) {
+  const std::map<std::string, std::string> Pinned = {
+      {"baseline-image-522a78f2409ab502.art", "24379:91fced61756954dc"},
+      {"baseline-run-26e6227ea80d4204.art", "112:55f0df0279ffb7d9"},
+      {"diff-outcome-e5bf2ae891faf6b5.art", "170:aed17758e7f6aecd"},
+      {"obfuscated-image-7a27f0af3e0caf30.art", "46463:82e2cbd3dce48b49"},
+  };
+  std::string Dir = freshDir("pins");
+  Workload W = coreUtilsSuite().front();
+  const ObfuscationMode Mode = ObfuscationMode::SplitBB;
+  const uint64_t Seed = 0xc906;
+  EvalPipeline Cold(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
+                                         Dir, 0});
+  ASSERT_TRUE(Cold.baselineRun(W)->Ok);
+  ASSERT_TRUE(Cold.baselineImage(W)->Ok);
+  auto Obf = Cold.obfuscatedImage(W, Mode, Seed);
+  ASSERT_TRUE(Obf->Ok);
+  EXPECT_FALSE(Obf->Report.empty());
+  ASSERT_TRUE(Cold.diffOutcome(W, Mode, Seed, "SAFE")->Ok);
+
+  std::map<std::string, std::string> Got;
+  DIR *D = ::opendir(Dir.c_str());
+  ASSERT_NE(D, nullptr);
+  while (dirent *E = ::readdir(D)) {
+    std::string Name = E->d_name;
+    if (Name.size() <= 4 || Name.rfind(".art") != Name.size() - 4)
+      continue;
+    std::vector<uint8_t> Bytes = readFileBytes(Dir + "/" + Name);
+    uint64_t H = 0xcbf29ce484222325ull;
+    for (uint8_t B : Bytes) {
+      H ^= B;
+      H *= 0x100000001b3ull;
+    }
+    char Digest[48];
+    std::snprintf(Digest, sizeof(Digest), "%zu:%016llx", Bytes.size(),
+                  static_cast<unsigned long long>(H));
+    Got[Name] = Digest;
+  }
+  ::closedir(D);
+  EXPECT_EQ(Got, Pinned);
 }
 
 } // namespace

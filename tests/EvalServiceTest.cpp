@@ -26,7 +26,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -204,6 +206,173 @@ TEST(EvalWire, Version2PeersAreRejectedByName) {
   EXPECT_FALSE(decodeEvalRequest(V2Frame, Req, Err));
   EXPECT_NE(Err.find("unsupported protocol version 2"), std::string::npos)
       << Err;
+}
+
+/// "<size>:<FNV-1a of the bytes>" — a frame's identity in the pin table.
+std::string frameDigest(const std::vector<uint8_t> &Bytes) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  for (uint8_t B : Bytes) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  char Buf[48];
+  std::snprintf(Buf, sizeof(Buf), "%zu:%016llx", Bytes.size(),
+                static_cast<unsigned long long>(H));
+  return Buf;
+}
+
+const EvalWireKind AllKinds[] = {EvalWireKind::Ping, EvalWireKind::Overhead,
+                                 EvalWireKind::DiffTask,
+                                 EvalWireKind::FuzzBatch};
+
+/// A request with every field set away from its default, so a field
+/// dropped or reordered in any kind's layout moves that kind's bytes.
+EvalRequest fullRequest(EvalWireKind Kind) {
+  EvalRequest Req;
+  Req.Kind = Kind;
+  Req.WorkloadName = "pin-wl";
+  Req.WorkloadSource = "int main() { return 7; }";
+  Req.VulnFunctions = {"parse_header", "copy_field"};
+  Req.Mode = ObfuscationMode::SplitBB;
+  Req.Seed = 0x0123456789abcdefull;
+  Req.Tool = "SAFE";
+  Req.BaselineLevel = 1;
+  Req.BaselineCodegen = 0x3f;
+  Req.FuzzSeed = 0xfeedface12345678ull;
+  Req.FuzzBudget = 1234;
+  Req.FuzzEngine = 1;
+  Req.FuzzCrossVM = 1;
+  Req.FuzzVerbose = 1;
+  return Req;
+}
+
+/// The ok-response counterpart of fullRequest.
+EvalResponse fullResponse(EvalWireKind Kind) {
+  EvalResponse Resp;
+  Resp.Kind = Kind;
+  Resp.Ok = true;
+  Resp.Engine = 1;
+  Resp.CacheEnabled = 1;
+  Resp.HasDiskTier = 1;
+  Resp.BaselineLevel = 3;
+  Resp.BaselineCodegen = 0x21;
+  Resp.Measured = 1;
+  Resp.Percent = 12.5 + 1.0 / 3.0;
+  Resp.ImagesOk = 1;
+  Resp.ToolOk = 1;
+  Resp.ToolError = "tool-error-text";
+  Resp.Precision = 0.1 + 0.2;
+  Resp.Similarity = 2.0 / 3.0;
+  Resp.VulnRanks = {3, 0, UINT32_MAX};
+  Resp.Cases = 11;
+  Resp.Cells = 22;
+  Resp.Passes = 33;
+  Resp.BaselineErrors = 44;
+  Resp.DivergenceCount = 55;
+  Resp.Text = "verdict stream\n";
+  return Resp;
+}
+
+/// Every kind's request, ok-response and error-response bytes, pinned:
+/// the golden frames above cover only Ping and Overhead requests, so a
+/// field reordered in the DiffTask or FuzzBatch request or in any
+/// response body would pass them unnoticed. Decoding each frame
+/// re-encodes to the same bytes.
+TEST(EvalWire, EveryKindsFramesArePinned) {
+  const std::map<std::string, std::string> Pinned = {
+      {"kind 1 error-response", "28:3c0940073984c0ee"},
+      {"kind 1 ok-response", "13:e1f5a717a2962a1d"},
+      {"kind 1 request", "8:50c815ccafcd6937"},
+      {"kind 2 error-response", "28:23203ab342cb4673"},
+      {"kind 2 ok-response", "17:bc823c4feeae54d4"},
+      {"kind 2 request", "55:83786744b410db35"},
+      {"kind 3 error-response", "28:479f475e72042b78"},
+      {"kind 3 ok-response", "61:215ea3e823dacf03"},
+      {"kind 3 request", "99:d82d66ecbe267098"},
+      {"kind 4 error-response", "28:6c0e026697dfc19d"},
+      {"kind 4 ok-response", "47:2e29d365ef9f9182"},
+      {"kind 4 request", "23:af97ba2c0c704412"},
+  };
+  std::map<std::string, std::string> Got;
+  for (EvalWireKind Kind : AllKinds) {
+    std::string Name = "kind " + std::to_string(static_cast<unsigned>(Kind));
+    EvalResponse Error;
+    Error.Kind = Kind;
+    Error.Error = "protocol trouble";
+    std::vector<uint8_t> ReqBytes = encodeEvalRequest(fullRequest(Kind));
+    std::vector<uint8_t> OkBytes = encodeEvalResponse(fullResponse(Kind));
+    std::vector<uint8_t> ErrBytes = encodeEvalResponse(Error);
+    Got[Name + " request"] = frameDigest(ReqBytes);
+    Got[Name + " ok-response"] = frameDigest(OkBytes);
+    Got[Name + " error-response"] = frameDigest(ErrBytes);
+
+    EvalRequest ReqBack;
+    EvalResponse OkBack, ErrBack;
+    std::string Err;
+    ASSERT_TRUE(decodeEvalRequest(ReqBytes, ReqBack, Err)) << Err;
+    ASSERT_TRUE(decodeEvalResponse(OkBytes, OkBack, Err)) << Err;
+    ASSERT_TRUE(decodeEvalResponse(ErrBytes, ErrBack, Err)) << Err;
+    EXPECT_EQ(encodeEvalRequest(ReqBack), ReqBytes) << Name;
+    EXPECT_EQ(encodeEvalResponse(OkBack), OkBytes) << Name;
+    EXPECT_EQ(encodeEvalResponse(ErrBack), ErrBytes) << Name;
+  }
+  EXPECT_EQ(Got, Pinned);
+}
+
+/// Every strict prefix of a DiffTask request and response whose vectors
+/// are non-empty is rejected with the header error or the truncated-body
+/// error, and an element count of 0xFFFFFFFF is rejected before anything
+/// is allocated for it.
+TEST(EvalWire, TruncationsInsideSequencesAreRejected) {
+  const size_t HeaderBytes = 8;
+  std::vector<uint8_t> ReqBytes =
+      encodeEvalRequest(fullRequest(EvalWireKind::DiffTask));
+  std::vector<uint8_t> RespBytes =
+      encodeEvalResponse(fullResponse(EvalWireKind::DiffTask));
+  for (size_t Len = 0; Len != ReqBytes.size(); ++Len) {
+    std::vector<uint8_t> Cut(ReqBytes.begin(), ReqBytes.begin() + Len);
+    EvalRequest Back;
+    std::string Err;
+    ASSERT_FALSE(decodeEvalRequest(Cut, Back, Err)) << Len;
+    ASSERT_EQ(Err, Len < HeaderBytes ? "truncated frame header"
+                                     : "truncated request body")
+        << "request prefix of " << Len << " bytes";
+  }
+  for (size_t Len = 0; Len != RespBytes.size(); ++Len) {
+    std::vector<uint8_t> Cut(RespBytes.begin(), RespBytes.begin() + Len);
+    EvalResponse Back;
+    std::string Err;
+    ASSERT_FALSE(decodeEvalResponse(Cut, Back, Err)) << Len;
+    ASSERT_EQ(Err, Len < HeaderBytes ? "truncated frame header"
+                                     : "truncated response body")
+        << "response prefix of " << Len << " bytes";
+  }
+
+  // VulnFunctions' count follows the workload name and source.
+  EvalRequest Req = fullRequest(EvalWireKind::DiffTask);
+  size_t Off = HeaderBytes + 4 + Req.WorkloadName.size() + 4 +
+               Req.WorkloadSource.size();
+  uint32_t Count = 0;
+  std::memcpy(&Count, &ReqBytes.at(Off), 4);
+  ASSERT_EQ(Count, Req.VulnFunctions.size());
+  std::vector<uint8_t> Huge = ReqBytes;
+  std::memset(&Huge[Off], 0xFF, 4);
+  EvalRequest HugeReq;
+  std::string Err;
+  EXPECT_FALSE(decodeEvalRequest(Huge, HugeReq, Err));
+  EXPECT_EQ(Err, "truncated request body");
+
+  // VulnRanks' count follows ImagesOk, ToolOk, ToolError and the two
+  // doubles.
+  EvalResponse Resp = fullResponse(EvalWireKind::DiffTask);
+  Off = HeaderBytes + 1 + 1 + 4 + Resp.ToolError.size() + 8 + 8;
+  std::memcpy(&Count, &RespBytes.at(Off), 4);
+  ASSERT_EQ(Count, Resp.VulnRanks.size());
+  Huge = RespBytes;
+  std::memset(&Huge[Off], 0xFF, 4);
+  EvalResponse HugeResp;
+  EXPECT_FALSE(decodeEvalResponse(Huge, HugeResp, Err));
+  EXPECT_EQ(Err, "truncated response body");
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchCommon.h"
 #include "harness/EvalScheduler.h"
 #include "ir/IRPrinter.h"
 #include "transform/Cloning.h"
@@ -21,6 +22,11 @@
 #include "workloads/SyntheticProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace khaos;
 
@@ -238,6 +244,63 @@ TEST(Sharding, OverheadMatrixMarksForeignCells) {
       EXPECT_FALSE(Cells[I].Ok);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Numeric flags
+//===----------------------------------------------------------------------===//
+
+/// Parses \p Args as a scheduler bench's command line.
+EvalScheduler::Config parseBenchArgs(std::vector<std::string> Args) {
+  Args.insert(Args.begin(), "bench");
+  std::vector<char *> Argv;
+  for (std::string &A : Args)
+    Argv.push_back(A.data());
+  return parseSchedulerArgs(static_cast<int>(Argv.size()), Argv.data());
+}
+
+TEST(BenchFlags, NumericFlagsTakeWholeDecimalOrHexTokens) {
+  EvalScheduler::Config C = parseBenchArgs(
+      {"--threads", "0x4", "--seed", "51462", "--shards", "3",
+       "--shard-index=2", "--store-max-bytes", "0", "--disk-max-bytes",
+       "0x100000"});
+  EXPECT_EQ(C.Threads, 4u);
+  EXPECT_EQ(C.Seed, 51462u);
+  EXPECT_EQ(C.Shards, 3u);
+  EXPECT_EQ(C.ShardIdx, 2u);
+  EXPECT_EQ(C.StoreMaxBytes, 0u);
+  EXPECT_EQ(C.DiskMaxBytes, 0x100000u);
+  EXPECT_EQ(parseBenchArgs({"--seed", "0xC906"}).Seed, 0xc906u);
+}
+
+/// Garbage in a numeric flag must never run something else (`--seed
+/// 12xyz` as seed 12, `--threads -1` as 4294967295 threads, a typo'd
+/// `--tool-timeout-ms` as "wait forever"): each case is a usage error
+/// naming the flag and the value, as is a shard index outside --shards.
+TEST(BenchFlagsDeathTest, NumericGarbageExitsWithUsage) {
+  const std::pair<std::vector<std::string>, const char *> Cases[] = {
+      {{"--seed", "12xyz"}, "invalid value '12xyz' for --seed"},
+      {{"--threads", "abc"}, "invalid value 'abc' for --threads"},
+      {{"--threads", "-1"}, "invalid value '-1' for --threads"},
+      {{"--threads", "4294967296"}, "invalid value '4294967296' for --threads"},
+      {{"--seed", "010"}, "invalid value '010' for --seed"},
+      {{"--seed", "0x0x10"}, "invalid value '0x0x10' for --seed"},
+      {{"--seed", "0x"}, "invalid value '0x' for --seed"},
+      {{"--tool-timeout-ms", "abc"},
+       "invalid value 'abc' for --tool-timeout-ms"},
+      {{"--store-max-bytes", "1e9"},
+       "invalid value '1e9' for --store-max-bytes"},
+      {{"--shards", "2", "--shard-index", "2"},
+       "--shard-index 2 out of range for --shards 2"},
+  };
+  for (const auto &Case : Cases)
+    EXPECT_EXIT(parseBenchArgs(Case.first), ::testing::ExitedWithCode(2),
+                Case.second)
+        << Case.first[0] << " " << Case.first[1];
+  // khaos-fuzz's --budget goes through the same parser.
+  EXPECT_EXIT(parseUnsignedFlag("12xyz", "--budget", "khaos-fuzz", UINT_MAX),
+              ::testing::ExitedWithCode(2),
+              "invalid value '12xyz' for --budget");
 }
 
 //===----------------------------------------------------------------------===//

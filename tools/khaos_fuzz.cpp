@@ -56,7 +56,8 @@ fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
   return {
       {"--budget", "N", "fuzz cases to generate (required)",
        [&Cfg](const char *V) {
-         Cfg.Budget = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+         Cfg.Budget = static_cast<unsigned>(
+             parseUnsignedFlag(V, "--budget", "khaos-fuzz", UINT_MAX));
        }},
       {"--modes", "A,B,...", "restrict the obfuscation modes exercised",
        [&ModesSpec](const char *V) { ModesSpec = V; }},
