@@ -5,36 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Helpers shared by the per-figure bench binaries. Set KHAOS_QUICK=1 in
-/// the environment to run each figure on a reduced workload sample (for
-/// smoke-testing the harness). Benches that fan out over the EvalScheduler
-/// accept `--threads N`, `--seed S`, `--no-cache` (recompute every
-/// artifact; results are identical, only slower), `--shards N
-/// --shard-index I` (cross-process split of the matrix by FlatIdx %
-/// Shards), `--store-max-bytes B` (LRU-bound the ArtifactStore; evicted
-/// stages recompute, output is unchanged), `--cache-dir DIR
-/// --disk-max-bytes B` (persist serializable artifacts to a
-/// content-addressed on-disk tier; a warm rerun recompiles nothing and
-/// prints identical stdout), `--connect SOCKET` (route eval work to a
-/// running khaos-evald daemon instead of computing in-process; stdout is
-/// byte-identical either way), `--tool-timeout-ms T` (the
-/// round-trip budget of out-of-process diffing backends), `--vm
-/// reference|precompiled` (which execution engine runs programs; both
-/// produce byte-identical stdout), `--baseline-opt L[,L...]` (the baseline
-/// build level; a comma list is the confound axis of benches that take
-/// one), `--codegen T[,T...]` (codegen tweaks layered onto the
-/// baseline config) and `--compiler-style S[,S...]` (the clang|gcc
-/// lowering personality; a comma list is the cross-compiler confound
-/// axis of benches that take one). `--json PATH` makes supporting
-/// benches
-/// additionally write a machine-readable BENCH_*.json result file (the
-/// committed perf trajectory — see bench/vm_engines.cpp); their stdout is
-/// byte-identical at every thread count (scheduler diagnostics, including
-/// cache telemetry, go to stderr). `--print-cells` switches matrix
-/// benches that support it to a per-(cell × tool) line format whose shard
-/// outputs merge losslessly. Diffing benches accept `--tools A,B,...`
-/// (registry names, case-insensitive), validated up front against
-/// registeredToolNames() before any thread spawns.
+/// Helpers shared by the per-figure bench binaries and the khaos-fuzz and
+/// khaos-evald front-ends. Each binary reads its command line once, from
+/// one flag table (parseBenchFlags); `--help` prints that table. Set
+/// KHAOS_QUICK=1 in the environment to run each figure on a reduced
+/// workload sample (for smoke-testing the harness). A bench's stdout is
+/// byte-identical at every thread count, shard split, cache setting and
+/// VM engine; scheduler diagnostics, cache telemetry and wall-clock
+/// timings go to stderr.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,20 +56,6 @@ inline std::vector<Workload> maybeThin(std::vector<Workload> W,
   return Out;
 }
 
-/// `--flag V` / `--flag=V` accessor shared by parseSchedulerArgs and the
-/// tool front-ends (khaos-fuzz): returns the value of \p Flag when Argv[I]
-/// spells it, advancing \p I past a separate value token; null otherwise.
-inline const char *flagValue(int Argc, char **Argv, int &I,
-                             const char *Flag) {
-  std::string Arg = Argv[I];
-  std::string Eq = std::string(Flag) + "=";
-  if (Arg.rfind(Eq, 0) == 0)
-    return Argv[I] + Eq.size();
-  if (Arg == Flag && I + 1 < Argc)
-    return Argv[++I];
-  return nullptr;
-}
-
 /// Strict parser behind every numeric flag: the store/disk capacities,
 /// --threads, --seed, --shards, --shard-index, --tool-timeout-ms and
 /// khaos-fuzz's --budget. strtoul alone is too forgiving: it wraps "-1"
@@ -126,10 +90,10 @@ inline uint64_t parseUnsignedFlag(const char *V, const char *Flag,
 }
 
 /// One declarative flag: spelling, optional value placeholder (null for
-/// boolean flags), one-line help, and the action run when it matches. The
-/// single table in schedulerFlagSpecs is what every bench and tool
-/// front-end parses and prints usage from — a new flag added there gets
-/// validation and usage text everywhere at once.
+/// boolean flags), one-line help, and the action run when it matches. A
+/// binary's table is its own rows plus the shared rows it honors; the same
+/// table parses its command line and renders its usage, so the two cannot
+/// drift.
 struct BenchFlagSpec {
   const char *Name;      ///< "--threads"
   const char *ValueName; ///< "N", or nullptr for a boolean flag.
@@ -137,56 +101,78 @@ struct BenchFlagSpec {
   std::function<void(const char *)> Apply; ///< Value (nullptr if boolean).
 };
 
-/// Applies every matching spec across \p Argv (`--flag V` and `--flag=V`
-/// spellings; boolean flags match exactly). Arguments matching no spec are
-/// ignored so benches stay forgiving in scripts and front-ends can layer
-/// their own tables over the shared one.
-inline void applyBenchFlags(int Argc, char **Argv,
-                            const std::vector<BenchFlagSpec> &Specs) {
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    for (const BenchFlagSpec &S : Specs) {
-      if (S.ValueName) {
-        if (const char *V = flagValue(Argc, Argv, I, S.Name)) {
-          S.Apply(V);
-          break;
-        }
-      } else if (Arg == S.Name) {
-        S.Apply(nullptr);
-        break;
-      }
-    }
-  }
-}
-
-/// Renders aligned "  --flag V   help" lines for \p Specs — the usage text
-/// is generated from the same table that parses, so the two cannot drift.
+/// Renders aligned "  --flag V   help" lines for \p Specs, plus the
+/// `--help` line every binary answers.
 inline std::string benchFlagUsage(const std::vector<BenchFlagSpec> &Specs) {
   std::string Out;
-  for (const BenchFlagSpec &S : Specs) {
-    std::string Head = "  ";
-    Head += S.Name;
-    if (S.ValueName) {
-      Head += ' ';
-      Head += S.ValueName;
-    }
-    while (Head.size() < 28)
-      Head += ' ';
-    Out += Head;
-    Out += S.Help;
-    Out += '\n';
-  }
+  auto Line = [&Out](std::string Head, const char *Help) {
+    Head.insert(0, "  ");
+    if (Head.size() < 28)
+      Head.resize(28, ' ');
+    Out += Head + Help + "\n";
+  };
+  for (const BenchFlagSpec &S : Specs)
+    Line(S.ValueName ? std::string(S.Name) + " " + S.ValueName : S.Name,
+         S.Help);
+  Line("-h, --help", "print this usage text and exit");
   return Out;
 }
 
-/// The shared scheduler/pipeline flag table. Raw `--baseline-opt` /
-/// `--codegen` / `--compiler-style` values are stashed into the string
-/// outs during the walk and resolved afterwards by resolveBaselineFlags
-/// (their validity does not depend on argv order that way).
+/// Prints "usage: PROG SYNOPSIS" and the rows of \p Specs, then exits with
+/// \p Status: 0 puts the text on stdout (the `--help` answer), anything
+/// else on stderr after the caller's error line.
+[[noreturn]] inline void
+exitWithUsage(int Status, const char *Prog, const char *Synopsis,
+              const std::vector<BenchFlagSpec> &Specs) {
+  std::fprintf(Status ? stderr : stdout, "usage: %s %s\n%s", Prog, Synopsis,
+               benchFlagUsage(Specs).c_str());
+  std::exit(Status);
+}
+
+/// The one reader of a binary's argv. Every argument must be a row of
+/// \p Specs, spelled `--flag V`, `--flag=V` or, for a boolean, bare; the
+/// rows' actions run in argv order. An unknown flag, a positional word, a
+/// value flag with no value or a value on a boolean names the argument
+/// and exits 2 with the usage before any work starts; `--help` and `-h`
+/// print the usage on stdout and exit 0.
+inline void parseBenchFlags(int Argc, char **Argv,
+                            const std::vector<BenchFlagSpec> &Specs,
+                            const char *Synopsis = "[flags]") {
+  const char *Prog = Argc > 0 ? Argv[0] : "bench";
+  auto Refuse = [&](const std::string &Why) {
+    std::fprintf(stderr, "%s: %s\n", Prog, Why.c_str());
+    exitWithUsage(2, Prog, Synopsis, Specs);
+  };
+  for (int I = 1; I < Argc; ++I) {
+    std::string Arg = Argv[I];
+    if (Arg == "--help" || Arg == "-h")
+      exitWithUsage(0, Prog, Synopsis, Specs);
+    size_t Eq = Arg.find('=');
+    std::string Name = Arg.substr(0, Eq);
+    auto Row = std::find_if(
+        Specs.begin(), Specs.end(),
+        [&Name](const BenchFlagSpec &S) { return Name == S.Name; });
+    if (Row == Specs.end())
+      Refuse(formatStr(Arg[0] == '-' ? "unknown flag '%s'"
+                                     : "unexpected argument '%s'",
+                       Arg.c_str()));
+    else if (!Row->ValueName && Eq != std::string::npos)
+      Refuse(formatStr("flag '%s' takes no value", Arg.c_str()));
+    else if (!Row->ValueName)
+      Row->Apply(nullptr);
+    else if (Eq != std::string::npos)
+      Row->Apply(Argv[I] + Eq + 1);
+    else if (I + 1 < Argc)
+      Row->Apply(Argv[++I]);
+    else
+      Refuse(formatStr("flag '%s' requires a value", Arg.c_str()));
+  }
+}
+
+/// The shared rows that configure the scheduler: its worker count, run
+/// seed, cross-process shard split and the khaos-evald route.
 inline std::vector<BenchFlagSpec>
-schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
-                   std::string &BaselineSpec, std::string &CodegenSpec,
-                   std::string &StyleSpec) {
+schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench) {
   return {
       {"--threads", "N", "scheduler worker threads (0 = hardware)",
        [&C, Bench](const char *V) {
@@ -197,8 +183,6 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
        [&C, Bench](const char *V) {
          C.Seed = parseUnsignedFlag(V, "--seed", Bench);
        }},
-      {"--no-cache", nullptr, "recompute every artifact (identical output)",
-       [&C](const char *) { C.CacheEnabled = false; }},
       {"--shards", "N", "split the matrix across N processes",
        [&C, Bench](const char *V) {
          C.Shards = static_cast<unsigned>(
@@ -209,6 +193,27 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
          C.ShardIdx = static_cast<unsigned>(
              parseUnsignedFlag(V, "--shard-index", Bench, UINT_MAX));
        }},
+      {"--connect", "SOCKET", "route eval work to a khaos-evald daemon",
+       [&C](const char *V) { C.ConnectPath = V; }},
+  };
+}
+
+/// Raw `--baseline-opt` / `--codegen` / `--compiler-style` values, stashed
+/// during the walk and resolved afterwards by resolveBaselineFlags (their
+/// validity does not depend on argv order that way).
+struct BuildFlagValues {
+  std::string Opt, Codegen, Style;
+};
+
+/// The shared rows that configure the pipeline (EvalScheduler::Config's
+/// pipelineConfig() half, plus the diff-worker timeout): the artifact
+/// store and its disk tier, the VM engine and the baseline build config.
+inline std::vector<BenchFlagSpec>
+pipelineFlagSpecs(EvalScheduler::Config &C, const char *Bench,
+                  BuildFlagValues &Build) {
+  return {
+      {"--no-cache", nullptr, "recompute every artifact (identical output)",
+       [&C](const char *) { C.CacheEnabled = false; }},
       {"--store-max-bytes", "B", "LRU-bound the in-memory artifact store",
        [&C, Bench](const char *V) {
          C.StoreMaxBytes = parseUnsignedFlag(V, "--store-max-bytes", Bench);
@@ -219,8 +224,6 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
        [&C, Bench](const char *V) {
          C.DiskMaxBytes = parseUnsignedFlag(V, "--disk-max-bytes", Bench);
        }},
-      {"--connect", "SOCKET", "route eval work to a khaos-evald daemon",
-       [&C](const char *V) { C.ConnectPath = V; }},
       {"--tool-timeout-ms", "T", "round-trip budget of -oop diff backends",
        [Bench](const char *V) {
          // A process-wide knob of the worker pool, not scheduler state.
@@ -240,15 +243,15 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
        }},
       {"--baseline-opt", "L[,L...]",
        "baseline build level(s) O0..O3; a comma list is a confound axis",
-       [&BaselineSpec](const char *V) { BaselineSpec = V; }},
+       [&Build](const char *V) { Build.Opt = V; }},
       {"--codegen", "T[,T...]",
        "baseline codegen tweaks: [no-]{spill,lea,cmov,jump-tables,"
        "align-loops}",
-       [&CodegenSpec](const char *V) { CodegenSpec = V; }},
+       [&Build](const char *V) { Build.Codegen = V; }},
       {"--compiler-style", "S[,S...]",
        "baseline lowering personality clang|gcc; a comma list is a "
        "confound axis",
-       [&StyleSpec](const char *V) { StyleSpec = V; }},
+       [&Build](const char *V) { Build.Style = V; }},
   };
 }
 
@@ -260,34 +263,31 @@ schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench,
 /// accept one; everywhere else it is a usage error, not a silent
 /// truncation.
 inline void resolveBaselineFlags(EvalScheduler::Config &C, const char *Bench,
-                                 const std::string &BaselineSpec,
-                                 const std::string &CodegenSpec,
-                                 const std::string &StyleSpec,
+                                 const BuildFlagValues &Build,
                                  std::vector<BuildConfig> *BaselineAxis,
                                  std::vector<CompilerStyle> *StyleAxis) {
   std::string Err;
   std::vector<BuildConfig> Configs;
-  if (!BaselineSpec.empty() &&
-      !parseBaselineOptList(BaselineSpec, Configs, Err)) {
+  if (!Build.Opt.empty() && !parseBaselineOptList(Build.Opt, Configs, Err)) {
     std::fprintf(stderr,
                  "%s: %s\nusage: --baseline-opt LEVEL[,LEVEL...] with LEVEL "
                  "one of O0 O1 O2 O3\n",
                  Bench, Err.c_str());
     std::exit(2);
   }
-  if (!CodegenSpec.empty()) {
+  if (!Build.Codegen.empty()) {
     CodegenOptions Probe = C.Baseline.Codegen;
-    if (!applyCodegenTokens(CodegenSpec, Probe, Err)) {
+    if (!applyCodegenTokens(Build.Codegen, Probe, Err)) {
       std::fprintf(stderr, "%s: %s\n", Bench, Err.c_str());
       std::exit(2);
     }
     C.Baseline.Codegen = Probe;
     for (BuildConfig &BC : Configs)
-      applyCodegenTokens(CodegenSpec, BC.Codegen, Err); // Validated above.
+      applyCodegenTokens(Build.Codegen, BC.Codegen, Err); // Validated above.
   }
   std::vector<CompilerStyle> Styles;
-  if (!StyleSpec.empty() &&
-      !parseCompilerStyleList(StyleSpec, Styles, Err)) {
+  if (!Build.Style.empty() &&
+      !parseCompilerStyleList(Build.Style, Styles, Err)) {
     std::fprintf(stderr,
                  "%s: %s\nusage: --compiler-style STYLE[,STYLE...] with "
                  "STYLE one of clang gcc\n",
@@ -320,23 +320,25 @@ inline void resolveBaselineFlags(EvalScheduler::Config &C, const char *Bench,
     *StyleAxis = std::move(Styles);
 }
 
-/// Parses the shared scheduler/pipeline flags (see the file comment for
-/// the roster; both `--flag V` and `--flag=V` spellings). Numeric flags
-/// go through parseUnsignedFlag, `--baseline-opt`/`--codegen`/
-/// `--compiler-style` through the BuildConfig parsers (exit 2 on
-/// garbage); unrecognized arguments are ignored. Benches with a
-/// build-config axis pass \p BaselineAxis to receive the `--baseline-opt`
-/// comma list as BuildConfigs, and \p StyleAxis to receive a multi-entry
+/// Reads a scheduler bench's command line: the bench's own rows \p Own
+/// followed by the whole shared table (schedulerFlagSpecs, then
+/// pipelineFlagSpecs). Benches with a build-config axis pass
+/// \p BaselineAxis to receive the `--baseline-opt` comma list as
+/// BuildConfigs, and \p StyleAxis to receive a multi-entry
 /// `--compiler-style` list.
 inline EvalScheduler::Config
-parseSchedulerArgs(int Argc, char **Argv,
+parseSchedulerArgs(int Argc, char **Argv, std::vector<BenchFlagSpec> Own = {},
                    std::vector<BuildConfig> *BaselineAxis = nullptr,
                    std::vector<CompilerStyle> *StyleAxis = nullptr) {
   EvalScheduler::Config C;
   const char *Bench = Argc > 0 ? Argv[0] : "bench";
-  std::string BaselineSpec, CodegenSpec, StyleSpec;
-  applyBenchFlags(Argc, Argv, schedulerFlagSpecs(C, Bench, BaselineSpec,
-                                                 CodegenSpec, StyleSpec));
+  BuildFlagValues Build;
+  std::vector<BenchFlagSpec> Specs = std::move(Own);
+  for (BenchFlagSpec &S : schedulerFlagSpecs(C, Bench))
+    Specs.push_back(std::move(S));
+  for (BenchFlagSpec &S : pipelineFlagSpecs(C, Bench, Build))
+    Specs.push_back(std::move(S));
+  parseBenchFlags(Argc, Argv, Specs);
   // The scheduler reads --shards 0 as 1 and aborts on an index outside
   // the split; at the command line that is a usage error.
   if (C.ShardIdx >= std::max(C.Shards, 1u)) {
@@ -346,19 +348,77 @@ parseSchedulerArgs(int Argc, char **Argv,
                  Bench, C.ShardIdx, C.Shards, std::max(C.Shards, 1u) - 1);
     std::exit(2);
   }
-  resolveBaselineFlags(C, Bench, BaselineSpec, CodegenSpec, StyleSpec,
-                       BaselineAxis, StyleAxis);
+  resolveBaselineFlags(C, Bench, Build, BaselineAxis, StyleAxis);
   return C;
 }
 
-/// Value of `--json PATH` / `--json=PATH`, or empty when absent. Benches
-/// that support it write their machine-readable results (the committed
-/// BENCH_*.json perf trajectory) there in addition to the human table.
-inline std::string parseJsonPath(int Argc, char **Argv) {
-  for (int I = 1; I < Argc; ++I)
-    if (const char *V = flagValue(Argc, Argv, I, "--json"))
-      return V;
-  return {};
+/// The `--print-cells` row of the matrix benches that can print one
+/// sortable line per cell instead of aggregate tables.
+inline BenchFlagSpec printCellsFlag(bool &On) {
+  return {"--print-cells", nullptr,
+          "print sortable per-cell lines (shard outputs merge by sort)",
+          [&On](const char *) { On = true; }};
+}
+
+/// The `--tools A,B,...` row of the diffing benches. Its action validates
+/// every name against the DiffTool registry *before* the caller spawns
+/// scheduler threads (createDiffTool aborts on unknown names — mid-matrix
+/// that would kill a half-finished run). Matching is case-insensitive
+/// against the registered spelling (`--tools safe,safe-oop` resolves to
+/// SAFE + safe-oop); every name the caller sees — the list in \p Out, and
+/// the names echoed in diagnostics — is the canonical registry spelling,
+/// never the user's casing. Repeated names (`--tools safe,SAFE`) are
+/// deduplicated to the first occurrence (with a stderr note) instead of
+/// running the tool twice. An unknown name prints the registered names and
+/// exits 2. \p Out keeps the caller's default when the flag is absent.
+inline BenchFlagSpec toolsFlag(std::vector<std::string> &Out,
+                               const char *Bench) {
+  return {
+      "--tools", "A,B,...",
+      "diffing tools to run (registry names, case-insensitive)",
+      [&Out, Bench](const char *Spec) {
+        auto Lower = [](std::string S) {
+          for (char &C : S)
+            C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+          return S;
+        };
+        std::vector<std::string> Known = registeredToolNames();
+        std::vector<std::string> Tools;
+        for (const std::string &Name : split(Spec, ',')) {
+          if (Name.empty())
+            continue;
+          auto Match = std::find_if(
+              Known.begin(), Known.end(),
+              [&](const std::string &K) { return Lower(K) == Lower(Name); });
+          if (Match == Known.end()) {
+            std::fprintf(stderr,
+                         "%s: unknown diffing tool '%s' in --tools\n"
+                         "usage: --tools NAME[,NAME...] with registered "
+                         "tools:",
+                         Bench, Name.c_str());
+            for (const std::string &K : Known)
+              std::fprintf(stderr, " %s", K.c_str());
+            std::fprintf(stderr, "\n");
+            std::exit(2);
+          }
+          // Dedupe against the canonical spelling: `--tools safe,SAFE`
+          // must run SAFE once, not twice (a duplicate would double its
+          // matrix rows and its (cell x tool) tasks).
+          if (std::find(Tools.begin(), Tools.end(), *Match) != Tools.end()) {
+            std::fprintf(stderr,
+                         "%s: duplicate tool '%s' in --tools ignored\n",
+                         Bench, Match->c_str());
+            continue;
+          }
+          Tools.push_back(*Match);
+        }
+        if (Tools.empty()) {
+          std::fprintf(stderr, "%s: --tools requires at least one tool name\n",
+                       Bench);
+          std::exit(2);
+        }
+        Out = std::move(Tools);
+      }};
 }
 
 /// Minimal JSON writer for the BENCH_*.json artifacts: flat objects and
@@ -456,94 +516,6 @@ private:
   std::vector<std::pair<std::string, std::string>> Scalars;
   std::vector<std::pair<std::string, std::string>> Rows;
 };
-
-/// Parses `--tools A,B,...` and validates every name against the DiffTool
-/// registry *before* the caller spawns scheduler threads (createDiffTool
-/// aborts on unknown names — mid-matrix that would kill a half-finished
-/// run). Matching is case-insensitive against the registered spelling
-/// (`--tools safe,safe-oop` resolves to SAFE + safe-oop); every name the
-/// caller sees — the returned list, and the names echoed in diagnostics —
-/// is the canonical registry spelling, never the user's casing. Repeated
-/// names (`--tools safe,SAFE`) are deduplicated to the first occurrence
-/// (with a stderr note) instead of running the tool twice. On an unknown
-/// name, prints a usage message listing registeredToolNames() and exits 2.
-/// Returns \p Default when the flag is absent.
-inline std::vector<std::string>
-parseToolNames(int Argc, char **Argv, const char *Bench,
-               std::vector<std::string> Default = {}) {
-  std::string Spec;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg.rfind("--tools=", 0) == 0)
-      Spec = Arg.substr(8);
-    else if (Arg == "--tools" && I + 1 < Argc)
-      Spec = Argv[++I];
-  }
-  if (Spec.empty())
-    return Default;
-
-  auto Lower = [](std::string S) {
-    for (char &C : S)
-      C = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-    return S;
-  };
-  std::vector<std::string> Known = registeredToolNames();
-  std::vector<std::string> Out;
-  size_t Pos = 0;
-  while (Pos <= Spec.size()) {
-    size_t Comma = Spec.find(',', Pos);
-    std::string Name = Spec.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? Spec.size() + 1 : Comma + 1;
-    if (Name.empty())
-      continue;
-    const std::string *Match = nullptr;
-    for (const std::string &K : Known)
-      if (Lower(K) == Lower(Name)) {
-        Match = &K;
-        break;
-      }
-    if (!Match) {
-      std::fprintf(stderr,
-                   "%s: unknown diffing tool '%s' in --tools\n"
-                   "usage: --tools NAME[,NAME...] with registered tools:",
-                   Bench, Name.c_str());
-      for (const std::string &K : Known)
-        std::fprintf(stderr, " %s", K.c_str());
-      std::fprintf(stderr, "\n");
-      std::exit(2);
-    }
-    // Dedupe against the canonical spelling: `--tools safe,SAFE` must run
-    // SAFE once, not twice (a duplicate would double its matrix rows and
-    // its (cell x tool) tasks).
-    bool Seen = false;
-    for (const std::string &Existing : Out)
-      if (Existing == *Match) {
-        Seen = true;
-        break;
-      }
-    if (Seen) {
-      std::fprintf(stderr, "%s: duplicate tool '%s' in --tools ignored\n",
-                   Bench, Match->c_str());
-      continue;
-    }
-    Out.push_back(*Match);
-  }
-  if (Out.empty()) {
-    std::fprintf(stderr, "%s: --tools requires at least one tool name\n",
-                 Bench);
-    std::exit(2);
-  }
-  return Out;
-}
-
-/// True if the boolean flag \p Flag appears in the argument list.
-inline bool hasBenchFlag(int Argc, char **Argv, const char *Flag) {
-  for (int I = 1; I < Argc; ++I)
-    if (std::string(Argv[I]) == Flag)
-      return true;
-  return false;
-}
 
 /// Benches whose stdout is only an aggregate table must refuse --shards:
 /// a table computed from one shard's cells looks complete but is silently

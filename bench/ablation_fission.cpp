@@ -25,13 +25,12 @@ using namespace khaos;
 
 namespace {
 
-/// Overhead of plain fission under custom region options. The baseline run
-/// comes from the shared pipeline cache (one compile+run per workload for
-/// both policy variants).
-bool overheadWithOptions(EvalPipeline &Pipe, const Workload &W,
-                         const RegionOptions &Regions,
-                         bool IgnoreFrequency, double &OverheadOut,
-                         double &AvgParams) {
+/// Overhead of plain fission under one region-selection policy. The
+/// baseline run comes from the shared pipeline cache (one compile+run per
+/// workload for both policy variants).
+bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
+                        bool IgnoreFrequency, double &OverheadOut,
+                        double &AvgParams) {
   auto Base = Pipe.baselineRun(W);
   if (!Base->Ok)
     return false;
@@ -44,38 +43,27 @@ bool overheadWithOptions(EvalPipeline &Pipe, const Workload &W,
     return false;
 
   FissionStats Stats;
-  unsigned ParamSum = 0, SepCount = 0;
-  // Manual driver so the selection policy can be swapped.
-  std::vector<Function *> Originals;
-  for (const auto &F : M->functions())
-    if (!F->isDeclaration() && !F->isIntrinsic() && !F->isNoObfuscate())
-      Originals.push_back(F.get());
-  RegionOptions Policy = Regions;
-  Policy.IgnoreFrequencyCost = IgnoreFrequency;
-  for (Function *F : Originals) {
-    std::vector<Region> Regs = identifyRegions(*F, Policy);
-    unsigned Seq = 0;
-    for (const Region &R : Regs) {
-      std::string Name =
-          M->uniqueName(F->getName() + ".part" + std::to_string(Seq++));
-      Function *Sep = extractRegion(*M, *F, R, Name, Stats);
-      ParamSum += Sep->arg_size();
-      ++SepCount;
-    }
-  }
+  FissionOptions Opts;
+  Opts.Regions.IgnoreFrequencyCost = IgnoreFrequency;
+  std::vector<std::string> SepNames = runFission(*M, Stats, Opts);
+  // Parameter counts as extracted: O2 may inline or drop sepFuncs.
+  unsigned ParamSum = 0;
+  for (const std::string &Name : SepNames)
+    ParamSum += M->getFunction(Name)->arg_size();
   optimizeModule(*M, OptLevel::O2);
   ExecResult Got = runModule(*M);
   if (!Got.Ok || Got.Stdout != Ref.Stdout)
     return false;
   OverheadOut = (double(Got.Cost) - double(Ref.Cost)) / double(Ref.Cost) *
                 100.0;
-  AvgParams = SepCount ? double(ParamSum) / SepCount : 0.0;
+  AvgParams = SepNames.empty() ? 0.0 : double(ParamSum) / SepNames.size();
   return true;
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  parseBenchFlags(argc, argv, {});
   printHeader("Ablation: fission",
               "Algorithm 1's cost model vs size-greedy region selection");
 
@@ -89,11 +77,8 @@ int main() {
   EvalPipeline Pipe;
   for (const Workload &W : Suite) {
     double OvA = 0, OvB = 0, PA = 0, PB = 0;
-    RegionOptions R;
-    bool OkA =
-        overheadWithOptions(Pipe, W, R, /*IgnoreFrequency=*/false, OvA, PA);
-    bool OkB =
-        overheadWithOptions(Pipe, W, R, /*IgnoreFrequency=*/true, OvB, PB);
+    bool OkA = overheadWithPolicy(Pipe, W, /*IgnoreFrequency=*/false, OvA, PA);
+    bool OkB = overheadWithPolicy(Pipe, W, /*IgnoreFrequency=*/true, OvB, PB);
     if (OkA)
       A1.push_back(OvA);
     if (OkB)

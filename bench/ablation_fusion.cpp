@@ -15,6 +15,7 @@
 
 #include "BenchCommon.h"
 
+#include "diffing/Metrics.h"
 #include "frontend/IRGen.h"
 #include "ir/Verifier.h"
 
@@ -65,26 +66,14 @@ bool evaluate(EvalPipeline &Pipe, const Workload &W, const Variant &V,
   BinaryImage B = lowerToBinary(*M);
   ImageFeatures FB = extractFeatures(B);
   auto Tool = createAsm2VecTool();
-  DiffResult R = Tool->diff(A, FA, B, FB);
-  double Hits = 0, Total = 0;
-  for (size_t I = 0; I != A.Functions.size(); ++I) {
-    if (R.Rankings[I].empty())
-      continue;
-    Total += 1;
-    const MFunction &Top = B.Functions[R.Rankings[I].front()];
-    for (const std::string &O : Top.Origins)
-      if (O == A.Functions[I].Name) {
-        Hits += 1;
-        break;
-      }
-  }
-  PrecisionOut = Total > 0 ? Hits / Total : 0.0;
+  PrecisionOut = precisionAt1(A, B, Tool->diff(A, FA, B, FB));
   return true;
 }
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  parseBenchFlags(argc, argv, {});
   printHeader("Ablation: fusion", "deep fusion on/off — overhead vs "
                                   "Asm2Vec precision");
 

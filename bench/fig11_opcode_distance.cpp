@@ -50,10 +50,10 @@ void runSuite(EvalPipeline &Pipe, const char *Caption,
   double MaxDist = 0.0;
   for (size_t WI = 0; WI != Suite.size(); ++WI) {
     const Workload &W = Suite[WI];
-    std::shared_ptr<const CompiledWorkload> Base = Pipe.baseline(W);
-    if (!*Base)
+    auto Base = Pipe.baselineImage(W);
+    if (!Base->Ok)
       continue;
-    std::vector<double> BaseHist = lowerToBinary(*Base->M).opcodeHistogram();
+    std::vector<double> BaseHist = Base->Image.opcodeHistogram();
     for (size_t CI = 0; CI != std::size(Configs); ++CI) {
       std::vector<double> ObfHist;
       if (Configs[CI].BinTuner) {
@@ -71,10 +71,10 @@ void runSuite(EvalPipeline &Pipe, const char *Caption,
           continue;
         ObfHist = BestImg->Image.opcodeHistogram();
       } else {
-        CompiledWorkload Obf = Pipe.obfuscate(W, Configs[CI].Mode);
-        if (!Obf)
+        auto Obf = Pipe.obfuscatedImage(W, Configs[CI].Mode);
+        if (!Obf->Ok)
           continue;
-        ObfHist = lowerToBinary(*Obf.M).opcodeHistogram();
+        ObfHist = Obf->Image.opcodeHistogram();
       }
       double D = euclideanDistance(BaseHist, ObfHist);
       Raw[WI][CI] = D;
@@ -103,7 +103,8 @@ void runSuite(EvalPipeline &Pipe, const char *Caption,
 
 } // namespace
 
-int main() {
+int main(int argc, char **argv) {
+  parseBenchFlags(argc, argv, {});
   printHeader("Figure 11",
               "normalized opcode histogram distance (original vs obfuscated)");
   EvalPipeline Pipe;

@@ -72,9 +72,10 @@ void runSuite(const EvalScheduler &Sched, const char *Caption,
 } // namespace
 
 int main(int argc, char **argv) {
-  EvalScheduler Sched(parseSchedulerArgs(argc, argv));
-  const bool CellMode =
-      hasBenchFlag(argc, argv, "--print-cells") || Sched.shardCount() > 1;
+  bool PrintCells = false;
+  EvalScheduler Sched(
+      parseSchedulerArgs(argc, argv, {printCellsFlag(PrintCells)}));
+  const bool CellMode = PrintCells || Sched.shardCount() > 1;
   if (!CellMode)
     printHeader("Figure 6",
                 "runtime overhead of the Khaos modes on SPEC CPU 2006/2017");

@@ -21,9 +21,10 @@
 using namespace khaos;
 
 int main(int argc, char **argv) {
-  EvalScheduler Sched(parseSchedulerArgs(argc, argv));
-  const bool CellMode =
-      hasBenchFlag(argc, argv, "--print-cells") || Sched.shardCount() > 1;
+  bool PrintCells = false;
+  EvalScheduler Sched(
+      parseSchedulerArgs(argc, argv, {printCellsFlag(PrintCells)}));
+  const bool CellMode = PrintCells || Sched.shardCount() > 1;
   if (!CellMode)
     printHeader("Figure 7",
                 "O-LLVM vs Khaos geomean overhead (SPEC CPU 2006/2017)");

@@ -75,16 +75,15 @@ void printCellLines(const char *MatrixId,
 } // namespace
 
 int main(int argc, char **argv) {
-  // Validate --tools against the registry before any scheduler thread
-  // exists (createDiffTool would abort mid-matrix otherwise). An explicit
-  // tool list replaces the default light-tool set and skips the
-  // DeepBinDiff reduced-suite matrix; `--tools SAFE` vs `--tools
+  // An explicit tool list replaces the default light-tool set and skips
+  // the DeepBinDiff reduced-suite matrix; `--tools SAFE` vs `--tools
   // safe-oop` is the in-process/out-of-process A/B the CI diffs.
-  const std::vector<std::string> CustomTools =
-      parseToolNames(argc, argv, "fig8_precision");
-  EvalScheduler Sched(parseSchedulerArgs(argc, argv));
-  const bool CellMode =
-      hasBenchFlag(argc, argv, "--print-cells") || Sched.shardCount() > 1;
+  std::vector<std::string> CustomTools;
+  bool PrintCells = false;
+  EvalScheduler Sched(parseSchedulerArgs(
+      argc, argv,
+      {toolsFlag(CustomTools, "fig8_precision"), printCellsFlag(PrintCells)}));
+  const bool CellMode = PrintCells || Sched.shardCount() > 1;
 
   if (!CellMode)
     printHeader("Figure 8",

@@ -81,11 +81,14 @@ double meanMetric(const std::vector<EvalScheduler::ConfoundCell> &Cells,
 } // namespace
 
 int main(int argc, char **argv) {
-  const std::vector<std::string> Tools = parseToolNames(
-      argc, argv, "fig9_confound", {"BinDiff", "semdiff"});
+  std::vector<std::string> Tools = {"BinDiff", "semdiff"};
+  bool PrintCells = false;
   std::vector<BuildConfig> Configs;
   std::vector<CompilerStyle> Styles;
-  EvalScheduler::Config SC = parseSchedulerArgs(argc, argv, &Configs, &Styles);
+  EvalScheduler::Config SC = parseSchedulerArgs(
+      argc, argv,
+      {toolsFlag(Tools, "fig9_confound"), printCellsFlag(PrintCells)},
+      &Configs, &Styles);
   EvalScheduler Sched(SC);
   if (Configs.empty()) {
     // Default confound axis: the levels the paper's cross-level
@@ -115,8 +118,7 @@ int main(int argc, char **argv) {
       }
     Configs = std::move(Crossed);
   }
-  const bool CellMode =
-      hasBenchFlag(argc, argv, "--print-cells") || Sched.shardCount() > 1;
+  const bool CellMode = PrintCells || Sched.shardCount() > 1;
   if (!CellMode) {
     requireUnsharded(Sched, "fig9_confound");
     printHeader("Confound axis", "build configuration vs obfuscation: "

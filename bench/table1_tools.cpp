@@ -17,7 +17,8 @@
 
 using namespace khaos;
 
-int main() {
+int main(int argc, char **argv) {
+  parseBenchFlags(argc, argv, {});
   printHeader("Table 1", "characteristics of the chosen diffing works");
 
   TableRenderer Table({"diffing", "granularity", "symbol relying",

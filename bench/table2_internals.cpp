@@ -47,22 +47,10 @@ SuiteStats gather(const EvalScheduler &Sched,
     ObfuscationResult R;
     Sched.pipeline().obfuscate(*C.W, C.Mode, Opts, &R);
     std::lock_guard<std::mutex> Lock(M);
-    if (C.Mode == ObfuscationMode::Fission) {
-      S.Fission.OriFuncs += R.Fission.OriFuncs;
-      S.Fission.ProcessedFuncs += R.Fission.ProcessedFuncs;
-      S.Fission.SepFuncs += R.Fission.SepFuncs;
-      S.Fission.SepBlocks += R.Fission.SepBlocks;
-      S.Fission.LazyAllocas += R.Fission.LazyAllocas;
-      S.Fission.OriInstructions += R.Fission.OriInstructions;
-      S.Fission.MovedInstructions += R.Fission.MovedInstructions;
-    } else {
-      S.Fusion.Candidates += R.Fusion.Candidates;
-      S.Fusion.Fused += R.Fusion.Fused;
-      S.Fusion.Pairs += R.Fusion.Pairs;
-      S.Fusion.CompressedParams += R.Fusion.CompressedParams;
-      S.Fusion.DeepMergedBlocks += R.Fusion.DeepMergedBlocks;
-      S.Fusion.Trampolines += R.Fusion.Trampolines;
-    }
+    if (C.Mode == ObfuscationMode::Fission)
+      S.Fission.merge(R.Fission);
+    else
+      S.Fusion.merge(R.Fusion);
   });
   return S;
 }

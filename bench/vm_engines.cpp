@@ -8,8 +8,9 @@
 /// A/B throughput of the two VM execution engines (reference IR walker vs
 /// precompiled register-file bytecode with direct-threaded dispatch) over
 /// the Figure-6 SPEC workload set. For every workload both engines run the
-/// same O2 baseline module; the bench checks the runs are observationally
-/// identical (Ok, ExitValue, Stdout, Steps, Cost) and measures steps/sec.
+/// same baseline module (O2 unless `--baseline-opt` says otherwise); the
+/// bench checks the runs are observationally identical (Ok, ExitValue,
+/// Stdout, Steps, Cost) and measures steps/sec.
 ///
 /// stdout is deterministic — workload names, per-run step counts and the
 /// A/B match verdicts only. Wall-clock timings (which vary run to run) go
@@ -69,11 +70,12 @@ bool sameObservation(const ExecResult &A, const ExecResult &B) {
 } // namespace
 
 int main(int argc, char **argv) {
-  EvalScheduler::Config SC = parseSchedulerArgs(argc, argv);
-  std::string JsonPath = parseJsonPath(argc, argv);
-  EvalPipeline Pipe(EvalPipeline::Config{SC.CacheEnabled, SC.StoreMaxBytes,
-                                         SC.Engine, SC.CacheDir,
-                                         SC.DiskMaxBytes});
+  std::string JsonPath;
+  EvalScheduler::Config SC = parseSchedulerArgs(
+      argc, argv,
+      {{"--json", "PATH", "also write the machine-readable result file",
+        [&JsonPath](const char *V) { JsonPath = V; }}});
+  EvalPipeline Pipe(SC.pipelineConfig());
 
   // The Figure-6 workload plane (baselines only — engine throughput, not
   // obfuscation overhead). Quick mode thins it like every other bench.

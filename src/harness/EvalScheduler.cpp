@@ -30,20 +30,8 @@ void EvalRunStats::mergeCell(const ObfuscationResult &R, bool Failed) {
   std::lock_guard<std::mutex> Lock(M);
   Cells += 1;
   Failures += Failed ? 1 : 0;
-  Fission.OriFuncs += R.Fission.OriFuncs;
-  Fission.ProcessedFuncs += R.Fission.ProcessedFuncs;
-  Fission.SepFuncs += R.Fission.SepFuncs;
-  Fission.SepBlocks += R.Fission.SepBlocks;
-  Fission.LazyAllocas += R.Fission.LazyAllocas;
-  Fission.OriInstructions += R.Fission.OriInstructions;
-  Fission.MovedInstructions += R.Fission.MovedInstructions;
-  Fusion.Candidates += R.Fusion.Candidates;
-  Fusion.Fused += R.Fusion.Fused;
-  Fusion.Pairs += R.Fusion.Pairs;
-  Fusion.CompressedParams += R.Fusion.CompressedParams;
-  Fusion.DeepMergedBlocks += R.Fusion.DeepMergedBlocks;
-  Fusion.Trampolines += R.Fusion.Trampolines;
-  Fusion.TaggedPointerSites += R.Fusion.TaggedPointerSites;
+  Fission.merge(R.Fission);
+  Fusion.merge(R.Fusion);
   Passes.merge(R.Report);
 }
 
@@ -91,14 +79,7 @@ EvalScheduler::EvalScheduler(Config C) : Cfg(std::move(C)) {
     if (Workers == 0)
       Workers = 1;
   }
-  EvalPipeline::Config PC;
-  PC.CacheEnabled = Cfg.CacheEnabled;
-  PC.StoreMaxBytes = Cfg.StoreMaxBytes;
-  PC.Engine = Cfg.Engine;
-  PC.CacheDir = Cfg.CacheDir;
-  PC.DiskMaxBytes = Cfg.DiskMaxBytes;
-  PC.Baseline = Cfg.Baseline;
-  Pipe = std::make_shared<EvalPipeline>(PC);
+  Pipe = std::make_shared<EvalPipeline>(Cfg.pipelineConfig());
 
   if (remote()) {
     // Fail fast, and fail loud: a daemon whose engine or cache setting

@@ -155,6 +155,14 @@ public:
     /// not sweep the axis explicitly (--baseline-opt / --codegen).
     /// Forwarded to the pipeline and checked against the daemon's ping.
     BuildConfig Baseline = {};
+
+    /// The pipeline half of this config: what the scheduler builds its
+    /// EvalPipeline from, and what front-ends that run a bare pipeline
+    /// (khaos-evald, bench_vm_engines) build theirs from.
+    EvalPipeline::Config pipelineConfig() const {
+      return {CacheEnabled, StoreMaxBytes, Engine, CacheDir, DiskMaxBytes,
+              Baseline};
+    }
   };
 
   explicit EvalScheduler(Config C);

@@ -38,6 +38,15 @@ struct FissionStats {
   uint64_t OriInstructions = 0; ///< Pre-fission instruction count.
   uint64_t MovedInstructions = 0;
 
+  void merge(const FissionStats &O) {
+    OriFuncs += O.OriFuncs;
+    ProcessedFuncs += O.ProcessedFuncs;
+    SepFuncs += O.SepFuncs;
+    SepBlocks += O.SepBlocks;
+    LazyAllocas += O.LazyAllocas;
+    OriInstructions += O.OriInstructions;
+    MovedInstructions += O.MovedInstructions;
+  }
   double fissionRatio() const {
     return OriFuncs ? static_cast<double>(SepFuncs) / OriFuncs : 0.0;
   }

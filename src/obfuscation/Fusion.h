@@ -46,6 +46,15 @@ struct FusionStats {
   unsigned Trampolines = 0;
   unsigned TaggedPointerSites = 0; ///< Rewritten indirect call sites.
 
+  void merge(const FusionStats &O) {
+    Candidates += O.Candidates;
+    Fused += O.Fused;
+    Pairs += O.Pairs;
+    CompressedParams += O.CompressedParams;
+    DeepMergedBlocks += O.DeepMergedBlocks;
+    Trampolines += O.Trampolines;
+    TaggedPointerSites += O.TaggedPointerSites;
+  }
   double fusionRatio() const {
     return Candidates ? static_cast<double>(Fused) / Candidates : 0.0;
   }

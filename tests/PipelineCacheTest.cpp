@@ -23,6 +23,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <climits>
 #include <string>
 #include <utility>
@@ -250,13 +253,16 @@ TEST(Sharding, OverheadMatrixMarksForeignCells) {
 // Numeric flags
 //===----------------------------------------------------------------------===//
 
-/// Parses \p Args as a scheduler bench's command line.
-EvalScheduler::Config parseBenchArgs(std::vector<std::string> Args) {
+/// Parses \p Args as a scheduler bench's command line, with the bench's
+/// own rows \p Own ahead of the shared table.
+EvalScheduler::Config parseBenchArgs(std::vector<std::string> Args,
+                                     std::vector<BenchFlagSpec> Own = {}) {
   Args.insert(Args.begin(), "bench");
   std::vector<char *> Argv;
   for (std::string &A : Args)
     Argv.push_back(A.data());
-  return parseSchedulerArgs(static_cast<int>(Argv.size()), Argv.data());
+  return parseSchedulerArgs(static_cast<int>(Argv.size()), Argv.data(),
+                            std::move(Own));
 }
 
 TEST(BenchFlags, NumericFlagsTakeWholeDecimalOrHexTokens) {
@@ -301,6 +307,117 @@ TEST(BenchFlagsDeathTest, NumericGarbageExitsWithUsage) {
   EXPECT_EXIT(parseUnsignedFlag("12xyz", "--budget", "khaos-fuzz", UINT_MAX),
               ::testing::ExitedWithCode(2),
               "invalid value '12xyz' for --budget");
+}
+
+//===----------------------------------------------------------------------===//
+// Flag grammar
+//===----------------------------------------------------------------------===//
+
+TEST(BenchFlags, SeparateAndEqualsValuesParseAlike) {
+  const std::vector<std::string> Separate = {
+      "--threads",      "3",      "--seed",           "0x51",
+      "--shards",       "2",      "--shard-index",    "1",
+      "--store-max-bytes", "4096", "--cache-dir",     "kc",
+      "--disk-max-bytes", "8192", "--connect",        "s.sock",
+      "--vm",           "reference", "--baseline-opt", "O1",
+      "--codegen",      "no-lea", "--compiler-style", "gcc"};
+  std::vector<std::string> Joined;
+  for (size_t I = 0; I < Separate.size(); I += 2)
+    Joined.push_back(Separate[I] + "=" + Separate[I + 1]);
+  EvalScheduler::Config A = parseBenchArgs(Separate);
+  EvalScheduler::Config B = parseBenchArgs(Joined);
+  EXPECT_EQ(A.Threads, 3u);
+  EXPECT_EQ(A.Seed, 0x51u);
+  EXPECT_EQ(A.Engine, VMEngine::Reference);
+  EXPECT_EQ(A.Baseline.Level, OptLevel::O1);
+  EXPECT_EQ(A.Baseline.Codegen.Style, CompilerStyle::GccLike);
+  EXPECT_EQ(A.Threads, B.Threads);
+  EXPECT_EQ(A.Seed, B.Seed);
+  EXPECT_EQ(A.Shards, B.Shards);
+  EXPECT_EQ(A.ShardIdx, B.ShardIdx);
+  EXPECT_EQ(A.StoreMaxBytes, B.StoreMaxBytes);
+  EXPECT_EQ(A.CacheDir, B.CacheDir);
+  EXPECT_EQ(A.DiskMaxBytes, B.DiskMaxBytes);
+  EXPECT_EQ(A.ConnectPath, B.ConnectPath);
+  EXPECT_EQ(A.Engine, B.Engine);
+  EXPECT_TRUE(A.Baseline == B.Baseline);
+  EXPECT_FALSE(parseBenchArgs({"--no-cache"}).CacheEnabled);
+}
+
+/// Anything outside a binary's table is refused before work starts: the
+/// message names the argument and the usage follows.
+TEST(BenchFlagsDeathTest, ArgumentsOutsideTheTableExitWithUsage) {
+  const std::pair<std::vector<std::string>, const char *> Cases[] = {
+      {{"--thredas", "4"}, "unknown flag '--thredas'"},
+      {{"--threads", "4", "extra"}, "unexpected argument 'extra'"},
+      {{"--seed", "1", "--threads"}, "flag '--threads' requires a value"},
+      {{"--no-cache=1"}, "flag '--no-cache=1' takes no value"},
+  };
+  for (const auto &Case : Cases)
+    EXPECT_EXIT(parseBenchArgs(Case.first), ::testing::ExitedWithCode(2),
+                std::string("bench: ") + Case.second +
+                    "\nusage: bench \\[flags\\]\n  --threads N")
+        << Case.first[0];
+}
+
+/// --help and -h print the table on stdout and exit 0. The statement
+/// points stdout at the stream the matcher reads and stderr at /dev/null,
+/// so the text matches only when it was printed on stdout.
+TEST(BenchFlagsDeathTest, HelpPrintsTheTableOnStdout) {
+  for (const char *Help : {"--help", "-h"})
+    EXPECT_EXIT(
+        {
+          int Null = ::open("/dev/null", O_WRONLY);
+          ::dup2(STDERR_FILENO, STDOUT_FILENO);
+          ::dup2(Null, STDERR_FILENO);
+          parseBenchArgs({"--threads", "4", Help, "--thredas"});
+        },
+        ::testing::ExitedWithCode(0),
+        "^usage: bench \\[flags\\]\n  --threads N +scheduler worker "
+        "threads.*\n  --compiler-style S\\[,S...\\] baseline lowering.*\n"
+        "  -h, --help +print this usage text and exit\n$")
+        << Help;
+}
+
+/// The --tools row matches registry names case-insensitively, keeps their
+/// canonical spelling and runs each tool once; absent, it leaves the
+/// bench's default.
+TEST(BenchFlags, ToolsRowResolvesRegistryNamesOnce) {
+  std::vector<std::string> Tools = {"BinDiff", "semdiff"};
+  parseBenchArgs({"--threads", "2"}, {toolsFlag(Tools, "bench")});
+  EXPECT_EQ(Tools, (std::vector<std::string>{"BinDiff", "semdiff"}));
+  parseBenchArgs({"--tools", "safe,bindiff,SAFE,,Safe-OOP"},
+                 {toolsFlag(Tools, "bench")});
+  EXPECT_EQ(Tools, (std::vector<std::string>{"SAFE", "BinDiff", "safe-oop"}));
+}
+
+TEST(BenchFlagsDeathTest, ToolsRowRejectsUnknownNames) {
+  std::vector<std::string> Tools;
+  EXPECT_EXIT(parseBenchArgs({"--tools=SAFE,nosuchtool"},
+                             {toolsFlag(Tools, "bench")}),
+              ::testing::ExitedWithCode(2),
+              "unknown diffing tool 'nosuchtool' in --tools");
+  EXPECT_EXIT(parseBenchArgs({"--tools", ","}, {toolsFlag(Tools, "bench")}),
+              ::testing::ExitedWithCode(2),
+              "--tools requires at least one tool name");
+}
+
+/// Every front-end that runs a pipeline builds it from pipelineConfig(),
+/// so a parsed baseline reaches it (bench_vm_engines once copied five
+/// fields by hand and kept running O2).
+TEST(BenchFlags, PipelineConfigCarriesTheParsedBaseline) {
+  EvalPipeline::Config PC =
+      parseBenchArgs({"--baseline-opt", "O0", "--compiler-style", "gcc",
+                      "--no-cache", "--vm", "reference", "--store-max-bytes",
+                      "4096", "--cache-dir", "kc", "--disk-max-bytes", "8192"})
+          .pipelineConfig();
+  EXPECT_EQ(PC.Baseline.Level, OptLevel::O0);
+  EXPECT_EQ(PC.Baseline.Codegen.Style, CompilerStyle::GccLike);
+  EXPECT_FALSE(PC.CacheEnabled);
+  EXPECT_EQ(PC.Engine, VMEngine::Reference);
+  EXPECT_EQ(PC.StoreMaxBytes, 4096u);
+  EXPECT_EQ(PC.CacheDir, "kc");
+  EXPECT_EQ(PC.DiskMaxBytes, 8192u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -27,7 +27,8 @@
 /// once ready (scripts wait for it), then serves until SIGINT/SIGTERM,
 /// which drains cleanly: stop accepting, close every connection, join all
 /// threads, unlink the socket. Exit status: 0 on a signalled shutdown,
-/// 1 when the socket cannot be bound, 2 on a usage error.
+/// 1 when the socket cannot be bound, 2 on a usage error (an unknown flag
+/// among them); `--help` prints the flag table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,53 +48,29 @@ volatile std::sig_atomic_t SignalSeen = 0;
 
 void onSignal(int) { SignalSeen = 1; }
 
-int usage() {
-  EvalScheduler::Config Sched;
-  std::string S1, S2, S3;
-  std::fprintf(stderr,
-               "usage: khaos-evald --socket PATH [flags]\nshared scheduler "
-               "flags (--shards/--shard-index/--connect are client-side):\n"
-               "%s",
-               benchFlagUsage(
-                   schedulerFlagSpecs(Sched, "khaos-evald", S1, S2, S3))
-                   .c_str());
-  return 2;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
-  // --vm/--no-cache/--store-max-bytes/--cache-dir/--disk-max-bytes/
-  // --tool-timeout-ms share the bench flag grammar (and the validated
-  // byte-count parsing).
-  EvalScheduler::Config Sched = parseSchedulerArgs(argc, argv);
-
+  // The daemon takes --socket plus the shared pipeline rows; the scheduler
+  // rows (--threads, --seed, --shards, --shard-index, --connect) belong to
+  // its clients.
+  EvalScheduler::Config Sched;
+  BuildFlagValues Build;
   std::string SocketPath;
-  bool Help = false;
-  applyBenchFlags(
-      argc, argv,
-      {{"--socket", "PATH", "Unix-domain socket to bind (required)",
-        [&SocketPath](const char *V) { SocketPath = V; }},
-       {"--help", nullptr, "print this usage text",
-        [&Help](const char *) { Help = true; }}});
-  if (Help || hasBenchFlag(argc, argv, "-h"))
-    return usage();
+  std::vector<BenchFlagSpec> Specs = {
+      {"--socket", "PATH", "Unix-domain socket to bind (required)",
+       [&SocketPath](const char *V) { SocketPath = V; }}};
+  for (BenchFlagSpec &S : pipelineFlagSpecs(Sched, "khaos-evald", Build))
+    Specs.push_back(std::move(S));
+  const char *Synopsis = "--socket PATH [flags]";
+  parseBenchFlags(argc, argv, Specs, Synopsis);
   if (SocketPath.empty()) {
     std::fprintf(stderr, "khaos-evald: --socket PATH is required\n");
-    return usage();
+    exitWithUsage(2, "khaos-evald", Synopsis, Specs);
   }
-  if (!Sched.ConnectPath.empty()) {
-    std::fprintf(stderr,
-                 "khaos-evald: --connect is a client flag; the daemon "
-                 "serves, it does not forward\n");
-    return usage();
-  }
+  resolveBaselineFlags(Sched, "khaos-evald", Build, nullptr, nullptr);
 
-  EvalServer Server(EvalServer::Config{
-      SocketPath,
-      EvalPipeline::Config{Sched.CacheEnabled, Sched.StoreMaxBytes,
-                           Sched.Engine, Sched.CacheDir, Sched.DiskMaxBytes,
-                           Sched.Baseline}});
+  EvalServer Server(EvalServer::Config{SocketPath, Sched.pipelineConfig()});
   std::string Err;
   if (!Server.start(Err)) {
     std::fprintf(stderr, "khaos-evald: %s\n", Err.c_str());

@@ -28,7 +28,8 @@
 /// and prints which engine produced the verdict.
 ///
 /// Exit status: 0 = no divergence, 1 = divergences found (or a replayed
-/// repro still reproduces), 2 = usage error.
+/// repro still reproduces), 2 = usage error (an unknown flag among them);
+/// `--help` prints the flag table.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,13 +47,11 @@ using namespace khaos;
 
 namespace {
 
-/// The fuzzer's own flags, declared in the same table form the shared
-/// scheduler flags use (BenchFlagSpec); usage text renders from both
-/// tables, so every flag is documented where it is parsed.
+/// The fuzzer's own flags, declared in the same table form as the shared
+/// rows it honors (BenchFlagSpec).
 std::vector<BenchFlagSpec>
 fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
-                std::string &ListStepsMode, std::string &ReplayPath,
-                bool &Help) {
+                std::string &ListStepsMode, std::string &ReplayPath) {
   return {
       {"--budget", "N", "fuzz cases to generate (required)",
        [&Cfg](const char *V) {
@@ -73,24 +72,13 @@ fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
        [&Cfg](const char *) { Cfg.Verbose = false; }},
       {"--cross-vm", nullptr, "run each check on BOTH engines",
        [&Cfg](const char *) { Cfg.CrossVM = true; }},
-      {"--help", nullptr, "print this usage text",
-       [&Help](const char *) { Help = true; }},
   };
 }
 
-int usage() {
-  EvalScheduler::Config Sched;
-  DifferentialFuzzer::Config Cfg;
-  std::string S1, S2, S3, S4, S5, S6;
-  bool Help = false;
-  std::fprintf(stderr,
-               "usage: khaos-fuzz [flags]\nfuzzer flags:\n%sshared "
-               "scheduler flags:\n%s",
-               benchFlagUsage(fuzzerFlagSpecs(Cfg, S1, S2, S3, Help)).c_str(),
-               benchFlagUsage(
-                   schedulerFlagSpecs(Sched, "khaos-fuzz", S4, S5, S6))
-                   .c_str());
-  return 2;
+[[noreturn]] void usageError(const std::string &Why,
+                             const std::vector<BenchFlagSpec> &Specs) {
+  std::fprintf(stderr, "khaos-fuzz: %s\n", Why.c_str());
+  exitWithUsage(2, "khaos-fuzz", "[flags]", Specs);
 }
 
 /// --connect mode: ship the whole batch to a running khaos-evald and
@@ -177,22 +165,29 @@ int replay(const std::string &Path, VMEngine Engine, bool CrossVM) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // --threads/--seed/--store-max-bytes/--vm share the bench flag grammar.
-  EvalScheduler::Config Sched = parseSchedulerArgs(argc, argv);
   DifferentialFuzzer::Config Cfg;
+  std::string ModesSpec, ListStepsMode, ReplayPath;
+  std::vector<BenchFlagSpec> Specs =
+      fuzzerFlagSpecs(Cfg, ModesSpec, ListStepsMode, ReplayPath);
+  // Of the shared rows the fuzzer takes the five it forwards into Cfg
+  // below; the others configure nothing it runs.
+  EvalScheduler::Config Sched;
+  BuildFlagValues Unused;
+  std::vector<BenchFlagSpec> Shared = schedulerFlagSpecs(Sched, "khaos-fuzz");
+  for (BenchFlagSpec &S : pipelineFlagSpecs(Sched, "khaos-fuzz", Unused))
+    Shared.push_back(std::move(S));
+  for (BenchFlagSpec &S : Shared)
+    for (const char *Name :
+         {"--threads", "--seed", "--store-max-bytes", "--vm", "--connect"})
+      if (std::strcmp(S.Name, Name) == 0)
+        Specs.push_back(std::move(S));
+  parseBenchFlags(argc, argv, Specs);
+
   Cfg.Seed = Sched.Seed;
   Cfg.Threads = Sched.Threads;
   Cfg.Engine = Sched.Engine;
   Cfg.StoreMaxBytes = Sched.StoreMaxBytes ? Sched.StoreMaxBytes
                                           : Cfg.StoreMaxBytes;
-
-  std::string ModesSpec, ListStepsMode, ReplayPath;
-  bool Help = false;
-  applyBenchFlags(argc, argv,
-                  fuzzerFlagSpecs(Cfg, ModesSpec, ListStepsMode, ReplayPath,
-                                  Help));
-  if (Help || hasBenchFlag(argc, argv, "-h"))
-    return usage();
 
   if (!ListStepsMode.empty())
     return listSteps(ListStepsMode);
@@ -211,7 +206,7 @@ int main(int argc, char **argv) {
       return 2;
     }
     if (Cfg.Budget == 0)
-      return usage();
+      usageError("--budget N is required", Specs);
     return runRemote(Sched.ConnectPath, Cfg);
   }
 
@@ -220,18 +215,15 @@ int main(int argc, char **argv) {
       if (Name.empty())
         continue;
       ObfuscationMode Mode;
-      if (!parseObfuscationModeName(Name, Mode)) {
-        std::fprintf(stderr, "khaos-fuzz: unknown mode '%s' in --modes\n",
-                     Name.c_str());
-        return usage();
-      }
+      if (!parseObfuscationModeName(Name, Mode))
+        usageError("unknown mode '" + Name + "' in --modes", Specs);
       Cfg.Modes.push_back(Mode);
     }
     if (Cfg.Modes.empty())
-      return usage();
+      usageError("--modes requires at least one mode name", Specs);
   }
   if (Cfg.Budget == 0)
-    return usage();
+    usageError("--budget N is required", Specs);
 
   DifferentialFuzzer Fuzzer(Cfg);
   FuzzReport Report = Fuzzer.run();
