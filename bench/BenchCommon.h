@@ -555,6 +555,16 @@ printOverheadCellLines(const char *MatrixId,
     }
 }
 
+/// Table headers: \p First, then one column per mode named by
+/// obfuscationModeName, so a header cannot mislabel or drop a mode column.
+inline std::vector<std::string>
+modeHeaders(std::vector<std::string> First,
+            const std::vector<ObfuscationMode> &Modes) {
+  for (ObfuscationMode M : Modes)
+    First.push_back(obfuscationModeName(M));
+  return First;
+}
+
 /// Scheduler diagnostics go to stderr so stdout stays byte-identical
 /// across thread counts, shard decompositions and cache settings.
 inline void reportScheduler(const EvalScheduler &S, const EvalRunStats &R) {

@@ -41,8 +41,7 @@ void runSuite(const EvalScheduler &Sched, const char *Caption,
 
   // Aggregate in row-major matrix order: the per-mode series (and thus the
   // floating-point geomean) is independent of worker completion order.
-  TableRenderer Table({"benchmark", "Fission", "Fusion", "FuFi.sep",
-                       "FuFi.ori", "FuFi.all"});
+  TableRenderer Table(modeHeaders({"benchmark"}, Modes));
   SeriesAccumulator PerMode(Modes.size());
   for (size_t WI = 0; WI != Suite.size(); ++WI) {
     std::vector<std::string> Row{Suite[WI].Name};

@@ -144,10 +144,7 @@ int main(int argc, char **argv) {
           : meanPrecision(SmallCells, Small.size(), Modes.size(),
                           HeavyTools.size());
 
-  std::vector<std::string> Headers{"tool"};
-  for (size_t MI = 0; MI != Modes.size(); ++MI)
-    Headers.push_back(obfuscationModeName(Modes[MI]));
-  TableRenderer Table(std::move(Headers));
+  TableRenderer Table(modeHeaders({"tool"}, Modes));
   auto AddRows = [&](const std::vector<std::string> &Names,
                      const std::vector<std::vector<double>> &Means) {
     for (size_t TI = 0; TI != Names.size(); ++TI) {

@@ -143,9 +143,8 @@ int main(int argc, char **argv) {
     return 0;
   }
 
-  std::vector<std::string> Headers{"tool", "baseline"};
-  for (ObfuscationMode M : Modes)
-    Headers.push_back(obfuscationModeName(M));
+  const std::vector<std::string> Headers =
+      modeHeaders({"tool", "baseline"}, Modes);
 
   // Config-index pairs that differ only in compiler style: the operands
   // of the pure style-delta rows (gcc minus clang at the same level and

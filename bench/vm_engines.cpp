@@ -60,13 +60,6 @@ template <typename Fn> EngineRun timeRuns(unsigned Iters, Fn &&Run) {
   return R;
 }
 
-bool sameObservation(const ExecResult &A, const ExecResult &B) {
-  return A.Ok == B.Ok && A.Error == B.Error &&
-         A.FaultFunction == B.FaultFunction && A.FaultBlock == B.FaultBlock &&
-         A.ExitValue == B.ExitValue && A.Stdout == B.Stdout &&
-         A.Steps == B.Steps && A.Cost == B.Cost;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -121,7 +114,7 @@ int main(int argc, char **argv) {
     EngineRun PreR =
         timeRuns(PreIters, [&] { return runPrecompiled(Pre->BM); });
 
-    bool Match = sameObservation(Ref.First, PreR.First);
+    bool Match = Ref.First == PreR.First;
     AllMatch = AllMatch && Match;
     Table.addRow({W.Name, std::to_string(Ref.First.Steps),
                   Match ? "match" : "MISMATCH"});

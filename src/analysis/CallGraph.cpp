@@ -11,7 +11,6 @@
 using namespace khaos;
 
 const std::set<Function *> CallGraph::EmptySet;
-const std::vector<CallInst *> CallGraph::EmptyVec;
 
 CallGraph::CallGraph(const Module &M) {
   for (const auto &F : M.functions()) {
@@ -20,13 +19,8 @@ CallGraph::CallGraph(const Module &M) {
         auto *CI = dyn_cast<CallInst>(I.get());
         if (!CI)
           continue;
-        if (Function *Callee = CI->getCalledFunction()) {
+        if (Function *Callee = CI->getCalledFunction())
           Callees[F.get()].insert(Callee);
-          Callers[Callee].insert(F.get());
-          CallSites[F.get()].push_back(CI);
-        } else {
-          IndirectSites[F.get()].push_back(CI);
-        }
       }
     }
   }
@@ -35,23 +29,6 @@ CallGraph::CallGraph(const Module &M) {
 const std::set<Function *> &CallGraph::getCallees(const Function *F) const {
   auto It = Callees.find(F);
   return It == Callees.end() ? EmptySet : It->second;
-}
-
-const std::set<Function *> &CallGraph::getCallers(const Function *F) const {
-  auto It = Callers.find(F);
-  return It == Callers.end() ? EmptySet : It->second;
-}
-
-const std::vector<CallInst *> &
-CallGraph::getCallSites(const Function *F) const {
-  auto It = CallSites.find(F);
-  return It == CallSites.end() ? EmptyVec : It->second;
-}
-
-const std::vector<CallInst *> &
-CallGraph::getIndirectCallSites(const Function *F) const {
-  auto It = IndirectSites.find(F);
-  return It == IndirectSites.end() ? EmptyVec : It->second;
 }
 
 bool CallGraph::haveDirectCallRelation(const Function *A,

@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Direct-call graph over a module plus indirect call-site inventory. The
-/// fusion primitive refuses to aggregate two functions with a direct call
-/// relationship (recursion blow-up, paper §3.3.1); the inliner and the
-/// diffing feature extractor consume it too.
+/// Direct-call graph over a module. The fusion primitive refuses to
+/// aggregate two functions with a direct call relationship (recursion
+/// blow-up, paper §3.3.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,11 +16,9 @@
 
 #include <map>
 #include <set>
-#include <vector>
 
 namespace khaos {
 
-class CallInst;
 class Function;
 class Module;
 
@@ -33,26 +30,12 @@ public:
   /// Functions \p F calls directly (deduplicated).
   const std::set<Function *> &getCallees(const Function *F) const;
 
-  /// Functions calling \p F directly (deduplicated).
-  const std::set<Function *> &getCallers(const Function *F) const;
-
-  /// Direct call sites inside \p F.
-  const std::vector<CallInst *> &getCallSites(const Function *F) const;
-
-  /// Indirect call sites inside \p F.
-  const std::vector<CallInst *> &getIndirectCallSites(const Function *F)
-      const;
-
   /// True when A calls B or B calls A directly.
   bool haveDirectCallRelation(const Function *A, const Function *B) const;
 
 private:
   std::map<const Function *, std::set<Function *>> Callees;
-  std::map<const Function *, std::set<Function *>> Callers;
-  std::map<const Function *, std::vector<CallInst *>> CallSites;
-  std::map<const Function *, std::vector<CallInst *>> IndirectSites;
   static const std::set<Function *> EmptySet;
-  static const std::vector<CallInst *> EmptyVec;
 };
 
 } // namespace khaos

@@ -62,12 +62,6 @@ struct MFunction {
       N += B.Insts.size();
     return N;
   }
-  size_t edgeCount() const {
-    size_t N = 0;
-    for (const MBlock &B : Blocks)
-      N += B.Succs.size();
-    return N;
-  }
 };
 
 /// A data relocation: a pointer-sized slot referencing a function symbol.

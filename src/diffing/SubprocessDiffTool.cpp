@@ -359,8 +359,6 @@ bool khaos::isSubprocessDiffTool(const std::string &Name) {
 
 void khaos::setDiffWorkerTimeoutMs(unsigned Ms) { GlobalTimeoutMs = Ms; }
 
-unsigned khaos::diffWorkerTimeoutMs() { return GlobalTimeoutMs.load(); }
-
 std::string khaos::defaultDiffWorkerPath() {
   if (const char *Env = std::getenv("KHAOS_DIFF_WORKER"))
     if (Env[0] != '\0')

@@ -77,7 +77,6 @@ bool isSubprocessDiffTool(const std::string &Name);
 /// Global default round-trip timeout in ms (0 = wait forever). The
 /// benches set it from --tool-timeout-ms. Default: 60000.
 void setDiffWorkerTimeoutMs(unsigned Ms);
-unsigned diffWorkerTimeoutMs();
 
 /// Path of the bundled worker executable: $KHAOS_DIFF_WORKER if set, else
 /// `khaos-diff-worker` in the running executable's directory.

@@ -89,11 +89,14 @@ uint64_t obfStepBudget(const ExecResult &Ref) {
 }
 
 /// Cross-VM oracle: full observational comparison of the two engines'
-/// runs of the same module. Empty string = identical; otherwise a
-/// one-liner naming the first differing ExecResult field with both
-/// values (\p A ran under \p AEngine, \p B under the other engine).
+/// runs of the same module. Empty string = identical (ExecResult's
+/// operator==); otherwise a one-liner naming the first differing field
+/// with both values (\p A ran under \p AEngine, \p B under the other
+/// engine).
 std::string engineMismatchDetail(const ExecResult &A, const ExecResult &B,
                                  VMEngine AEngine) {
+  if (A == B)
+    return {};
   const char *AN = vmEngineName(AEngine);
   const char *BN = vmEngineName(AEngine == VMEngine::Precompiled
                                     ? VMEngine::Reference
@@ -125,7 +128,7 @@ std::string engineMismatchDetail(const ExecResult &A, const ExecResult &B,
     return formatStr("engines disagree on cost: %s %llu != %s %llu", AN,
                      (unsigned long long)A.Cost, BN,
                      (unsigned long long)B.Cost);
-  return {};
+  return formatStr("engines disagree: %s and %s results differ", AN, BN);
 }
 
 /// Runs \p M under \p Opts' engine; with \p CrossVM also under the other

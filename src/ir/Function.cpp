@@ -8,7 +8,6 @@
 
 #include "ir/Module.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace khaos;
@@ -73,23 +72,11 @@ size_t Function::blockIndex(const BasicBlock *BB) const {
   return ~size_t(0);
 }
 
-void Function::moveBlockToEnd(BasicBlock *BB) {
-  size_t Idx = blockIndex(BB);
-  std::unique_ptr<BasicBlock> Owned = std::move(Blocks[Idx]);
-  Blocks.erase(Blocks.begin() + Idx);
-  Blocks.emplace_back(std::move(Owned));
-}
-
 size_t Function::instructionCount() const {
   size_t N = 0;
   for (const auto &BB : Blocks)
     N += BB->size();
   return N;
-}
-
-void Function::addOrigin(const std::string &O) {
-  if (std::find(Origins.begin(), Origins.end(), O) == Origins.end())
-    Origins.push_back(O);
 }
 
 bool Function::hasAddressTaken() const {

@@ -68,8 +68,6 @@ public:
   void eraseBlock(BasicBlock *BB);
   /// Index of \p BB in the block list; asserts membership.
   size_t blockIndex(const BasicBlock *BB) const;
-  /// Moves \p BB to the end of the block list (layout only).
-  void moveBlockToEnd(BasicBlock *BB);
 
   /// Total instruction count across all blocks.
   size_t instructionCount() const;
@@ -90,7 +88,6 @@ public:
   /// Provenance: names of the pre-obfuscation functions whose code this
   /// function (partly) contains. A fresh function's provenance is itself.
   const std::vector<std::string> &getOrigins() const { return Origins; }
-  void addOrigin(const std::string &O);
   void setOrigins(std::vector<std::string> O) { Origins = std::move(O); }
 
   /// True if any use is not a direct callee slot (i.e. the address escapes).

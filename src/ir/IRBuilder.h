@@ -26,7 +26,6 @@ class IRBuilder {
 public:
   explicit IRBuilder(Module &M) : M(M), Ctx(M.getContext()) {}
 
-  Module &getModule() const { return M; }
   Context &getContext() const { return Ctx; }
 
   /// Appends new instructions at the end of \p BB (before nothing).
@@ -70,9 +69,6 @@ public:
   BinaryInst *createAdd(Value *L, Value *R) {
     return createBinOp(BinOp::Add, L, R);
   }
-  BinaryInst *createSub(Value *L, Value *R) {
-    return createBinOp(BinOp::Sub, L, R);
-  }
   BinaryInst *createMul(Value *L, Value *R) {
     return createBinOp(BinOp::Mul, L, R);
   }
@@ -102,9 +98,6 @@ public:
   }
   LandingPadInst *createLandingPad(const std::string &Name = "") {
     return insert(new LandingPadInst(Ctx.getInt64Type(), Name));
-  }
-  ThrowInst *createThrow(Value *Payload) {
-    return insert(new ThrowInst(Payload));
   }
 
   // Terminators.

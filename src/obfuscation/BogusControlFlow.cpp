@@ -93,7 +93,8 @@ BasicBlock *buildBogusClone(Module & /*M*/, Function &F, BasicBlock *Tail,
 
 } // namespace
 
-unsigned khaos::runBogusControlFlow(Module &M, const OLLVMOptions &Opts) {
+unsigned khaos::runBogusControlFlow(Module &M, const OLLVMOptions &Opts,
+                                    PassReport *Report) {
   RNG Rng(Opts.Seed);
   Context &Ctx = M.getContext();
   GlobalVariable *X = getOpaqueGlobal(M, "__khaos_opaque_x");
@@ -150,6 +151,11 @@ unsigned khaos::runBogusControlFlow(Module &M, const OLLVMOptions &Opts) {
       BB->erase(HeadBr);
       ++Count;
     }
+  }
+  if (Report) {
+    // Each bogus twin = one split tail + one clone.
+    Report->BlocksSplit += Count;
+    Report->BlocksInserted += Count * 2;
   }
   return Count;
 }

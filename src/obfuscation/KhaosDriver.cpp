@@ -143,6 +143,25 @@ struct StepState {
   bool HavePhase = false;
 };
 
+/// The O-LLVM-style modes, one step each: {mode, step name, pass, ratio}.
+/// Each pass folds its own counts into the shared PassReport.
+struct OLLVMStep {
+  ObfuscationMode Mode;
+  const char *Name;
+  unsigned (*Pass)(Module &, const OLLVMOptions &, PassReport *);
+  double Ratio;
+};
+const OLLVMStep OLLVMSteps[] = {
+    {ObfuscationMode::Sub, "substitution", runSubstitution, 1.0},
+    {ObfuscationMode::Bog, "bogus-cfg", runBogusControlFlow, 1.0},
+    {ObfuscationMode::Fla, "flattening", runFlattening, 1.0},
+    {ObfuscationMode::Fla10, "flattening", runFlattening, 0.1},
+    {ObfuscationMode::MBA, "mba", runMBASubstitution, 1.0},
+    {ObfuscationMode::StrEnc, "string-encryption", runStringEncryption, 1.0},
+    {ObfuscationMode::IndCall, "indirect-calls", runIndirectCalls, 1.0},
+    {ObfuscationMode::SplitBB, "split-blocks", runSplitBasicBlocks, 1.0},
+};
+
 std::mutex ExtraPassMutex;
 std::vector<std::pair<std::string, std::function<std::unique_ptr<Pass>()>>>
     &extraPasses() {
@@ -210,94 +229,22 @@ std::vector<ObfStep> buildSteps(ObfuscationMode Mode,
                          }
                          runFusion(M, State->R.Fusion, FuOpt);
                        }});
+  } else if (Mode == ObfuscationMode::Fusion) {
+    Steps.push_back({"fusion", [State, Opts](Module &M) {
+                       FusionOptions FuOpt = Opts.Fusion;
+                       FuOpt.Seed = Opts.Seed;
+                       runFusion(M, State->R.Fusion, FuOpt);
+                     }});
   } else {
-    switch (Mode) {
-    case ObfuscationMode::None:
-      break;
-    case ObfuscationMode::Sub:
-      Steps.push_back({"substitution", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runSubstitution(M, Base);
-                         State->R.Report.SitesRewritten +=
-                             State->R.BaselineSites;
-                       }});
-      break;
-    case ObfuscationMode::Bog:
-      Steps.push_back({"bogus-cfg", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites =
-                             runBogusControlFlow(M, Base);
-                         // Each bogus twin = one split tail + one clone.
-                         State->R.Report.BlocksSplit +=
-                             State->R.BaselineSites;
-                         State->R.Report.BlocksInserted +=
-                             State->R.BaselineSites * 2;
-                       }});
-      break;
-    case ObfuscationMode::Fla:
-    case ObfuscationMode::Fla10:
-      Steps.push_back({"flattening", [State, Opts, Mode](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio =
-                             Mode == ObfuscationMode::Fla ? 1.0 : 0.1;
-                         State->R.BaselineSites = runFlattening(M, Base);
-                       }});
-      break;
-    case ObfuscationMode::Fusion:
-      Steps.push_back({"fusion", [State, Opts](Module &M) {
-                         FusionOptions FuOpt = Opts.Fusion;
-                         FuOpt.Seed = Opts.Seed;
-                         runFusion(M, State->R.Fusion, FuOpt);
-                       }});
-      break;
-    case ObfuscationMode::MBA:
-      Steps.push_back({"mba", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runMBASubstitution(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::StrEnc:
-      Steps.push_back({"string-encryption", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runStringEncryption(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::IndCall:
-      Steps.push_back({"indirect-calls", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runIndirectCalls(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    case ObfuscationMode::SplitBB:
-      Steps.push_back({"split-blocks", [State, Opts](Module &M) {
-                         OLLVMOptions Base;
-                         Base.Seed = Opts.Seed;
-                         Base.Ratio = 1.0;
-                         State->R.BaselineSites = runSplitBasicBlocks(
-                             M, Base, &State->R.Report);
-                       }});
-      break;
-    // These four take the modeUsesFission() branch above.
-    case ObfuscationMode::Fission:
-    case ObfuscationMode::FuFiSep:
-    case ObfuscationMode::FuFiOri:
-    case ObfuscationMode::FuFiAll:
-      break;
-    }
+    for (const OLLVMStep &S : OLLVMSteps)
+      if (S.Mode == Mode)
+        Steps.push_back({S.Name, [State, Opts, S](Module &M) {
+                           OLLVMOptions Base;
+                           Base.Seed = Opts.Seed;
+                           Base.Ratio = S.Ratio;
+                           State->R.BaselineSites =
+                               S.Pass(M, Base, &State->R.Report);
+                         }});
   }
 
   {

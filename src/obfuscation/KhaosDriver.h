@@ -66,7 +66,7 @@ bool parseObfuscationModeName(const std::string &Name, ObfuscationMode &Out);
 struct ObfuscationResult {
   FissionStats Fission;
   FusionStats Fusion;
-  unsigned BaselineSites = 0; ///< Sub/Bog/Fla transformation count.
+  unsigned BaselineSites = 0; ///< O-LLVM-style pass's transformation count.
   PassReport Report;          ///< Per-pass potency/cost telemetry.
 };
 

@@ -57,16 +57,19 @@ struct PassReport {
 
 /// Instruction substitution: integer add/sub/xor/and/or are replaced by
 /// equivalent multi-instruction idioms.
-unsigned runSubstitution(Module &M, const OLLVMOptions &Opts = {});
+unsigned runSubstitution(Module &M, const OLLVMOptions &Opts = {},
+                         PassReport *Report = nullptr);
 
 /// Bogus control flow: blocks are guarded by an always-true opaque
 /// predicate on global state; the false edge leads to a scrambled clone
 /// that is never executed.
-unsigned runBogusControlFlow(Module &M, const OLLVMOptions &Opts = {});
+unsigned runBogusControlFlow(Module &M, const OLLVMOptions &Opts = {},
+                             PassReport *Report = nullptr);
 
 /// Control-flow flattening: function bodies become a switch dispatcher
-/// driven by a state variable.
-unsigned runFlattening(Module &M, const OLLVMOptions &Opts = {});
+/// driven by a state variable. Reports nothing into \p Report.
+unsigned runFlattening(Module &M, const OLLVMOptions &Opts = {},
+                       PassReport *Report = nullptr);
 
 /// Mixed boolean-arithmetic substitution: integer add/sub/xor/and/or are
 /// rewritten through MBA identities, and the helper ops those identities

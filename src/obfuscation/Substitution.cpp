@@ -84,7 +84,8 @@ Value *substitute(Module &M, IRBuilder &Bld, BinaryInst *B, RNG &Rng) {
 
 } // namespace
 
-unsigned khaos::runSubstitution(Module &M, const OLLVMOptions &Opts) {
+unsigned khaos::runSubstitution(Module &M, const OLLVMOptions &Opts,
+                                PassReport *Report) {
   RNG Rng(Opts.Seed);
   unsigned Count = 0;
   for (const auto &F : M.functions()) {
@@ -115,5 +116,7 @@ unsigned khaos::runSubstitution(Module &M, const OLLVMOptions &Opts) {
       }
     }
   }
+  if (Report)
+    Report->SitesRewritten += Count;
   return Count;
 }

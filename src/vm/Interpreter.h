@@ -68,6 +68,10 @@ struct ExecResult {
   std::string Stdout;    ///< Captured printf/puts/putchar output.
   uint64_t Steps = 0;    ///< Dynamic instruction count.
   uint64_t Cost = 0;     ///< Dynamic cost under the cost model.
+
+  /// Observational equality: every field, so a field added later is
+  /// compared by every engine and cache-tier check.
+  bool operator==(const ExecResult &) const = default;
 };
 
 /// Executes @main() of \p M (which must take no parameters) under

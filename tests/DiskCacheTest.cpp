@@ -525,13 +525,6 @@ TEST(ArtifactStoreDisk, DisabledStoreBypassesDisk) {
 // Pipeline-level bit-identity: memory-only vs cold-disk vs warm-disk.
 //===----------------------------------------------------------------------===//
 
-bool sameRun(const ExecResult &A, const ExecResult &B) {
-  return A.Ok == B.Ok && A.Error == B.Error &&
-         A.FaultFunction == B.FaultFunction &&
-         A.FaultBlock == B.FaultBlock && A.ExitValue == B.ExitValue &&
-         A.Stdout == B.Stdout && A.Steps == B.Steps && A.Cost == B.Cost;
-}
-
 TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
   std::string Dir = freshDir("pipeline");
   Workload W = specCpu2006Suite().front();
@@ -560,8 +553,8 @@ TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
   EXPECT_GE(S.DiskHits, 2u);
   EXPECT_EQ(S.DiskMisses, 0u);
 
-  EXPECT_TRUE(sameRun(MemRun->Run, ColdRun->Run));
-  EXPECT_TRUE(sameRun(ColdRun->Run, WarmRun->Run));
+  EXPECT_TRUE(MemRun->Run == ColdRun->Run);
+  EXPECT_TRUE(ColdRun->Run == WarmRun->Run);
   EXPECT_EQ(MemDiff->Outcome.Precision, ColdDiff->Outcome.Precision);
   EXPECT_EQ(ColdDiff->Outcome.Precision, WarmDiff->Outcome.Precision);
   EXPECT_EQ(MemDiff->Outcome.Similarity, ColdDiff->Outcome.Similarity);

@@ -37,9 +37,11 @@ using namespace khaos;
 
 namespace {
 
-/// Asserts full observational equality of two runs of the same program.
+/// Asserts full observational equality of two runs of the same program
+/// (ExecResult's operator==), naming each differing field.
 void expectSameObservation(const ExecResult &Ref, const ExecResult &Got,
                            const std::string &What) {
+  EXPECT_TRUE(Ref == Got) << What;
   EXPECT_EQ(Ref.Ok, Got.Ok) << What;
   EXPECT_EQ(Ref.Error, Got.Error) << What;
   EXPECT_EQ(Ref.FaultFunction, Got.FaultFunction) << What;

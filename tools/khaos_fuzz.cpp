@@ -14,6 +14,10 @@
 ///              [--quiet] [--vm reference|precompiled] [--cross-vm]
 ///              [--list-steps MODE] [--replay FILE] [--connect SOCKET]
 ///
+/// --quiet drops the verdict line of every clean case from stdout, which
+/// keeps only divergences, baseline errors and the summary; stderr is the
+/// same either way.
+///
 /// --connect ships the batch to a running khaos-evald daemon (same
 /// socket the benches use) and prints the daemon's verdict stream;
 /// stdout matches a local run of the same (--seed, --budget, --vm).
@@ -68,7 +72,7 @@ fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
        [&ReplayPath](const char *V) { ReplayPath = V; }},
       {"--no-shrink", nullptr, "keep divergent cases unshrunk",
        [&Cfg](const char *) { Cfg.Shrink = false; }},
-      {"--quiet", nullptr, "suppress per-case progress on stderr",
+      {"--quiet", nullptr, "drop clean cases' verdict lines from stdout",
        [&Cfg](const char *) { Cfg.Verbose = false; }},
       {"--cross-vm", nullptr, "run each check on BOTH engines",
        [&Cfg](const char *) { Cfg.CrossVM = true; }},
