@@ -32,6 +32,67 @@ struct LValue {
   CType Ty; ///< Type of the object, not of the address.
 };
 
+/// Sets \p K to the binop of MiniC arithmetic operator \p Op, the FP
+/// variant when \p IsFP. Returns the error to report instead when KIR has
+/// no binop for \p Op or C does not define it on floating operands.
+const char *arithBinOp(BinaryOp Op, bool IsFP, BinOp &K) {
+  switch (Op) {
+  case BinaryOp::Add:
+    K = IsFP ? BinOp::FAdd : BinOp::Add;
+    break;
+  case BinaryOp::Sub:
+    K = IsFP ? BinOp::FSub : BinOp::Sub;
+    break;
+  case BinaryOp::Mul:
+    K = IsFP ? BinOp::FMul : BinOp::Mul;
+    break;
+  case BinaryOp::Div:
+    K = IsFP ? BinOp::FDiv : BinOp::SDiv;
+    break;
+  case BinaryOp::Rem:
+    K = BinOp::SRem;
+    break;
+  case BinaryOp::And:
+    K = BinOp::And;
+    break;
+  case BinaryOp::Or:
+    K = BinOp::Or;
+    break;
+  case BinaryOp::Xor:
+    K = BinOp::Xor;
+    break;
+  case BinaryOp::Shl:
+    K = BinOp::Shl;
+    break;
+  case BinaryOp::Shr:
+    K = BinOp::AShr;
+    break;
+  default:
+    return "unsupported binary operator";
+  }
+  if (IsFP && (K == BinOp::SRem || K == BinOp::Shl || K == BinOp::AShr))
+    return "invalid FP operation";
+  return nullptr;
+}
+
+/// The predicate of MiniC comparison operator \p Op.
+CmpPred cmpPredOf(BinaryOp Op) {
+  switch (Op) {
+  case BinaryOp::Lt:
+    return CmpPred::SLT;
+  case BinaryOp::Le:
+    return CmpPred::SLE;
+  case BinaryOp::Gt:
+    return CmpPred::SGT;
+  case BinaryOp::Ge:
+    return CmpPred::SGE;
+  case BinaryOp::Eq:
+    return CmpPred::EQ;
+  default:
+    return CmpPred::NE;
+  }
+}
+
 class IRGenImpl {
 public:
   IRGenImpl(const Program &P, Context &Ctx, const std::string &ModuleName,
@@ -876,26 +937,11 @@ RValue IRGenImpl::genExpr(const Expr *E) {
         CType RTy = commonType(Old.Ty, R.Ty);
         RValue L2 = convert(Old, RTy);
         RValue R2 = convert(R, RTy);
-        bool IsFP = L2.V->getType()->isFloatingPoint();
         BinOp K;
-        switch ((BinaryOp)A->CompoundOp) {
-        case BinaryOp::Add:
-          K = IsFP ? BinOp::FAdd : BinOp::Add;
-          break;
-        case BinaryOp::Sub:
-          K = IsFP ? BinOp::FSub : BinOp::Sub;
-          break;
-        case BinaryOp::Mul:
-          K = IsFP ? BinOp::FMul : BinOp::Mul;
-          break;
-        case BinaryOp::Div:
-          K = IsFP ? BinOp::FDiv : BinOp::SDiv;
-          break;
-        case BinaryOp::Rem:
-          K = BinOp::SRem;
-          break;
-        default:
-          fail(E->Line, "unsupported compound assignment");
+        if (const char *Why =
+                arithBinOp((BinaryOp)A->CompoundOp,
+                           L2.V->getType()->isFloatingPoint(), K)) {
+          fail(E->Line, Why);
           return {M->getInt32(0), CType::scalar(BaseType::Int)};
         }
         RHS = {B.createBinOp(K, L2.V, R2.V), RTy};
@@ -1031,28 +1077,7 @@ RValue IRGenImpl::genBinary(const BinaryExpr *E) {
       R = convert(R, LD);
     if (L.V->getType() != R.V->getType())
       R = {B.createCast(CastKind::Bitcast, R.V, L.V->getType()), LD};
-    CmpPred P;
-    switch (E->Op) {
-    case BinaryOp::Lt:
-      P = CmpPred::SLT;
-      break;
-    case BinaryOp::Le:
-      P = CmpPred::SLE;
-      break;
-    case BinaryOp::Gt:
-      P = CmpPred::SGT;
-      break;
-    case BinaryOp::Ge:
-      P = CmpPred::SGE;
-      break;
-    case BinaryOp::Eq:
-      P = CmpPred::EQ;
-      break;
-    default:
-      P = CmpPred::NE;
-      break;
-    }
-    Value *Flag = B.createCmp(P, L.V, R.V);
+    Value *Flag = B.createCmp(cmpPredOf(E->Op), L.V, R.V);
     return {B.createConvert(Flag, Ctx.getInt32Type()),
             CType::scalar(BaseType::Int)};
   }
@@ -1063,70 +1088,14 @@ RValue IRGenImpl::genBinary(const BinaryExpr *E) {
   bool IsFP = L.V->getType()->isFloatingPoint();
 
   if (IsCmp) {
-    CmpPred P;
-    switch (E->Op) {
-    case BinaryOp::Lt:
-      P = CmpPred::SLT;
-      break;
-    case BinaryOp::Le:
-      P = CmpPred::SLE;
-      break;
-    case BinaryOp::Gt:
-      P = CmpPred::SGT;
-      break;
-    case BinaryOp::Ge:
-      P = CmpPred::SGE;
-      break;
-    case BinaryOp::Eq:
-      P = CmpPred::EQ;
-      break;
-    default:
-      P = CmpPred::NE;
-      break;
-    }
-    Value *Flag = B.createCmp(P, L.V, R.V);
+    Value *Flag = B.createCmp(cmpPredOf(E->Op), L.V, R.V);
     return {B.createConvert(Flag, Ctx.getInt32Type()),
             CType::scalar(BaseType::Int)};
   }
 
   BinOp K;
-  switch (E->Op) {
-  case BinaryOp::Add:
-    K = IsFP ? BinOp::FAdd : BinOp::Add;
-    break;
-  case BinaryOp::Sub:
-    K = IsFP ? BinOp::FSub : BinOp::Sub;
-    break;
-  case BinaryOp::Mul:
-    K = IsFP ? BinOp::FMul : BinOp::Mul;
-    break;
-  case BinaryOp::Div:
-    K = IsFP ? BinOp::FDiv : BinOp::SDiv;
-    break;
-  case BinaryOp::Rem:
-    K = BinOp::SRem;
-    break;
-  case BinaryOp::And:
-    K = BinOp::And;
-    break;
-  case BinaryOp::Or:
-    K = BinOp::Or;
-    break;
-  case BinaryOp::Xor:
-    K = BinOp::Xor;
-    break;
-  case BinaryOp::Shl:
-    K = BinOp::Shl;
-    break;
-  case BinaryOp::Shr:
-    K = BinOp::AShr;
-    break;
-  default:
-    fail(E->Line, "unsupported binary operator");
-    return L;
-  }
-  if ((K == BinOp::SRem || K == BinOp::Shl || K == BinOp::AShr) && IsFP) {
-    fail(E->Line, "invalid FP operation");
+  if (const char *Why = arithBinOp(E->Op, IsFP, K)) {
+    fail(E->Line, Why);
     return L;
   }
   return {B.createBinOp(K, L.V, R.V), RTy};

@@ -15,10 +15,11 @@ BinTunerResult BinTuner::run(const Workload &W, uint64_t Seed) const {
   BinTunerResult Res;
   RNG Rng(Seed);
 
-  // Baseline build the candidates are scored against — a pipeline
-  // artifact like every other reference build, so repeated tuning runs
-  // (and the confound matrix sharing this pipeline) compile it once.
-  auto Base = Pipe.baselineImage(W, BuildConfig::forLevel(Opts.BaselineLevel));
+  // Baseline build the candidates are scored against (the paper tunes
+  // against O0) — a pipeline artifact like every other reference build,
+  // so repeated tuning runs (and the confound matrix sharing this
+  // pipeline) compile it once.
+  auto Base = Pipe.baselineImage(W, BuildConfig::forLevel(OptLevel::O0));
   if (!Base->Ok)
     return Res;
   auto BinDiff = createBinDiffTool();

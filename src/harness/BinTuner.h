@@ -42,7 +42,6 @@ class BinTuner {
 public:
   struct Options {
     unsigned Budget = 24; ///< Candidate configurations to evaluate.
-    OptLevel BaselineLevel = OptLevel::O0; ///< The paper tunes against O0.
   };
 
   explicit BinTuner(EvalPipeline &Pipe) : Pipe(Pipe) {}

@@ -18,14 +18,8 @@ BuildConfig BuildConfig::forLevel(OptLevel Level) {
 }
 
 uint64_t BuildConfig::fingerprint() const {
-  uint64_t F = static_cast<uint64_t>(Level);
-  F |= static_cast<uint64_t>(Codegen.SpillEverything) << 8;
-  F |= static_cast<uint64_t>(Codegen.UseLea) << 9;
-  F |= static_cast<uint64_t>(Codegen.UseCmov) << 10;
-  F |= static_cast<uint64_t>(Codegen.UseJumpTables) << 11;
-  F |= static_cast<uint64_t>(Codegen.AlignLoops) << 12;
-  F |= static_cast<uint64_t>(Codegen.Style == CompilerStyle::GccLike) << 13;
-  return F;
+  return static_cast<uint64_t>(Level) |
+         static_cast<uint64_t>(packedCodegen()) << 8;
 }
 
 uint8_t BuildConfig::packedCodegen() const {

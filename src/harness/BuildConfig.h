@@ -39,9 +39,10 @@ struct BuildConfig {
   /// default codegen style.
   static BuildConfig forLevel(OptLevel Level);
 
-  /// Stage-key fingerprint: one bit per knob, the same layout the
-  /// BaselineImage stage has always used, so a config is content-addressed
-  /// identically wherever it appears.
+  /// Stage-key fingerprint: the opt level in the low byte and
+  /// packedCodegen() above it, the layout the BaselineImage stage has
+  /// always used, so a config is content-addressed identically wherever
+  /// it appears.
   uint64_t fingerprint() const;
 
   /// The codegen knobs packed into one byte for the wire protocol

@@ -318,15 +318,18 @@ std::string joinChunks(const std::vector<SourceChunk> &Chunks,
   return Out;
 }
 
+/// Cap on divergence probes (compile+run pairs) spent per shrink.
+constexpr unsigned MaxShrinkProbes = 400;
+
 /// A probe wrapper that both enforces the budget and requires the
 /// baseline to stay healthy: a shrink candidate that breaks the baseline
 /// is rejected outright.
 bool divergesWithin(const std::string &Source, const std::string &Name,
                     ObfuscationMode Mode, uint64_t ObfSeed,
-                    size_t PrefixSteps, unsigned MaxProbes,
-                    unsigned &Probes, DivergenceKind &KindOut,
-                    std::string *DetailOut, VMEngine Engine, bool CrossVM) {
-  if (Probes >= MaxProbes)
+                    size_t PrefixSteps, unsigned &Probes,
+                    DivergenceKind &KindOut, std::string *DetailOut,
+                    VMEngine Engine, bool CrossVM) {
+  if (Probes >= MaxShrinkProbes)
     return false;
   ++Probes;
   DivergenceKind K = DivergenceKind::None;
@@ -344,8 +347,8 @@ bool divergesWithin(const std::string &Source, const std::string &Name,
 
 ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
                                         ObfuscationMode Mode,
-                                        uint64_t ObfSeed, unsigned MaxProbes,
-                                        VMEngine Engine, bool CrossVM) {
+                                        uint64_t ObfSeed, VMEngine Engine,
+                                        bool CrossVM) {
   ShrinkResult Res;
   Res.Spec = Spec;
   const size_t Full = std::numeric_limits<size_t>::max();
@@ -353,8 +356,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
   auto SpecDiverges = [&](const ProgramSpec &S, DivergenceKind &K,
                           std::string *Detail) {
     return divergesWithin(generateMiniCProgram(S), S.Name, Mode, ObfSeed,
-                          Full, MaxProbes, Res.Probes, K, Detail, Engine,
-                          CrossVM);
+                          Full, Res.Probes, K, Detail, Engine, CrossVM);
   };
 
   // Establish the starting state (and its kind/detail).
@@ -375,7 +377,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
   // until a full round accepts nothing. Every acceptance re-records the
   // (possibly different) divergence kind at the smaller spec.
   bool Changed = true;
-  while (Changed && Res.Probes < MaxProbes) {
+  while (Changed && Res.Probes < MaxShrinkProbes) {
     Changed = false;
     auto Try = [&](ProgramSpec Candidate) {
       DivergenceKind K = DivergenceKind::None;
@@ -392,7 +394,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
 
     // Function count: halve toward the generator's floor of 3, falling
     // back to single steps when the big jump overshoots the bug.
-    while (Res.Spec.NumFunctions > 3 && Res.Probes < MaxProbes) {
+    while (Res.Spec.NumFunctions > 3 && Res.Probes < MaxShrinkProbes) {
       ProgramSpec Half = Res.Spec;
       Half.NumFunctions = std::max(3u, Half.NumFunctions / 2);
       if (Half.NumFunctions != Res.Spec.NumFunctions &&
@@ -403,7 +405,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
       if (!Try(std::move(Dec)))
         break;
     }
-    while (Res.Spec.MainIterations > 1 && Res.Probes < MaxProbes) {
+    while (Res.Spec.MainIterations > 1 && Res.Probes < MaxShrinkProbes) {
       ProgramSpec Half = Res.Spec;
       Half.MainIterations = std::max(1u, Half.MainIterations / 2);
       if (Half.MainIterations != Res.Spec.MainIterations &&
@@ -414,13 +416,13 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
       if (!Try(std::move(Dec)))
         break;
     }
-    while (Res.Spec.MaxLoopDepth > 0 && Res.Probes < MaxProbes) {
+    while (Res.Spec.MaxLoopDepth > 0 && Res.Probes < MaxShrinkProbes) {
       ProgramSpec C = Res.Spec;
       --C.MaxLoopDepth;
       if (!Try(std::move(C)))
         break;
     }
-    for (int Feature = 0; Feature != 8 && Res.Probes < MaxProbes;
+    for (int Feature = 0; Feature != 8 && Res.Probes < MaxShrinkProbes;
          ++Feature) {
       ProgramSpec C = Res.Spec;
       switch (Feature) {
@@ -477,19 +479,20 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
     std::vector<SourceChunk> Chunks = chunkMiniC(Res.Source);
     std::vector<uint8_t> Dropped(Chunks.size(), 0);
     bool DropChanged = true;
-    while (DropChanged && Res.Probes < MaxProbes) {
+    while (DropChanged && Res.Probes < MaxShrinkProbes) {
       DropChanged = false;
       // Reverse order: later functions are callers of earlier ones, so
       // they become unreferenced (and droppable) first.
       for (size_t I = Chunks.size(); I-- > 0;) {
-        if (Dropped[I] || !Chunks[I].Droppable || Res.Probes >= MaxProbes)
+        if (Dropped[I] || !Chunks[I].Droppable ||
+            Res.Probes >= MaxShrinkProbes)
           continue;
         Dropped[I] = 1;
         DivergenceKind K = DivergenceKind::None;
         std::string Detail;
         if (divergesWithin(joinChunks(Chunks, Dropped), Res.Spec.Name, Mode,
-                           ObfSeed, Full, MaxProbes, Res.Probes, K, &Detail,
-                           Engine, CrossVM)) {
+                           ObfSeed, Full, Res.Probes, K, &Detail, Engine,
+                           CrossVM)) {
           Res.Kind = K;
           Res.Detail = std::move(Detail);
           ++Res.DroppedFunctions;
@@ -839,8 +842,8 @@ FuzzReport DifferentialFuzzer::run() {
                         divergenceKindName(D.Kind), D.Detail.c_str());
 
         if (Cfg.Shrink) {
-          D.Shrunk = shrink(Spec, D.Mode, D.ObfSeed, Cfg.MaxShrinkProbes,
-                            Cfg.Engine, Cfg.CrossVM);
+          D.Shrunk =
+              shrink(Spec, D.Mode, D.ObfSeed, Cfg.Engine, Cfg.CrossVM);
           if (D.Shrunk.Kind == DivergenceKind::None) {
             // The divergence did not reproduce in the shrinker's
             // standalone probe; keep the matrix verdict on the repro

@@ -111,8 +111,6 @@ public:
     /// Modes to differentiate against the baseline; empty = all.
     std::vector<ObfuscationMode> Modes;
     bool Shrink = true; ///< Minimize + bisect each divergence.
-    /// Cap on divergence probes (compile+run pairs) spent per shrink.
-    unsigned MaxShrinkProbes = 400;
     /// When set, each divergence's repro file is written here.
     std::string ReproDir;
     /// ArtifactStore LRU cap per batch; soaks stay memory-bounded.
@@ -177,11 +175,12 @@ public:
                           bool CrossVM = false);
 
   /// Minimizes a diverging (spec, mode, seed): greedy spec reduction,
-  /// greedy function dropping, then pass bisection. Deterministic.
+  /// greedy function dropping, then pass bisection. Deterministic; spends
+  /// at most 400 probes (compile+run pairs).
   /// \p Engine / \p CrossVM must match the configuration that found the
   /// divergence, or the shrinker probes a different predicate.
   static ShrinkResult shrink(const ProgramSpec &Spec, ObfuscationMode Mode,
-                             uint64_t ObfSeed, unsigned MaxProbes,
+                             uint64_t ObfSeed,
                              VMEngine Engine = VMEngine::Precompiled,
                              bool CrossVM = false);
 

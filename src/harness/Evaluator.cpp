@@ -45,10 +45,7 @@ uint64_t fingerprintFission(const FissionOptions &Opts) {
     F *= 0x100000001b3ull;
   };
   Mix(Opts.Regions.MinBlocks);
-  Mix(Opts.Regions.MaxRegionsPerFunction);
   Mix(Opts.Regions.IgnoreFrequencyCost);
-  for (char C : Opts.SepSuffix)
-    Mix(static_cast<unsigned char>(C));
   return F;
 }
 

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Module.h"
+#include "ir/OpSemantics.h"
 
 #include <cassert>
 
@@ -44,6 +45,13 @@ void Module::eraseFunction(Function *F) {
   assert(false && "function not in this module");
 }
 
+size_t Module::instructionCount() const {
+  size_t N = 0;
+  for (const auto &F : Functions)
+    N += F->instructionCount();
+  return N;
+}
+
 GlobalVariable *Module::createGlobal(const std::string &Name,
                                      Type *ValueType) {
   assert(!getGlobal(Name) && "duplicate global name");
@@ -64,19 +72,7 @@ ConstantInt *Module::getConstantInt(Type *Ty, int64_t V) {
   assert(Ty->isInteger() && "integer constant of non-integer type");
   // Normalize to the type's width so interning never aliases distinct
   // values.
-  switch (Ty->getKind()) {
-  case TypeKind::Int1:
-    V &= 1;
-    break;
-  case TypeKind::Int8:
-    V = static_cast<int8_t>(V);
-    break;
-  case TypeKind::Int32:
-    V = static_cast<int32_t>(V);
-    break;
-  default:
-    break;
-  }
+  V = narrowInt(V, Ty->getKind());
   auto &Slot = IntConstants[{Ty, V}];
   if (!Slot)
     Slot.reset(new ConstantInt(Ty, V));
@@ -98,8 +94,7 @@ ConstantInt *Module::getInt64(int64_t V) {
 
 ConstantFP *Module::getConstantFP(Type *Ty, double V) {
   assert(Ty->isFloatingPoint() && "FP constant of non-FP type");
-  if (Ty->getKind() == TypeKind::Float)
-    V = static_cast<float>(V);
+  V = roundFP(V, Ty->getKind());
   auto &Slot = FPConstants[{Ty, V}];
   if (!Slot)
     Slot.reset(new ConstantFP(Ty, V));

@@ -46,6 +46,8 @@ public:
   Function *getFunction(const std::string &Name) const;
   /// Destroys \p F; it must have no remaining uses.
   void eraseFunction(Function *F);
+  /// Total instruction count across all functions.
+  size_t instructionCount() const;
 
   // Globals.
   const std::vector<std::unique_ptr<GlobalVariable>> &globals() const {

@@ -245,7 +245,7 @@ std::vector<std::string> khaos::runFission(Module &M, FissionStats &Stats,
     unsigned Seq = 0;
     for (const Region &R : Regions) {
       std::string Name =
-          M.uniqueName(F->getName() + Opts.SepSuffix + std::to_string(Seq));
+          M.uniqueName(F->getName() + ".part" + std::to_string(Seq));
       ++Seq;
       extractRegion(M, *F, R, Name, Stats);
       SepNames.push_back(Name);

@@ -63,8 +63,6 @@ struct FissionStats {
 /// Fission configuration.
 struct FissionOptions {
   RegionOptions Regions;
-  /// Suffix stem for generated functions.
-  std::string SepSuffix = ".part";
 };
 
 /// Applies fission to every eligible function of \p M. Returns the names

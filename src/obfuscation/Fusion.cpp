@@ -33,6 +33,9 @@ constexpr unsigned TagIsFusedBit = 1u << 1; // bit 1
 constexpr unsigned TagCtrlBit = 1u << 2;    // bit 2
 constexpr int64_t TagMask = TagIsFusedBit | TagCtrlBit;
 
+/// Deep fusion merges at most this many innocuous block pairs per fusFunc.
+constexpr unsigned MaxDeepMergesPerPair = 2;
+
 /// Per-side description of how an original function maps into a fusFunc.
 struct SideMap {
   Function *Ori = nullptr;
@@ -538,7 +541,7 @@ void PairFuser::runDeepFusion() {
 
   unsigned Merges =
       std::min({(unsigned)FCands.size(), (unsigned)GCands.size(),
-                Opts.MaxDeepMergesPerPair});
+                MaxDeepMergesPerPair});
   for (unsigned K = 0; K != Merges; ++K) {
     BasicBlock *A = FCands[K];
     BasicBlock *B = GCands[K];

@@ -70,7 +70,6 @@ struct FusionStats {
 struct FusionOptions {
   uint64_t Seed = 0x5eed;      ///< Pairing shuffle seed.
   bool EnableDeepFusion = true;
-  unsigned MaxDeepMergesPerPair = 2;
   /// When non-empty, only these functions are considered (FuFi modes).
   std::vector<std::string> RestrictTo;
 };

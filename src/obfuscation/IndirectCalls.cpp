@@ -29,22 +29,11 @@
 
 using namespace khaos;
 
-namespace {
-
-uint64_t moduleInstCount(const Module &M) {
-  uint64_t N = 0;
-  for (const auto &F : M.functions())
-    N += F->instructionCount();
-  return N;
-}
-
-} // namespace
-
 unsigned khaos::runIndirectCalls(Module &M, const OLLVMOptions &Opts,
                                  PassReport *Report) {
   RNG Rng(Opts.Seed);
   Context &Ctx = M.getContext();
-  uint64_t Before = moduleInstCount(M);
+  uint64_t Before = M.instructionCount();
 
   // Collect eligible sites in deterministic module order, assigning each
   // distinct callee a dense index as first seen.
@@ -120,7 +109,7 @@ unsigned khaos::runIndirectCalls(Module &M, const OLLVMOptions &Opts,
 
   if (Report) {
     Report->SitesRewritten += static_cast<unsigned>(Sites.size());
-    Report->BytesGrown += (moduleInstCount(M) - Before) * 4;
+    Report->BytesGrown += (M.instructionCount() - Before) * 4;
   }
   return static_cast<unsigned>(Sites.size());
 }

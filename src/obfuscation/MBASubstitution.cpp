@@ -103,20 +103,13 @@ bool isMBAOp(BinOp K) {
   }
 }
 
-uint64_t moduleInstCount(const Module &M) {
-  uint64_t N = 0;
-  for (const auto &F : M.functions())
-    N += F->instructionCount();
-  return N;
-}
-
 } // namespace
 
 unsigned khaos::runMBASubstitution(Module &M, const OLLVMOptions &Opts,
                                    PassReport *Report) {
   RNG Rng(Opts.Seed);
   unsigned Count = 0;
-  uint64_t Before = moduleInstCount(M);
+  uint64_t Before = M.instructionCount();
   for (const auto &F : M.functions()) {
     if (F->isDeclaration() || F->isNoObfuscate())
       continue;
@@ -148,7 +141,7 @@ unsigned khaos::runMBASubstitution(Module &M, const OLLVMOptions &Opts,
   }
   if (Report) {
     Report->SitesRewritten += Count;
-    Report->BytesGrown += (moduleInstCount(M) - Before) * 4;
+    Report->BytesGrown += (M.instructionCount() - Before) * 4;
   }
   return Count;
 }

@@ -18,6 +18,9 @@ using namespace khaos;
 
 namespace {
 
+/// Algorithm 1 selects at most this many regions per function.
+constexpr unsigned MaxRegionsPerFunction = 5;
+
 /// True when \p Blocks can be extracted into a sepFunc without breaking
 /// semantics. See the paper's §3.2.4 for the setjmp and EH constraints.
 bool isExtractable(const std::set<BasicBlock *> &InRegion) {
@@ -115,7 +118,7 @@ std::vector<Region> khaos::identifyRegions(Function &F,
   // Iteratively take the most cost-effective tree, dropping everything
   // that intersects it (Algorithm 1 ll. 4-21).
   std::vector<bool> Dead(Cands.size(), false);
-  while (Selected.size() < Opts.MaxRegionsPerFunction) {
+  while (Selected.size() < MaxRegionsPerFunction) {
     int Best = -1;
     for (size_t I = 0; I != Cands.size(); ++I) {
       if (Dead[I])

@@ -36,16 +36,15 @@ struct Region {
 /// Knobs for region selection.
 struct RegionOptions {
   unsigned MinBlocks = 2;  ///< Smaller subtrees are not worth a call.
-  unsigned MaxRegionsPerFunction = 5;
   /// Ablation switch: ignore the frequency cost term of Algorithm 1 and
   /// pick regions by size alone.
   bool IgnoreFrequencyCost = false;
 };
 
-/// Runs Algorithm 1 on \p F and returns the selected disjoint regions,
-/// most valuable first. Regions that cannot be extracted safely (setjmp
-/// call sites, EH edges crossing the boundary, returns-with-throw, allocas
-/// escaping the region) are filtered out.
+/// Runs Algorithm 1 on \p F and returns the selected disjoint regions (at
+/// most five), most valuable first. Regions that cannot be extracted safely
+/// (setjmp call sites, EH edges crossing the boundary, returns-with-throw,
+/// allocas escaping the region) are filtered out.
 std::vector<Region> identifyRegions(Function &F,
                                     const RegionOptions &Opts = {});
 

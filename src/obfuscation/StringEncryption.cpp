@@ -27,17 +27,6 @@
 
 using namespace khaos;
 
-namespace {
-
-uint64_t moduleInstCount(const Module &M) {
-  uint64_t N = 0;
-  for (const auto &F : M.functions())
-    N += F->instructionCount();
-  return N;
-}
-
-} // namespace
-
 unsigned khaos::runStringEncryption(Module &M, const OLLVMOptions &Opts,
                                     PassReport *Report) {
   Function *Main = M.getFunction("main");
@@ -46,7 +35,7 @@ unsigned khaos::runStringEncryption(Module &M, const OLLVMOptions &Opts,
 
   RNG Rng(Opts.Seed);
   Context &Ctx = M.getContext();
-  uint64_t Before = moduleInstCount(M);
+  uint64_t Before = M.instructionCount();
 
   // Eligible: i8-array globals whose initializer is all ConstantInt bytes.
   std::vector<GlobalVariable *> Targets;
@@ -147,7 +136,7 @@ unsigned khaos::runStringEncryption(Module &M, const OLLVMOptions &Opts,
   if (Report) {
     Report->StringsEncrypted += static_cast<unsigned>(Targets.size());
     Report->BlocksInserted += static_cast<unsigned>(Dec->size());
-    Report->BytesGrown += (moduleInstCount(M) - Before) * 4;
+    Report->BytesGrown += (M.instructionCount() - Before) * 4;
   }
   return static_cast<unsigned>(Targets.size());
 }

@@ -8,10 +8,13 @@
 /// Folds binops/compares/casts/selects whose operands are constants. This
 /// is the pass that erases O-LLVM's instruction substitution at -O3 (the
 /// paper's §5 observation) and cleans up after fission/fusion rewiring.
+/// Folded values come from ir/OpSemantics.h, the definitions both VM
+/// engines execute, so folding never changes what a program computes.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ir/Module.h"
+#include "ir/OpSemantics.h"
 #include "transform/Pass.h"
 
 using namespace khaos;
@@ -25,58 +28,9 @@ public:
 
 private:
   Constant *foldInstruction(Module &M, Instruction *I);
-  Constant *foldBinOp(Module &M, BinaryInst *B, ConstantInt *L,
-                      ConstantInt *R);
 };
 
 } // namespace
-
-Constant *ConstantFoldPass::foldBinOp(Module &M, BinaryInst *B,
-                                      ConstantInt *L, ConstantInt *R) {
-  int64_t A = L->getValue(), C = R->getValue(), Out;
-  switch (B->getBinOp()) {
-  case BinOp::Add:
-    Out = A + C;
-    break;
-  case BinOp::Sub:
-    Out = A - C;
-    break;
-  case BinOp::Mul:
-    Out = A * C;
-    break;
-  case BinOp::SDiv:
-    if (C == 0 || (A == INT64_MIN && C == -1))
-      return nullptr; // Preserve the trap.
-    Out = A / C;
-    break;
-  case BinOp::SRem:
-    if (C == 0 || (A == INT64_MIN && C == -1))
-      return nullptr;
-    Out = A % C;
-    break;
-  case BinOp::And:
-    Out = A & C;
-    break;
-  case BinOp::Or:
-    Out = A | C;
-    break;
-  case BinOp::Xor:
-    Out = A ^ C;
-    break;
-  case BinOp::Shl:
-    Out = static_cast<int64_t>(static_cast<uint64_t>(A) << (C & 63));
-    break;
-  case BinOp::AShr:
-    Out = A >> (C & 63);
-    break;
-  case BinOp::LShr:
-    Out = static_cast<int64_t>(static_cast<uint64_t>(A) >> (C & 63));
-    break;
-  default:
-    return nullptr;
-  }
-  return M.getConstantInt(B->getType(), Out);
-}
 
 Constant *ConstantFoldPass::foldInstruction(Module &M, Instruction *I) {
   switch (I->getOpcode()) {
@@ -84,28 +38,12 @@ Constant *ConstantFoldPass::foldInstruction(Module &M, Instruction *I) {
     auto *B = cast<BinaryInst>(I);
     auto *L = dyn_cast<ConstantInt>(B->getLHS());
     auto *R = dyn_cast<ConstantInt>(B->getRHS());
-    if (L && R)
-      return foldBinOp(M, B, L, R);
-    // Identities: x+0, x-0, x*1, x&-1, x|0, x^0, x<<0, x>>0.
-    if (R && !B->isFloatOp()) {
-      Value *X = B->getLHS();
-      int64_t C = R->getValue();
-      switch (B->getBinOp()) {
-      case BinOp::Add:
-      case BinOp::Sub:
-      case BinOp::Or:
-      case BinOp::Xor:
-      case BinOp::Shl:
-      case BinOp::AShr:
-      case BinOp::LShr:
-        if (C == 0 && isa<Instruction>(X))
-          return nullptr; // Handled below via RAUW-to-value.
-        break;
-      default:
-        break;
-      }
-    }
-    return nullptr;
+    // A trapping div/rem stays: folding it would erase the trap.
+    if (!L || !R || B->isFloatOp() ||
+        divTrap(B->getBinOp(), L->getValue(), R->getValue()))
+      return nullptr;
+    return M.getConstantInt(
+        B->getType(), intBinOp(B->getBinOp(), L->getValue(), R->getValue()));
   }
   case Opcode::Cmp: {
     auto *C = cast<CmpInst>(I);
@@ -113,62 +51,19 @@ Constant *ConstantFoldPass::foldInstruction(Module &M, Instruction *I) {
     auto *R = dyn_cast<ConstantInt>(C->getRHS());
     if (!L || !R)
       return nullptr;
-    int64_t A = L->getValue(), B2 = R->getValue();
-    bool Res = false;
-    switch (C->getPredicate()) {
-    case CmpPred::EQ:
-      Res = A == B2;
-      break;
-    case CmpPred::NE:
-      Res = A != B2;
-      break;
-    case CmpPred::SLT:
-      Res = A < B2;
-      break;
-    case CmpPred::SLE:
-      Res = A <= B2;
-      break;
-    case CmpPred::SGT:
-      Res = A > B2;
-      break;
-    case CmpPred::SGE:
-      Res = A >= B2;
-      break;
-    }
-    return M.getInt1(Res);
+    return M.getInt1(cmpOp(C->getPredicate(), L->getValue(), R->getValue()));
   }
   case Opcode::Cast: {
     auto *CI = cast<CastInst>(I);
     auto *C = dyn_cast<ConstantInt>(CI->getSource());
-    if (!C)
+    const CastKind K = CI->getCastKind();
+    if (!C || (K != CastKind::Trunc && K != CastKind::SExt &&
+               K != CastKind::ZExt))
       return nullptr;
-    switch (CI->getCastKind()) {
-    case CastKind::Trunc:
-    case CastKind::SExt:
-    case CastKind::ZExt:
-      // getConstantInt normalizes to the destination width. ZExt needs the
-      // unsigned source value.
-      if (CI->getCastKind() == CastKind::ZExt) {
-        uint64_t U = static_cast<uint64_t>(C->getValue());
-        switch (CI->getSource()->getType()->getKind()) {
-        case TypeKind::Int1:
-          U &= 1;
-          break;
-        case TypeKind::Int8:
-          U &= 0xFF;
-          break;
-        case TypeKind::Int32:
-          U &= 0xFFFFFFFF;
-          break;
-        default:
-          break;
-        }
-        return M.getConstantInt(I->getType(), static_cast<int64_t>(U));
-      }
-      return M.getConstantInt(I->getType(), C->getValue());
-    default:
-      return nullptr;
-    }
+    OpValue Out = castOp(K, OpValue{C->getValue()},
+                         CI->getSource()->getType()->getKind(),
+                         I->getType()->getKind());
+    return M.getConstantInt(I->getType(), Out.I);
   }
   case Opcode::Select: {
     auto *S = cast<SelectInst>(I);

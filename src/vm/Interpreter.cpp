@@ -8,7 +8,8 @@
 // register file per frame. It is deliberately simple — it is the semantic
 // oracle the precompiled engine (PrecompiledInterpreter.cpp) is checked
 // against, so clarity beats speed here. All machine state and intrinsic
-// behavior live in VMRuntime, shared with the other engine.
+// behavior live in VMRuntime, shared with the other engine; the value of
+// each operation comes from ir/OpSemantics.h, shared with ConstantFold too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -216,87 +217,15 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
                                          : Opts.Costs.Simple);
       if (!charge(C))
         return Leave(Bad);
-      Slot L, R, Out;
+      Slot L, R;
       if (!evalOperand(FR, BO->getLHS(), L) ||
           !evalOperand(FR, BO->getRHS(), R))
         return Leave(Bad);
-      Out.I = 0;
-      switch (BO->getBinOp()) {
-      case BinOp::Add:
-        Out.I = L.I + R.I;
-        break;
-      case BinOp::Sub:
-        Out.I = L.I - R.I;
-        break;
-      case BinOp::Mul:
-        Out.I = L.I * R.I;
-        break;
-      case BinOp::SDiv:
-      case BinOp::SRem: {
-        if (R.I == 0) {
-          trap("integer division by zero");
-          return Leave(Bad);
-        }
-        if (L.I == INT64_MIN && R.I == -1) {
-          trap("integer division overflow");
-          return Leave(Bad);
-        }
-        Out.I = BO->getBinOp() == BinOp::SDiv ? L.I / R.I : L.I % R.I;
-        break;
+      if (const char *Msg = divTrap(BO->getBinOp(), L.I, R.I)) {
+        trap(Msg);
+        return Leave(Bad);
       }
-      case BinOp::And:
-        Out.I = L.I & R.I;
-        break;
-      case BinOp::Or:
-        Out.I = L.I | R.I;
-        break;
-      case BinOp::Xor:
-        Out.I = L.I ^ R.I;
-        break;
-      case BinOp::Shl:
-        Out.I = static_cast<int64_t>(static_cast<uint64_t>(L.I)
-                                     << (R.I & 63));
-        break;
-      case BinOp::AShr:
-        Out.I = L.I >> (R.I & 63);
-        break;
-      case BinOp::LShr:
-        Out.I = static_cast<int64_t>(static_cast<uint64_t>(L.I) >>
-                                     (R.I & 63));
-        break;
-      case BinOp::FAdd:
-        Out.F = L.F + R.F;
-        break;
-      case BinOp::FSub:
-        Out.F = L.F - R.F;
-        break;
-      case BinOp::FMul:
-        Out.F = L.F * R.F;
-        break;
-      case BinOp::FDiv:
-        Out.F = L.F / R.F;
-        break;
-      }
-      // Narrow integer results to the type width.
-      Type *Ty = I->getType();
-      if (Ty->isInteger() && Ty->getIntegerBitWidth() < 64) {
-        switch (Ty->getKind()) {
-        case TypeKind::Int1:
-          Out.I &= 1;
-          break;
-        case TypeKind::Int8:
-          Out.I = static_cast<int8_t>(Out.I);
-          break;
-        case TypeKind::Int32:
-          Out.I = static_cast<int32_t>(Out.I);
-          break;
-        default:
-          break;
-        }
-      }
-      if (Ty->getKind() == TypeKind::Float)
-        Out.F = static_cast<float>(Out.F);
-      FR.Regs[I] = Out;
+      FR.Regs[I] = binOp(BO->getBinOp(), L, R, I->getType()->getKind());
       ++Idx;
       break;
     }
@@ -304,34 +233,13 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       if (!charge(Opts.Costs.Simple))
         return Leave(Bad);
       const auto *CI = cast<CmpInst>(I);
-      Slot L, R;
+      Slot L, R, Out;
       if (!evalOperand(FR, CI->getLHS(), L) ||
           !evalOperand(FR, CI->getRHS(), R))
         return Leave(Bad);
-      bool FP = CI->getLHS()->getType()->isFloatingPoint();
-      bool Res = false;
-      switch (CI->getPredicate()) {
-      case CmpPred::EQ:
-        Res = FP ? L.F == R.F : L.I == R.I;
-        break;
-      case CmpPred::NE:
-        Res = FP ? L.F != R.F : L.I != R.I;
-        break;
-      case CmpPred::SLT:
-        Res = FP ? L.F < R.F : L.I < R.I;
-        break;
-      case CmpPred::SLE:
-        Res = FP ? L.F <= R.F : L.I <= R.I;
-        break;
-      case CmpPred::SGT:
-        Res = FP ? L.F > R.F : L.I > R.I;
-        break;
-      case CmpPred::SGE:
-        Res = FP ? L.F >= R.F : L.I >= R.I;
-        break;
-      }
-      Slot Out;
-      Out.I = Res ? 1 : 0;
+      Out.I = CI->getLHS()->getType()->isFloatingPoint()
+                  ? cmpOp(CI->getPredicate(), L.F, R.F)
+                  : cmpOp(CI->getPredicate(), L.I, R.I);
       FR.Regs[I] = Out;
       ++Idx;
       break;
@@ -340,74 +248,12 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       if (!charge(Opts.Costs.Simple))
         return Leave(Bad);
       const auto *CI = cast<CastInst>(I);
-      Slot V, Out;
+      Slot V;
       if (!evalOperand(FR, CI->getSource(), V))
         return Leave(Bad);
-      Out.I = 0;
-      switch (CI->getCastKind()) {
-      case CastKind::Trunc:
-        switch (I->getType()->getKind()) {
-        case TypeKind::Int1:
-          Out.I = V.I & 1;
-          break;
-        case TypeKind::Int8:
-          Out.I = static_cast<int8_t>(V.I);
-          break;
-        case TypeKind::Int32:
-          Out.I = static_cast<int32_t>(V.I);
-          break;
-        default:
-          Out.I = V.I;
-          break;
-        }
-        break;
-      case CastKind::SExt:
-        Out.I = V.I; // Slots already keep the sign-extended value.
-        break;
-      case CastKind::ZExt: {
-        Type *Src = CI->getSource()->getType();
-        uint64_t U = static_cast<uint64_t>(V.I);
-        switch (Src->getKind()) {
-        case TypeKind::Int1:
-          U &= 1;
-          break;
-        case TypeKind::Int8:
-          U &= 0xFF;
-          break;
-        case TypeKind::Int32:
-          U &= 0xFFFFFFFF;
-          break;
-        default:
-          break;
-        }
-        Out.I = static_cast<int64_t>(U);
-        break;
-      }
-      case CastKind::FPToSI:
-        Out.I = static_cast<int64_t>(V.F);
-        if (I->getType()->getKind() == TypeKind::Int32)
-          Out.I = static_cast<int32_t>(Out.I);
-        else if (I->getType()->getKind() == TypeKind::Int8)
-          Out.I = static_cast<int8_t>(Out.I);
-        break;
-      case CastKind::SIToFP:
-        Out.F = static_cast<double>(V.I);
-        if (I->getType()->getKind() == TypeKind::Float)
-          Out.F = static_cast<float>(Out.F);
-        break;
-      case CastKind::FPTrunc:
-        Out.F = static_cast<float>(V.F);
-        break;
-      case CastKind::FPExt:
-        Out.F = V.F;
-        break;
-      case CastKind::Bitcast:
-      case CastKind::PtrToInt:
-      case CastKind::IntToPtr:
-        Out.I = V.I;
-        break;
-      }
-      FR.Regs[I] = Out;
+      FR.Regs[I] = castOp(CI->getCastKind(), V,
+                          CI->getSource()->getType()->getKind(),
+                          I->getType()->getKind());
       ++Idx;
       break;
     }
@@ -419,7 +265,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       if (!evalOperand(FR, G->getPointer(), P) ||
           !evalOperand(FR, G->getIndex(), N))
         return Leave(Bad);
-      Out.I = P.I + N.I * static_cast<int64_t>(G->getElementSize());
+      Out.I = gepAddress(P.I, N.I, G->getElementSize());
       FR.Regs[I] = Out;
       ++Idx;
       break;

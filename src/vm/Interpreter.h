@@ -48,7 +48,6 @@ bool parseVMEngineName(const std::string &Name, VMEngine &Out);
 /// Interpreter knobs.
 struct ExecOptions {
   uint64_t MaxSteps = 200'000'000; ///< Abort runaway programs.
-  uint64_t MemoryBytes = 16u << 20;
   unsigned MaxCallDepth = 4000;
   CostModel Costs;
   VMEngine Engine = VMEngine::Precompiled;

@@ -39,55 +39,6 @@ using namespace khaos;
 
 namespace {
 
-inline int64_t narrowInt(int64_t V, TypeKind K) {
-  switch (K) {
-  case TypeKind::Int1:
-    return V & 1;
-  case TypeKind::Int8:
-    return static_cast<int8_t>(V);
-  case TypeKind::Int32:
-    return static_cast<int32_t>(V);
-  default:
-    return V;
-  }
-}
-
-inline bool cmpInt(CmpPred P, int64_t L, int64_t R) {
-  switch (P) {
-  case CmpPred::EQ:
-    return L == R;
-  case CmpPred::NE:
-    return L != R;
-  case CmpPred::SLT:
-    return L < R;
-  case CmpPred::SLE:
-    return L <= R;
-  case CmpPred::SGT:
-    return L > R;
-  case CmpPred::SGE:
-    return L >= R;
-  }
-  return false;
-}
-
-inline bool cmpFP(CmpPred P, double L, double R) {
-  switch (P) {
-  case CmpPred::EQ:
-    return L == R;
-  case CmpPred::NE:
-    return L != R;
-  case CmpPred::SLT:
-    return L < R;
-  case CmpPred::SLE:
-    return L <= R;
-  case CmpPred::SGT:
-    return L > R;
-  case CmpPred::SGE:
-    return L >= R;
-  }
-  return false;
-}
-
 /// Name of the block containing \p PC (BlockStartPc is ascending).
 const std::string &blockNameAt(const BCFunction &BF, uint32_t PC) {
   auto It = std::upper_bound(BF.BlockStartPc.begin(), BF.BlockStartPc.end(),
@@ -317,169 +268,62 @@ dispatch_loop:
     NEXT();
   }
 
-#define INT_BINOP(Name, Expr)                                                  \
+  // Each handler passes its binop as a constant, so divTrap and binOp
+  // reduce to that one operation.
+#define BINOP(Name, Op, Cost)                                                  \
   OP(Name) {                                                                   \
-    CHARGE(Opts.Costs.Simple);                                                 \
-    const int64_t L = R[In->B].I;                                              \
-    const int64_t Rv = R[In->C].I;                                             \
-    R[In->A].I = narrowInt((Expr), static_cast<TypeKind>(In->Sub));            \
+    CHARGE(Cost);                                                              \
+    if (const char *Msg = divTrap(Op, R[In->B].I, R[In->C].I)) {               \
+      trap(Msg);                                                               \
+      return Leave(Bad);                                                       \
+    }                                                                          \
+    R[In->A] =                                                                 \
+        binOp(Op, R[In->B], R[In->C], static_cast<TypeKind>(In->Sub));         \
     NEXT();                                                                    \
   }
 
-  INT_BINOP(AddI, L + Rv)
-  INT_BINOP(SubI, L - Rv)
-  INT_BINOP(MulI, L * Rv)
-
-  OP(DivI) {
-    CHARGE(Opts.Costs.IntDiv);
-    const int64_t L = R[In->B].I;
-    const int64_t Rv = R[In->C].I;
-    if (Rv == 0) {
-      trap("integer division by zero");
-      return Leave(Bad);
-    }
-    if (L == INT64_MIN && Rv == -1) {
-      trap("integer division overflow");
-      return Leave(Bad);
-    }
-    R[In->A].I = narrowInt(L / Rv, static_cast<TypeKind>(In->Sub));
-    NEXT();
-  }
-
-  OP(RemI) {
-    CHARGE(Opts.Costs.IntDiv);
-    const int64_t L = R[In->B].I;
-    const int64_t Rv = R[In->C].I;
-    if (Rv == 0) {
-      trap("integer division by zero");
-      return Leave(Bad);
-    }
-    if (L == INT64_MIN && Rv == -1) {
-      trap("integer division overflow");
-      return Leave(Bad);
-    }
-    R[In->A].I = narrowInt(L % Rv, static_cast<TypeKind>(In->Sub));
-    NEXT();
-  }
-
-  INT_BINOP(AndI, L & Rv)
-  INT_BINOP(OrI, L | Rv)
-  INT_BINOP(XorI, L ^ Rv)
-  INT_BINOP(ShlI, static_cast<int64_t>(static_cast<uint64_t>(L)
-                                       << (Rv & 63)))
-  INT_BINOP(AShrI, L >> (Rv & 63))
-  INT_BINOP(LShrI,
-            static_cast<int64_t>(static_cast<uint64_t>(L) >> (Rv & 63)))
-#undef INT_BINOP
-
-#define FP_BINOP(Name, CostExpr, Expr)                                         \
-  OP(Name) {                                                                   \
-    CHARGE(CostExpr);                                                          \
-    const double L = R[In->B].F;                                               \
-    const double Rv = R[In->C].F;                                              \
-    double V = (Expr);                                                         \
-    if (static_cast<TypeKind>(In->Sub) == TypeKind::Float)                     \
-      V = static_cast<float>(V);                                               \
-    R[In->A].F = V;                                                            \
-    NEXT();                                                                    \
-  }
-
-  FP_BINOP(AddF, Opts.Costs.FPOp, L + Rv)
-  FP_BINOP(SubF, Opts.Costs.FPOp, L - Rv)
-  FP_BINOP(MulF, Opts.Costs.FPOp, L * Rv)
-  FP_BINOP(DivF, Opts.Costs.FPDiv, L / Rv)
-#undef FP_BINOP
+  BINOP(AddI, BinOp::Add, Opts.Costs.Simple)
+  BINOP(SubI, BinOp::Sub, Opts.Costs.Simple)
+  BINOP(MulI, BinOp::Mul, Opts.Costs.Simple)
+  BINOP(DivI, BinOp::SDiv, Opts.Costs.IntDiv)
+  BINOP(RemI, BinOp::SRem, Opts.Costs.IntDiv)
+  BINOP(AndI, BinOp::And, Opts.Costs.Simple)
+  BINOP(OrI, BinOp::Or, Opts.Costs.Simple)
+  BINOP(XorI, BinOp::Xor, Opts.Costs.Simple)
+  BINOP(ShlI, BinOp::Shl, Opts.Costs.Simple)
+  BINOP(AShrI, BinOp::AShr, Opts.Costs.Simple)
+  BINOP(LShrI, BinOp::LShr, Opts.Costs.Simple)
+  BINOP(AddF, BinOp::FAdd, Opts.Costs.FPOp)
+  BINOP(SubF, BinOp::FSub, Opts.Costs.FPOp)
+  BINOP(MulF, BinOp::FMul, Opts.Costs.FPOp)
+  BINOP(DivF, BinOp::FDiv, Opts.Costs.FPDiv)
+#undef BINOP
 
   OP(CmpIOp) {
     CHARGE(Opts.Costs.Simple);
     R[In->A].I =
-        cmpInt(static_cast<CmpPred>(In->Sub), R[In->B].I, R[In->C].I) ? 1 : 0;
+        cmpOp(static_cast<CmpPred>(In->Sub), R[In->B].I, R[In->C].I);
     NEXT();
   }
 
   OP(CmpFOp) {
     CHARGE(Opts.Costs.Simple);
     R[In->A].I =
-        cmpFP(static_cast<CmpPred>(In->Sub), R[In->B].F, R[In->C].F) ? 1 : 0;
+        cmpOp(static_cast<CmpPred>(In->Sub), R[In->B].F, R[In->C].F);
     NEXT();
   }
 
   OP(CastOp) {
     CHARGE(Opts.Costs.Simple);
-    const Slot V = R[In->B];
-    const TypeKind SrcK = static_cast<TypeKind>(In->N >> 8);
-    const TypeKind DstK = static_cast<TypeKind>(In->N & 0xFF);
-    Slot Out;
-    Out.I = 0;
-    switch (static_cast<CastKind>(In->Sub)) {
-    case CastKind::Trunc:
-      switch (DstK) {
-      case TypeKind::Int1:
-        Out.I = V.I & 1;
-        break;
-      case TypeKind::Int8:
-        Out.I = static_cast<int8_t>(V.I);
-        break;
-      case TypeKind::Int32:
-        Out.I = static_cast<int32_t>(V.I);
-        break;
-      default:
-        Out.I = V.I;
-        break;
-      }
-      break;
-    case CastKind::SExt:
-      Out.I = V.I; // Slots already keep the sign-extended value.
-      break;
-    case CastKind::ZExt: {
-      uint64_t U = static_cast<uint64_t>(V.I);
-      switch (SrcK) {
-      case TypeKind::Int1:
-        U &= 1;
-        break;
-      case TypeKind::Int8:
-        U &= 0xFF;
-        break;
-      case TypeKind::Int32:
-        U &= 0xFFFFFFFF;
-        break;
-      default:
-        break;
-      }
-      Out.I = static_cast<int64_t>(U);
-      break;
-    }
-    case CastKind::FPToSI:
-      Out.I = static_cast<int64_t>(V.F);
-      if (DstK == TypeKind::Int32)
-        Out.I = static_cast<int32_t>(Out.I);
-      else if (DstK == TypeKind::Int8)
-        Out.I = static_cast<int8_t>(Out.I);
-      break;
-    case CastKind::SIToFP:
-      Out.F = static_cast<double>(V.I);
-      if (DstK == TypeKind::Float)
-        Out.F = static_cast<float>(Out.F);
-      break;
-    case CastKind::FPTrunc:
-      Out.F = static_cast<float>(V.F);
-      break;
-    case CastKind::FPExt:
-      Out.F = V.F;
-      break;
-    case CastKind::Bitcast:
-    case CastKind::PtrToInt:
-    case CastKind::IntToPtr:
-      Out.I = V.I;
-      break;
-    }
-    R[In->A] = Out;
+    R[In->A] = castOp(static_cast<CastKind>(In->Sub), R[In->B],
+                      static_cast<TypeKind>(In->N >> 8),
+                      static_cast<TypeKind>(In->N & 0xFF));
     NEXT();
   }
 
   OP(GEPOp) {
     CHARGE(Opts.Costs.Simple);
-    R[In->A].I = R[In->B].I + R[In->C].I * static_cast<int64_t>(In->Imm);
+    R[In->A].I = gepAddress(R[In->B].I, R[In->C].I, In->Imm);
     NEXT();
   }
 
@@ -646,7 +490,7 @@ dispatch_loop:
   OP(CmpBrI) {
     CHARGE(Opts.Costs.Simple); // The cmp.
     const bool Res =
-        cmpInt(static_cast<CmpPred>(In->Sub), R[In->A].I, R[In->B].I);
+        cmpOp(static_cast<CmpPred>(In->Sub), R[In->A].I, R[In->B].I);
     CHARGE(Opts.Costs.Simple); // The branch.
     JUMP(Res ? In->C : In->Aux);
   }
@@ -654,7 +498,7 @@ dispatch_loop:
   OP(CmpBrF) {
     CHARGE(Opts.Costs.Simple);
     const bool Res =
-        cmpFP(static_cast<CmpPred>(In->Sub), R[In->A].F, R[In->B].F);
+        cmpOp(static_cast<CmpPred>(In->Sub), R[In->A].F, R[In->B].F);
     CHARGE(Opts.Costs.Simple);
     JUMP(Res ? In->C : In->Aux);
   }
@@ -674,41 +518,9 @@ dispatch_loop:
       L = LV.I;
       Rv = R[In->B].I;
     }
-    int64_t Res = 0;
-    switch (static_cast<BinOp>(In->Sub)) {
-    case BinOp::Add:
-      Res = L + Rv;
-      break;
-    case BinOp::Sub:
-      Res = L - Rv;
-      break;
-    case BinOp::Mul:
-      Res = L * Rv;
-      break;
-    case BinOp::And:
-      Res = L & Rv;
-      break;
-    case BinOp::Or:
-      Res = L | Rv;
-      break;
-    case BinOp::Xor:
-      Res = L ^ Rv;
-      break;
-    case BinOp::Shl:
-      Res = static_cast<int64_t>(static_cast<uint64_t>(L) << (Rv & 63));
-      break;
-    case BinOp::AShr:
-      Res = L >> (Rv & 63);
-      break;
-    case BinOp::LShr:
-      Res = static_cast<int64_t>(static_cast<uint64_t>(L) >> (Rv & 63));
-      break;
-    default:
-      break;
-    }
     const TypeKind ResK = static_cast<TypeKind>(In->N & 0xFF);
     Slot SV;
-    SV.I = narrowInt(Res, ResK);
+    SV.I = narrowInt(intBinOp(static_cast<BinOp>(In->Sub), L, Rv), ResK);
     CHARGE(Opts.Costs.Memory); // The store.
     if (!storeKinded(static_cast<uint64_t>(R[In->C].I), ResK, SV))
       return Leave(Bad);

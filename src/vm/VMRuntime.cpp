@@ -165,7 +165,7 @@ int64_t VMRuntime::constantValue(const Constant *C) {
 }
 
 bool VMRuntime::layoutGlobals() {
-  Mem.assign(Opts.MemoryBytes, 0);
+  Mem.assign(VMMemoryBytes, 0);
 
   // Function address space first (tagged constants in initializers need
   // addresses).

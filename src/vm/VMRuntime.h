@@ -13,15 +13,17 @@
 /// Engines differ only in how they walk a function body. The reference
 /// interpreter (Interpreter.cpp) walks the IR directly; the precompiled
 /// interpreter (PrecompiledInterpreter.cpp) runs bytecode produced by
-/// Bytecode.h. Both derive from VMRuntime, so a program observes identical
-/// addresses, intrinsic behavior, costs, and trap messages under either —
-/// the property the cross-VM oracle asserts.
+/// Bytecode.h. Both derive from VMRuntime and compute every operation's
+/// value with ir/OpSemantics.h, so a program observes identical addresses,
+/// values, intrinsic behavior, costs, and trap messages under either — the
+/// property the cross-VM oracle asserts.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_VM_VMRUNTIME_H
 #define KHAOS_VM_VMRUNTIME_H
 
+#include "ir/OpSemantics.h"
 #include "vm/Interpreter.h"
 
 #include <cstdint>
@@ -38,7 +40,6 @@ class Function;
 class GlobalVariable;
 class Module;
 class Type;
-enum class TypeKind : uint8_t;
 
 /// Address-space layout. Identical across engines by construction: function
 /// i gets VMFuncBase + i * VMFuncStride in module order, globals are laid
@@ -46,6 +47,8 @@ enum class TypeKind : uint8_t;
 constexpr uint64_t VMGlobalBase = 0x1000;
 constexpr uint64_t VMFuncBase = 0x70000000;
 constexpr uint64_t VMFuncStride = 16;
+/// Bytes of VM memory: globals and stack in the lower half, heap above.
+constexpr uint64_t VMMemoryBytes = 16u << 20;
 
 /// Assigns addresses to every function and global of \p M. Pure layout —
 /// depends only on the module, not on memory size (overflow is checked when
@@ -58,10 +61,7 @@ void computeAddressMap(const Module &M,
 class VMRuntime {
 public:
   /// One 64-bit machine slot; typed access is chosen by the IR type.
-  union Slot {
-    int64_t I;
-    double F;
-  };
+  using Slot = OpValue;
 
   /// How a nested execution finished.
   enum class FlowKind : uint8_t { Normal, Return, Exception, LongJmp, Trap };

@@ -348,6 +348,20 @@ TEST(FrontendVM, ParseErrorReported) {
   EXPECT_FALSE(Error.empty());
 }
 
+TEST(FrontendVM, FPRemainderRejected) {
+  // C has no % on floating operands, compound assignment included.
+  for (const char *Body : {"double d = 5.5; return (int)(d % 2.0);",
+                           "double d = 5.5; d %= 2.0; return (int)d;"}) {
+    Context Ctx;
+    std::string Error;
+    auto M = compileMiniC(std::string("int main() { ") + Body + " }", Ctx,
+                          "t", Error);
+    EXPECT_FALSE(M) << Body;
+    EXPECT_NE(Error.find("invalid FP operation"), std::string::npos)
+        << Body << ": " << Error;
+  }
+}
+
 TEST(FrontendVM, TypeErrorReported) {
   Context Ctx;
   std::string Error;

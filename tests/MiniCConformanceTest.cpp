@@ -15,6 +15,7 @@
 
 #include "frontend/IRGen.h"
 #include "ir/Module.h"
+#include "transform/Pass.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -23,16 +24,33 @@ using namespace khaos;
 
 namespace {
 
+/// main()'s exit value for \p Body. It runs on both engines, unoptimized
+/// and at O2, and all four runs must agree.
 int64_t evalMain(const std::string &Body) {
-  Context Ctx;
-  std::string Error;
-  auto M = compileMiniC("int main() {\n" + Body + "\n}", Ctx, "t", Error);
-  EXPECT_TRUE(M) << Error << "\nbody:\n" << Body;
-  if (!M)
-    return INT64_MIN;
-  ExecResult R = runModule(*M);
-  EXPECT_TRUE(R.Ok) << R.Error;
-  return R.Ok ? R.ExitValue : INT64_MIN;
+  int64_t Exit = INT64_MIN;
+  for (OptLevel Level : {OptLevel::O0, OptLevel::O2}) {
+    Context Ctx;
+    std::string Error;
+    auto M = compileMiniC("int main() {\n" + Body + "\n}", Ctx, "t", Error);
+    EXPECT_TRUE(M) << Error << "\nbody:\n" << Body;
+    if (!M)
+      return INT64_MIN;
+    optimizeModule(*M, Level);
+    for (VMEngine Engine : {VMEngine::Reference, VMEngine::Precompiled}) {
+      ExecOptions Opts;
+      Opts.Engine = Engine;
+      ExecResult R = runModule(*M, Opts);
+      EXPECT_TRUE(R.Ok) << R.Error;
+      if (!R.Ok)
+        return INT64_MIN;
+      if (Level == OptLevel::O0 && Engine == VMEngine::Reference)
+        Exit = R.ExitValue;
+      EXPECT_EQ(R.ExitValue, Exit)
+          << "O" << static_cast<int>(Level) << " " << vmEngineName(Engine)
+          << "\nbody:\n" << Body;
+    }
+  }
+  return Exit;
 }
 
 // --- Precedence and associativity ---------------------------------------
@@ -81,6 +99,13 @@ TEST(MiniCConformance, CharIsSignedAndNarrows) {
 
 TEST(MiniCConformance, LongArithmeticIs64Bit) {
   EXPECT_EQ(evalMain("long a = 2147483647L; a = a + 1; return a > 0;"), 1);
+  // int64 overflow wraps (two's complement), as int32 overflow does.
+  EXPECT_EQ(evalMain("long a = 9223372036854775807L; a = a + 1;"
+                     " return a < 0;"),
+            1);
+  EXPECT_EQ(evalMain("long a = 3037000500L; a = a * a;"
+                     " return (int)(a & 255L);"),
+            144);
 }
 
 TEST(MiniCConformance, DivisionTruncatesTowardZero) {
@@ -97,6 +122,11 @@ TEST(MiniCConformance, MixedIntLongPromotes) {
 TEST(MiniCConformance, FloatToIntTruncates) {
   EXPECT_EQ(evalMain("double d = 3.99; return (int)d;"), 3);
   EXPECT_EQ(evalMain("double d = -3.99; return (int)d;"), -3);
+  // NaN and out-of-range values convert to INT64_MIN, then narrow.
+  EXPECT_EQ(evalMain("double d = 1e30; return (int)d;"), 0);
+  EXPECT_EQ(evalMain("double z = 0.0; long v = (long)(z / z);"
+                     " return v < 0;"),
+            1);
 }
 
 // --- Short circuit --------------------------------------------------------
@@ -142,6 +172,10 @@ TEST(MiniCConformance, PointerDifferenceInElements) {
 
 TEST(MiniCConformance, PointerComparison) {
   EXPECT_EQ(evalMain("int a[4]; return &a[3] > &a[1];"), 1);
+  // The address offset wraps: 2^62 longs span 2^65 bytes, i.e. zero.
+  EXPECT_EQ(evalMain("long a[4]; long *p = a;"
+                     " long *q = p + 4611686018427387904L; return q == p;"),
+            1);
 }
 
 TEST(MiniCConformance, IncrementThroughPointer) {

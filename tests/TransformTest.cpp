@@ -12,12 +12,16 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/IRGen.h"
+#include "ir/IRBuilder.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "support/StringUtils.h"
 #include "transform/Pass.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace khaos;
 
@@ -172,6 +176,126 @@ TEST(TransformPasses, ConstantFoldFoldsArithmetic) {
   EXPECT_LT(After, Before);
   ExecResult R = runModule(*M);
   EXPECT_EQ(R.ExitValue, 21);
+}
+
+/// A module whose main prints ("%ld\n") one value per print() call, each
+/// the result of one instruction over constant operands.
+struct FoldProbe {
+  Module M;
+  IRBuilder B{M};
+  Function *Printf = nullptr;
+  Value *Fmt = nullptr;
+  std::vector<CallInst *> Prints;
+
+  explicit FoldProbe(Context &Ctx) : M(Ctx, "fold") {
+    Type *I8 = Ctx.getInt8Type();
+    Printf = M.createFunction(
+        "printf", Ctx.getFunctionType(Ctx.getInt32Type(),
+                                      {Ctx.getPointerType(I8)}, true));
+    Printf->setIntrinsic(true);
+    GlobalVariable *G = M.createGlobal("fmt", Ctx.getArrayType(I8, 5));
+    G->setInitializer({M.getInt8('%'), M.getInt8('l'), M.getInt8('d'),
+                       M.getInt8('\n'), M.getInt8(0)});
+    Function *Main =
+        M.createFunction("main", Ctx.getFunctionType(Ctx.getInt32Type(), {}));
+    B.setInsertPoint(Main->addBlock("entry"));
+    Fmt = B.createGEP(G, M.getInt64(0));
+  }
+
+  /// The distinct boundary constants of integer type \p Ty.
+  std::vector<ConstantInt *> boundaries(Type *Ty) {
+    std::vector<ConstantInt *> Out;
+    for (int64_t V : {int64_t(0), int64_t(1), int64_t(-1), int64_t(INT8_MIN),
+                      int64_t(INT8_MAX), int64_t(INT32_MIN),
+                      int64_t(INT32_MAX), INT64_MIN, INT64_MAX}) {
+      ConstantInt *C = M.getConstantInt(Ty, V);
+      if (std::find(Out.begin(), Out.end(), C) == Out.end())
+        Out.push_back(C);
+    }
+    return Out;
+  }
+
+  void print(Value *V) { Prints.push_back(B.createCall(Printf, {Fmt, V})); }
+};
+
+/// Runs \p P on both engines, then constant-folds it. Each printed value
+/// must fold to the constant both engines print; a probe whose run traps
+/// must trap alike on both and keep its instruction unfolded.
+void expectFoldMatchesRun(FoldProbe &P) {
+  P.B.createRet(P.M.getInt32(0));
+  ASSERT_TRUE(verifyModule(P.M).empty());
+  ExecOptions Opts;
+  Opts.Engine = VMEngine::Reference;
+  const ExecResult Ref = runModule(P.M, Opts);
+  Opts.Engine = VMEngine::Precompiled;
+  EXPECT_TRUE(runModule(P.M, Opts) == Ref) << "engines disagree";
+
+  PassManager PM;
+  PM.add(createConstantFoldPass());
+  PM.run(P.M);
+  std::string Folded;
+  for (CallInst *C : P.Prints)
+    if (auto *K = dyn_cast<ConstantInt>(C->getArg(1)))
+      Folded += std::to_string(K->getValue()) + "\n";
+  if (Ref.Ok) {
+    EXPECT_EQ(Folded, Ref.Stdout);
+  } else {
+    EXPECT_NE(Ref.Error.find("integer division"), std::string::npos)
+        << Ref.Error;
+    EXPECT_EQ(Folded, "") << "folding erased a trap";
+  }
+}
+
+TEST(TransformPasses, ConstantFoldAgreesWithBothEngines) {
+  Context Ctx;
+  Type *const Widths[] = {Ctx.getInt1Type(), Ctx.getInt8Type(),
+                          Ctx.getInt32Type(), Ctx.getInt64Type()};
+  for (Type *Ty : Widths) {
+    for (unsigned Op = 0; Op <= static_cast<unsigned>(BinOp::LShr); ++Op) {
+      const BinOp K = static_cast<BinOp>(Op);
+      SCOPED_TRACE(formatStr("i%u %s", Ty->getIntegerBitWidth(),
+                             BinaryInst::getOpName(K)));
+      FoldProbe All(Ctx);
+      for (ConstantInt *L : All.boundaries(Ty))
+        for (ConstantInt *R : All.boundaries(Ty)) {
+          const bool Traps =
+              (K == BinOp::SDiv || K == BinOp::SRem) &&
+              (R->isZero() ||
+               (L->getValue() == INT64_MIN && R->getValue() == -1));
+          if (!Traps) {
+            All.print(All.B.createBinOp(K, L, R));
+            continue;
+          }
+          // A trapping case runs alone, so it stops only its own module.
+          FoldProbe One(Ctx);
+          One.print(One.B.createBinOp(
+              K, One.M.getConstantInt(Ty, L->getValue()),
+              One.M.getConstantInt(Ty, R->getValue())));
+          expectFoldMatchesRun(One);
+        }
+      expectFoldMatchesRun(All);
+    }
+    SCOPED_TRACE(formatStr("i%u cmp", Ty->getIntegerBitWidth()));
+    FoldProbe Cmps(Ctx);
+    for (unsigned P = 0; P <= static_cast<unsigned>(CmpPred::SGE); ++P)
+      for (ConstantInt *L : Cmps.boundaries(Ty))
+        for (ConstantInt *R : Cmps.boundaries(Ty))
+          Cmps.print(Cmps.B.createCmp(static_cast<CmpPred>(P), L, R));
+    expectFoldMatchesRun(Cmps);
+  }
+  // Trunc to every narrower width; SExt and ZExt to every wider one.
+  FoldProbe Casts(Ctx);
+  for (Type *Src : Widths)
+    for (Type *Dst : Widths)
+      for (ConstantInt *C : Casts.boundaries(Src)) {
+        if (Src->getIntegerBitWidth() > Dst->getIntegerBitWidth()) {
+          Casts.print(Casts.B.createCast(CastKind::Trunc, C, Dst));
+        } else if (Src->getIntegerBitWidth() < Dst->getIntegerBitWidth()) {
+          Casts.print(Casts.B.createCast(CastKind::SExt, C, Dst));
+          Casts.print(Casts.B.createCast(CastKind::ZExt, C, Dst));
+        }
+      }
+  expectFoldMatchesRun(Casts);
 }
 
 TEST(TransformPasses, DCERemovesDeadCode) {
