@@ -6,13 +6,15 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks for the compiler substrate: frontend
-/// throughput, the O2 pipeline, the Khaos primitives and binary lowering.
+/// throughput, the O2 pipeline, the Khaos primitives, module cloning and
+/// teardown, and binary lowering.
 /// Not a paper figure — kept for performance regression tracking.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/IRGen.h"
 #include "harness/Evaluator.h"
+#include "transform/Cloning.h"
 #include "workloads/SyntheticProgram.h"
 
 #include <benchmark/benchmark.h>
@@ -82,6 +84,46 @@ void BM_Fusion(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_Fusion);
+
+/// An O2 module of benchSource(), the shape of the fission-stage module
+/// every FuFi cell clones; built once and shared by every thread.
+const Module &sharedO2Module() {
+  static Context Ctx;
+  static const std::unique_ptr<Module> M = [] {
+    std::string Err;
+    auto M = compileMiniC(benchSource(), Ctx, "bench", Err);
+    optimizeModule(*M, OptLevel::O2);
+    return M;
+  }();
+  return *M;
+}
+
+/// Clones one shared module; the clones' teardown is not timed. With
+/// Threads(4), four threads clone the same module at once, with no lock.
+void BM_CloneModule(benchmark::State &State) {
+  const Module &Src = sharedO2Module();
+  for (auto _ : State) {
+    std::unique_ptr<Module> Clone = cloneModule(Src);
+    benchmark::DoNotOptimize(Clone.get());
+    State.PauseTiming();
+    Clone.reset();
+    State.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CloneModule);
+BENCHMARK(BM_CloneModule)->Name("BM_CloneModuleShared")->Threads(4);
+
+void BM_DestroyModule(benchmark::State &State) {
+  Context Ctx;
+  for (auto _ : State) {
+    State.PauseTiming();
+    std::string Err;
+    auto M = compileMiniC(benchSource(), Ctx, "bench", Err);
+    State.ResumeTiming();
+    M.reset();
+  }
+}
+BENCHMARK(BM_DestroyModule);
 
 void BM_LowerToBinary(benchmark::State &State) {
   Context Ctx;

@@ -285,12 +285,9 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
       Out.Error = FA->Error;
       return Out;
     }
-    {
-      // cloneModule transiently registers the copy's instructions in the
-      // artifact's use lists; serialize clones of the shared module.
-      std::lock_guard<std::mutex> CloneLock(FA->CloneMutex);
-      Out.M = cloneModule(*FA->M);
-    }
+    // cloneModule only reads the shared module, so the cells of one
+    // workload clone it concurrently.
+    Out.M = cloneModule(*FA->M);
     R = finishFissionMode(*Out.M, Mode, Opts, FA->Phase);
   } else {
     Out.Ctx = std::make_shared<Context>();

@@ -44,7 +44,6 @@
 #include "workloads/Suites.h"
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 namespace khaos {
@@ -174,16 +173,14 @@ public:
   /// Stage FissionStage: compile + fission prefix, shared by the Fission
   /// and FuFi.{sep,ori,all} modes (fission takes no seed, so the stage is
   /// keyed on the workload and the fission options alone). Consumers clone
-  /// the module — never mutate it.
+  /// the module — never mutate it. cloneModule only reads M, so any
+  /// number of cells clone it at once, without a lock.
   struct FissionArtifact {
     bool Ok = false;          ///< false = frontend failure (see Error).
     std::string Error;
     std::shared_ptr<Context> Ctx;
     std::unique_ptr<Module> M;
     FissionPhase Phase;
-    /// cloneModule transiently touches M's use lists; concurrent consumers
-    /// (one per FuFi cell) must hold this while cloning.
-    mutable std::mutex CloneMutex;
   };
   std::shared_ptr<const FissionArtifact>
   fissionStage(const Workload &W, const FissionOptions &Opts = {});

@@ -28,6 +28,13 @@ void Instruction::setOperand(unsigned I, Value *V) {
   V->addUser(this);
 }
 
+void Instruction::registerOperand(unsigned I, Value *V) {
+  assert(I < Operands.size() && "operand index out of range");
+  assert(V && "operand must be non-null");
+  Operands[I] = V;
+  V->addUser(this);
+}
+
 void Instruction::addOperand(Value *V) {
   assert(V && "operand must be non-null");
   Operands.push_back(V);
@@ -68,72 +75,46 @@ void Instruction::eraseFromParent() {
   Parent->erase(this);
 }
 
-static std::vector<Value *> cloneArgs(const Instruction *I, unsigned Skip) {
-  std::vector<Value *> Args;
-  for (unsigned Idx = Skip, E = I->getNumOperands(); Idx != E; ++Idx)
-    Args.push_back(I->getOperand(Idx));
-  return Args;
+/// Copies \p I through its subclass's implicit copy constructor, whose
+/// Instruction part copies the operand slots without registering them.
+template <typename InstT> static Instruction *copyOf(const Instruction *I) {
+  return new InstT(*static_cast<const InstT *>(I));
 }
 
 Instruction *Instruction::clone() const {
   switch (Op) {
   case Opcode::Alloca:
-    return new AllocaInst(
-        static_cast<const AllocaInst *>(this)->getAllocatedType(),
-        getName());
+    return copyOf<AllocaInst>(this);
   case Opcode::Load:
-    return new LoadInst(getOperand(0), getName());
+    return copyOf<LoadInst>(this);
   case Opcode::Store:
-    return new StoreInst(getOperand(0), getOperand(1));
+    return copyOf<StoreInst>(this);
   case Opcode::BinOp:
-    return new BinaryInst(static_cast<const BinaryInst *>(this)->getBinOp(),
-                          getOperand(0), getOperand(1), getName());
+    return copyOf<BinaryInst>(this);
   case Opcode::Cmp:
-    return new CmpInst(static_cast<const CmpInst *>(this)->getPredicate(),
-                       getOperand(0), getOperand(1), getName());
+    return copyOf<CmpInst>(this);
   case Opcode::Cast:
-    return new CastInst(static_cast<const CastInst *>(this)->getCastKind(),
-                        getOperand(0), getType(), getName());
+    return copyOf<CastInst>(this);
   case Opcode::GEP:
-    return new GEPInst(getOperand(0), getOperand(1), getName());
+    return copyOf<GEPInst>(this);
   case Opcode::Select:
-    return new SelectInst(getOperand(0), getOperand(1), getOperand(2),
-                          getName());
+    return copyOf<SelectInst>(this);
   case Opcode::Call:
-    return new CallInst(getOperand(0), cloneArgs(this, 1), getName());
-  case Opcode::Invoke: {
-    const auto *IV = static_cast<const InvokeInst *>(this);
-    return new InvokeInst(getOperand(0), cloneArgs(this, 1),
-                          IV->getNormalDest(), IV->getUnwindDest(),
-                          getName());
-  }
+    return copyOf<CallInst>(this);
+  case Opcode::Invoke:
+    return copyOf<InvokeInst>(this);
   case Opcode::LandingPad:
-    return new LandingPadInst(getType(), getName());
+    return copyOf<LandingPadInst>(this);
   case Opcode::Throw:
-    return new ThrowInst(getOperand(0));
-  case Opcode::Br: {
-    const auto *BR = static_cast<const BranchInst *>(this);
-    if (BR->isConditional())
-      return new BranchInst(BR->getCondition(), BR->getTrueDest(),
-                            BR->getFalseDest());
-    return new BranchInst(BR->getSuccessor(0));
-  }
-  case Opcode::Switch: {
-    const auto *SW = static_cast<const SwitchInst *>(this);
-    auto *NewSW = new SwitchInst(SW->getCondition(), SW->getDefaultDest());
-    for (unsigned I = 0, E = SW->getNumCases(); I != E; ++I)
-      NewSW->addCase(SW->getCaseValue(I), SW->getCaseDest(I));
-    return NewSW;
-  }
-  case Opcode::Ret: {
-    // A ReturnInst's own type is the void type, so reuse it.
-    const auto *RI = static_cast<const ReturnInst *>(this);
-    return new ReturnInst(RI->hasReturnValue() ? RI->getReturnValue()
-                                               : nullptr,
-                          getType());
-  }
+    return copyOf<ThrowInst>(this);
+  case Opcode::Br:
+    return copyOf<BranchInst>(this);
+  case Opcode::Switch:
+    return copyOf<SwitchInst>(this);
+  case Opcode::Ret:
+    return copyOf<ReturnInst>(this);
   case Opcode::Unreachable:
-    return new UnreachableInst(getType());
+    return copyOf<UnreachableInst>(this);
   }
   assert(false && "unknown opcode in clone()");
   return nullptr;

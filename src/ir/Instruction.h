@@ -136,8 +136,16 @@ public:
   void eraseFromParent();
 
   /// Structural deep copy. Operands and successors still point at the
-  /// original values/blocks; callers remap as needed.
+  /// original values/blocks, but the copy is in no use list: cloning only
+  /// reads the original, so threads may clone one module concurrently.
+  /// The caller must give every operand slot its final value with
+  /// registerOperand() before the copy is used or destroyed.
   Instruction *clone() const;
+
+  /// Sets slot \p I of a clone() copy to \p V and adds this to \p V's
+  /// users. Unlike setOperand it removes no user from the slot's old
+  /// value, which clone() never registered.
+  void registerOperand(unsigned I, Value *V);
 
   static bool classof(const Value *V) {
     return V->getValueKind() == ValueKind::Instruction;
@@ -146,11 +154,22 @@ public:
 protected:
   Instruction(Opcode Op, Type *Ty, std::string Name = "")
       : Value(ValueKind::Instruction, Ty, std::move(Name)), Op(Op) {}
+  /// clone()'s copy: same opcode, type, name, operand and successor slots;
+  /// no parent, no users, and in no operand's use list. The subclasses'
+  /// implicit copy constructors exist for clone(); call clone() instead.
+  Instruction(const Instruction &I)
+      : Value(ValueKind::Instruction, I.getType(), I.getName()), Op(I.Op),
+        Operands(I.Operands), Successors(I.Successors) {}
 
   void addOperand(Value *V);
   void addSuccessor(BasicBlock *BB) { Successors.push_back(BB); }
 
 private:
+  friend class Module;
+  /// Forgets every operand without editing use lists. Only ~Module may do
+  /// this, because every value an operand can name dies with the module.
+  void forgetOperands() { Operands.clear(); }
+
   Opcode Op;
   BasicBlock *Parent = nullptr;
   std::vector<Value *> Operands;

@@ -12,13 +12,15 @@
 using namespace khaos;
 
 Module::~Module() {
-  // Sever every operand reference while all values (including interned
-  // constants, which are declared after Functions and therefore destroyed
-  // first) are still alive; afterwards destruction order is irrelevant.
+  // Every value an operand can name dies here too: the functions, their
+  // arguments and instructions, the globals and the interned constants
+  // (verifyModule rejects operands naming another module's values). So no
+  // use list needs editing: forget the operands, and the Function and
+  // BasicBlock destructors find nothing left to drop.
   for (auto &F : Functions)
     for (auto &BB : F->blocks())
       for (auto &I : BB->insts())
-        I->dropAllReferences();
+        I->forgetOperands();
 }
 
 Function *Module::createFunction(const std::string &Name, FunctionType *FTy) {

@@ -17,11 +17,21 @@ using namespace khaos;
 
 namespace {
 
+using GlobalSet = std::unordered_set<const GlobalVariable *>;
+
+GlobalSet globalsOf(const Module &M) {
+  GlobalSet Globals;
+  for (const auto &G : M.globals())
+    Globals.insert(G.get());
+  return Globals;
+}
+
 /// Per-function verification state.
 class FunctionVerifier {
 public:
-  FunctionVerifier(const Function &F, std::vector<std::string> &Errors)
-      : F(F), Errors(Errors) {}
+  FunctionVerifier(const Function &F, const GlobalSet &Globals,
+                   std::vector<std::string> &Errors)
+      : F(F), Globals(Globals), Errors(Errors) {}
 
   bool run();
 
@@ -35,6 +45,7 @@ private:
   void checkDominance();
 
   const Function &F;
+  const GlobalSet &Globals; ///< The globals of F's module.
   std::vector<std::string> &Errors;
   std::unordered_set<const BasicBlock *> BlockSet;
 };
@@ -76,7 +87,11 @@ void FunctionVerifier::checkInstruction(const BasicBlock *BB,
       error(formatStr("successor of a terminator in '%s' is foreign",
                       BB->getName().c_str()));
 
-  // Operands must be constants, globals, functions, or locals of F.
+  // Operands must be constants, globals, functions, or locals of F, all of
+  // F's module: ~Module forgets operands without editing use lists, so an
+  // operand naming another module's value would leave a dangling user in
+  // that value's use list. Interned constants carry no owner to check;
+  // only Module::get* creates them, each in the module it is called on.
   for (const Value *Op : I->operands()) {
     if (const auto *Arg = dyn_cast<Argument>(Op)) {
       if (Arg->getParent() != &F)
@@ -86,6 +101,18 @@ void FunctionVerifier::checkInstruction(const BasicBlock *BB,
         error("operand instruction belongs to another function");
       if (OI->getType() && OI->getType()->isVoid())
         error("use of a void-typed instruction result");
+    } else if (const auto *Fn = dyn_cast<Function>(Op)) {
+      if (Fn->getParent() != F.getParent())
+        error("operand function @" + Fn->getName() +
+              " belongs to another module");
+    } else if (const auto *TF = dyn_cast<ConstantTaggedFunc>(Op)) {
+      if (TF->getFunction()->getParent() != F.getParent())
+        error("tagged-function constant names @" +
+              TF->getFunction()->getName() + " of another module");
+    } else if (const auto *GV = dyn_cast<GlobalVariable>(Op)) {
+      if (!Globals.count(GV))
+        error("operand global @" + GV->getName() +
+              " belongs to another module");
     }
   }
 
@@ -185,17 +212,23 @@ bool FunctionVerifier::run() {
   return Errors.size() == Before;
 }
 
-bool khaos::verifyFunction(const Function &F,
-                           std::vector<std::string> &Errors) {
+static bool verifyFunctionIn(const Function &F, const GlobalSet &Globals,
+                             std::vector<std::string> &Errors) {
   if (F.isDeclaration())
     return true;
-  return FunctionVerifier(F, Errors).run();
+  return FunctionVerifier(F, Globals, Errors).run();
+}
+
+bool khaos::verifyFunction(const Function &F,
+                           std::vector<std::string> &Errors) {
+  return verifyFunctionIn(F, globalsOf(*F.getParent()), Errors);
 }
 
 bool khaos::verifyModule(const Module &M, std::vector<std::string> &Errors) {
   size_t Before = Errors.size();
+  const GlobalSet Globals = globalsOf(M);
   for (const auto &F : M.functions())
-    verifyFunction(*F, Errors);
+    verifyFunctionIn(*F, Globals, Errors);
   return Errors.size() == Before;
 }
 

@@ -17,6 +17,10 @@
 /// block is judged by its reachable predecessors alone, so dead blocks
 /// branching into live code are not errors.
 ///
+/// Every operand must belong to the function's own module (arguments and
+/// instructions to the function itself), because module teardown drops
+/// the operands without editing use lists.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_IR_VERIFIER_H

@@ -46,12 +46,15 @@ cloneFunctionBlocks(const Function &Src, Function &Dst,
 /// This is what lets the evaluation pipeline cache the fission-stage module
 /// once per workload and hand each FuFi mode its own mutable copy.
 ///
-/// Concurrency: cloning temporarily registers the copy's instructions in
-/// \p Src's use lists (instruction constructors track users) and unlinks
-/// them again while remapping, so \p Src is bit-identical afterwards but
-/// NOT safe to clone or read-with-uses from two threads at once — callers
-/// sharing a module across threads must serialize clones (EvalPipeline
-/// locks its FissionArtifact::CloneMutex).
+/// Concurrency: the clone only reads \p Src (Instruction::clone() registers
+/// no uses, so not even Src's use lists are written), and any number of
+/// threads may clone one module at once while nobody mutates it.
+/// EvalPipeline's fission-mode cells clone their shared fission-stage
+/// module this way, without a lock.
+///
+/// Each clone value lists its users in (function, block, instruction,
+/// operand slot) order, and constants are interned in the clone in the
+/// order that walk first meets them.
 std::unique_ptr<Module> cloneModule(const Module &Src);
 
 } // namespace khaos

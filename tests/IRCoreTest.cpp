@@ -18,6 +18,7 @@
 #include "ir/Verifier.h"
 #include "support/StringUtils.h"
 #include "transform/Cloning.h"
+#include "transform/Pass.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -187,9 +188,73 @@ TEST(IRBlocks, CloneFunctionBlocksRemaps) {
   EXPECT_TRUE(verifyModule(X.M).empty());
 }
 
+TEST(IRBlocks, InlinedCallSiteConstantKeepsUseOrder) {
+  // g(a) = (a + 7) * 7, called as g(7): the inlined copy names 7 both
+  // literally and through the remapped formal.
+  IRFixture X;
+  ConstantInt *Seven = X.M.getInt32(7);
+  Function *G = X.M.createFunction("g", X.F->getFunctionType());
+  IRBuilder GB(X.M);
+  GB.setInsertPoint(G->addBlock("entry"));
+  GB.createRet(GB.createMul(GB.createAdd(G->getArg(0), Seven), Seven));
+  X.B.createRet(X.B.createCall(G, {Seven}));
+
+  ASSERT_TRUE(createInlinerPass(100)->run(X.M));
+  ASSERT_TRUE(verifyModule(X.M).empty());
+  const Instruction *Add = nullptr, *Mul = nullptr;
+  for (const auto &BB : X.F->blocks())
+    for (const auto &I : BB->insts())
+      if (const auto *B = dyn_cast<BinaryInst>(I.get()))
+        (B->getBinOp() == BinOp::Add ? Add : Mul) = B;
+  ASSERT_TRUE(Add && Mul);
+  // The literal slots come first, in block order, then the remapped
+  // formal's: the order the inliner has always left behind.
+  std::vector<const Instruction *> InF;
+  for (const Instruction *U : Seven->users())
+    if (U->getFunction() == X.F)
+      InF.push_back(U);
+  EXPECT_EQ(InF, (std::vector<const Instruction *>{Add, Mul, Add}));
+}
+
 //===----------------------------------------------------------------------===//
 // Verifier negative cases
 //===----------------------------------------------------------------------===//
+
+/// Two modules in one Context, as a clone shares its source's. ~Module
+/// frees operands without editing use lists, so an operand naming the
+/// other module's value must fail verification.
+struct TwoModuleFixture : IRFixture {
+  Module Other{Ctx, "other"};
+
+  bool rejects(const std::string &Problem) {
+    for (const std::string &E : verifyModule(M))
+      if (E.find(Problem) != std::string::npos)
+        return true;
+    return false;
+  }
+};
+
+TEST(Verifier, RejectsOtherModulesFunction) {
+  TwoModuleFixture X;
+  Function *H = X.Other.createFunction("h", X.F->getFunctionType());
+  X.B.createRet(X.B.createCall(H, {X.F->getArg(0)}));
+  EXPECT_TRUE(X.rejects("operand function @h belongs to another module"));
+}
+
+TEST(Verifier, RejectsTaggedFunctionOfOtherModule) {
+  TwoModuleFixture X;
+  Function *H = X.Other.createFunction("h", X.F->getFunctionType());
+  ConstantTaggedFunc *Tagged = X.M.getTaggedFunc(H->getType(), H, 1);
+  X.B.createRet(X.B.createCall(Tagged, {X.F->getArg(0)}));
+  EXPECT_TRUE(X.rejects("tagged-function constant names @h of another"));
+}
+
+TEST(Verifier, RejectsOtherModulesGlobal) {
+  TwoModuleFixture X;
+  GlobalVariable *GV = X.Other.createGlobal("gv", X.Ctx.getInt32Type());
+  X.B.createRet(X.B.createLoad(GV));
+  EXPECT_TRUE(X.rejects("operand global @gv belongs to another module"));
+}
 
 TEST(Verifier, CatchesMissingTerminator) {
   IRFixture X;

@@ -26,8 +26,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <climits>
+#include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -106,6 +110,102 @@ TEST(PipelineCache, CloneModulePrintsIdentically) {
   ASSERT_TRUE(FA->Ok);
   std::unique_ptr<Module> Clone = cloneModule(*FA->M);
   EXPECT_EQ(printModule(*FA->M), printModule(*Clone));
+}
+
+using UseLists =
+    std::vector<std::pair<const Value *, std::vector<Instruction *>>>;
+
+/// A copy of the use list of every value of \p M that can have users:
+/// functions, arguments, globals, instructions and the constants the
+/// bodies name, in that walk order.
+UseLists useLists(const Module &M) {
+  UseLists Out;
+  std::set<const Value *> Seen;
+  auto Add = [&](const Value *V) {
+    if (Seen.insert(V).second)
+      Out.emplace_back(V, V->users());
+  };
+  for (const auto &F : M.functions()) {
+    Add(F.get());
+    for (const auto &A : F->args())
+      Add(A.get());
+  }
+  for (const auto &G : M.globals())
+    Add(G.get());
+  for (const auto &F : M.functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->insts()) {
+        Add(I.get());
+        for (const Value *Op : I->operands())
+          Add(Op);
+      }
+  return Out;
+}
+
+/// The use lists of a module whose every operand slot was registered in
+/// (function, block, instruction, slot) order.
+std::map<const Value *, std::vector<Instruction *>>
+walkOrderUsers(const Module &M) {
+  std::map<const Value *, std::vector<Instruction *>> Users;
+  for (const auto &F : M.functions())
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->insts())
+        for (const Value *Op : I->operands())
+          Users[Op].push_back(I.get());
+  return Users;
+}
+
+/// The clone contract below the printed IR, which shows no use lists:
+/// cloning leaves every source use list pointer-identical, and the clone's
+/// use lists come out in walk order (Fusion's call-site rewrite, Fission's
+/// input rewiring and DemoteValues iterate users(), so the order is part
+/// of what a pass run on the clone sees).
+TEST(PipelineCache, CloneModuleKeepsUseListOrder) {
+  Workload W = smallSuite(1).front();
+  EvalPipeline Pipe;
+  std::shared_ptr<const EvalPipeline::FissionArtifact> FA =
+      Pipe.fissionStage(W);
+  ASSERT_TRUE(FA->Ok);
+  const UseLists Before = useLists(*FA->M);
+
+  std::unique_ptr<Module> Clone = cloneModule(*FA->M);
+  EXPECT_TRUE(useLists(*FA->M) == Before)
+      << "cloning edited a source use list";
+
+  std::map<const Value *, std::vector<Instruction *>> Expected =
+      walkOrderUsers(*Clone);
+  const UseLists Got = useLists(*Clone);
+  ASSERT_EQ(Got.size(), Before.size());
+  for (const auto &[V, Users] : Got)
+    EXPECT_TRUE(Users == Expected[V])
+        << "use list of '" << V->getName() << "' is out of walk order";
+}
+
+/// Four threads clone one shared fission-stage module with no lock. Under
+/// ThreadSanitizer this is the guard against a clone that writes its
+/// source.
+TEST(PipelineCache, ConcurrentClonesNeedNoLock) {
+  Workload W = smallSuite(1).front();
+  EvalPipeline Pipe;
+  std::shared_ptr<const EvalPipeline::FissionArtifact> FA =
+      Pipe.fissionStage(W);
+  ASSERT_TRUE(FA->Ok);
+  const std::string Source = printModule(*FA->M);
+  const UseLists Before = useLists(*FA->M);
+
+  std::atomic<unsigned> Mismatches{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != 4; ++T)
+    Threads.emplace_back([&] {
+      for (unsigned I = 0; I != 8; ++I)
+        if (printModule(*cloneModule(*FA->M)) != Source)
+          ++Mismatches;
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Mismatches.load(), 0u);
+  EXPECT_TRUE(useLists(*FA->M) == Before)
+      << "a concurrent clone edited a source use list";
 }
 
 TEST(PipelineCache, FissionStageSharedAcrossFissionModes) {

@@ -222,8 +222,10 @@ TEST(GeneratedProgramProperties, ProvenanceRefersToOriginalFunctions) {
 /// randomized regression net: over ~100 generated program shapes, the
 /// clone prints byte-identical IR to the source, cloning leaves the
 /// source bit-identical, and obfuscating the clone never perturbs the
-/// source. The PR-2 use-list/CloneMutex segfault only reproduced on
-/// specific shapes — a seed sweep is the durable way to keep it dead.
+/// source. An early clone that wrote the source's use lists crashed only
+/// on specific shapes — a seed sweep is the durable way to keep such bugs
+/// dead. (PipelineCache.ConcurrentClonesNeedNoLock checks, under TSan,
+/// that a clone only reads its source.)
 /// Labeled slow (SlowStress) so the default ctest wall-clock stays lean.
 TEST(GeneratedProgramProperties, CloneModuleRoundTripSweepSlowStress) {
   const ObfuscationMode MutateModes[] = {
