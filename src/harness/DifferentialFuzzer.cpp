@@ -6,20 +6,17 @@
 
 #include "harness/DifferentialFuzzer.h"
 
-#include "frontend/IRGen.h"
 #include "harness/EvalScheduler.h"
 #include "ir/Module.h"
-#include "ir/Verifier.h"
 #include "support/RNG.h"
 #include "support/StringUtils.h"
 #include "vm/Interpreter.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 
 using namespace khaos;
 
@@ -77,7 +74,7 @@ ProgramSpec DifferentialFuzzer::sampleSpec(uint64_t BaseSeed,
 }
 
 //===----------------------------------------------------------------------===//
-// Probing
+// Verdicts
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -192,64 +189,85 @@ DivergenceKind classifyRuns(const ExecResult &Ref, const ExecResult &Got,
 
 } // namespace
 
-bool DifferentialFuzzer::probeSource(const std::string &Source,
-                                     const std::string &Name,
-                                     ObfuscationMode Mode, uint64_t ObfSeed,
-                                     size_t PrefixSteps,
-                                     DivergenceKind &KindOut,
-                                     std::string *DetailOut, VMEngine Engine,
-                                     bool CrossVM) {
-  KindOut = DivergenceKind::None;
-
-  Context RefCtx;
+/// A program's baseline under the fuzzer's termination policy.
+struct DifferentialFuzzer::BaselineVerdict {
+  bool Ok = false;
   std::string Error;
-  std::unique_ptr<Module> Ref = compileMiniC(Source, RefCtx, Name, Error);
-  if (!Ref)
-    return false;
-  optimizeModule(*Ref, OptLevel::O2);
+  std::string EngineMismatch; ///< Non-empty = engines disagreed.
+  ExecResult Run;
+};
+
+/// One (program, mode, seed, step prefix) cell against its baseline.
+struct DifferentialFuzzer::CellVerdict {
+  uint64_t ObfSeed = 0;
+  bool BaselineOk = true;
+  DivergenceKind Kind = DivergenceKind::None;
+  std::string Detail;
+};
+
+DifferentialFuzzer::BaselineVerdict
+DifferentialFuzzer::baselineVerdict(EvalPipeline &Pipe,
+                                    const Workload &W) const {
+  BaselineVerdict B;
+  auto Base = Pipe.baseline(W);
+  if (!*Base) {
+    B.Error = "baseline compile failed: " + Base->Error;
+    return B;
+  }
   ExecOptions RefOpts;
   RefOpts.MaxSteps = BaselineMaxSteps;
-  RefOpts.Engine = Engine;
-  std::string Mismatch;
-  ExecResult RefRun = runChecked(*Ref, RefOpts, CrossVM, &Mismatch);
-  if (!Mismatch.empty()) {
-    // An engine disagreement on the baseline is the strongest possible
-    // finding for the A/B oracle — report it even though the probe never
-    // reaches the obfuscated twin.
-    KindOut = DivergenceKind::EngineMismatch;
-    if (DetailOut)
-      *DetailOut = "baseline: " + Mismatch;
-    return true;
+  RefOpts.Engine = Cfg.Engine;
+  B.Run = runChecked(*Base->M, RefOpts, Cfg.CrossVM, &B.EngineMismatch);
+  if (!B.EngineMismatch.empty())
+    return B; // Every cell reports it as an engine-mismatch divergence.
+  if (!B.Run.Ok) {
+    B.Error = "baseline failed: " + B.Run.Error;
+    return B;
   }
-  if (!RefRun.Ok)
-    return false;
+  B.Ok = true;
+  return B;
+}
 
-  Context ObfCtx;
-  std::unique_ptr<Module> Obf = compileMiniC(Source, ObfCtx, Name, Error);
-  if (!Obf)
-    return false;
+DifferentialFuzzer::CellVerdict DifferentialFuzzer::cellVerdict(
+    EvalPipeline &Pipe, const Workload &W, const BaselineVerdict &Base,
+    ObfuscationMode Mode, uint64_t Seed, size_t Steps) const {
+  CellVerdict Out;
+  Out.ObfSeed = Seed;
+  if (!Base.EngineMismatch.empty()) {
+    // An engine disagreement on the baseline is the strongest possible
+    // finding for the A/B oracle — report it even though the cell never
+    // reaches the obfuscated twin.
+    Out.Kind = DivergenceKind::EngineMismatch;
+    Out.Detail = "baseline: " + Base.EngineMismatch;
+    return Out;
+  }
+  if (!Base.Ok) {
+    Out.BaselineOk = false;
+    Out.Detail = Base.Error;
+    return Out;
+  }
   KhaosOptions Opts;
-  Opts.Seed = ObfSeed;
-  obfuscateModulePrefix(*Obf, Mode, Opts, PrefixSteps);
-  std::vector<std::string> Problems = verifyModule(*Obf);
-  if (!Problems.empty()) {
-    KindOut = DivergenceKind::CompileError;
-    if (DetailOut)
-      *DetailOut = "verifier: " + Problems.front();
-    return true;
+  Opts.Seed = Seed;
+  Opts.Steps = Steps;
+  Opts.ExtraPass = Cfg.ExtraPass;
+  CompiledWorkload Obf = Pipe.obfuscate(W, Mode, Opts);
+  if (!Obf) {
+    Out.Kind = DivergenceKind::CompileError;
+    Out.Detail = Obf.Error;
+    return Out;
   }
   ExecOptions ObfOpts;
-  ObfOpts.MaxSteps = obfStepBudget(RefRun);
-  ObfOpts.Engine = Engine;
-  ExecResult Got = runChecked(*Obf, ObfOpts, CrossVM, &Mismatch);
+  ObfOpts.MaxSteps = obfStepBudget(Base.Run);
+  ObfOpts.Engine = Cfg.Engine;
+  std::string Mismatch;
+  ExecResult Got = runChecked(*Obf.M, ObfOpts, Cfg.CrossVM, &Mismatch);
   if (!Mismatch.empty()) {
-    KindOut = DivergenceKind::EngineMismatch;
-    if (DetailOut)
-      *DetailOut = "obfuscated: " + Mismatch;
-    return true;
+    Out.Kind = DivergenceKind::EngineMismatch;
+    Out.Detail = "obfuscated: " + Mismatch;
+    return Out;
   }
-  KindOut = classifyRuns(RefRun, Got, ObfOpts.MaxSteps, DetailOut);
-  return true;
+  Out.Kind = classifyRuns(Base.Run, Got, ObfOpts.MaxSteps, &Out.Detail);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,49 +339,57 @@ std::string joinChunks(const std::vector<SourceChunk> &Chunks,
 /// Cap on divergence probes (compile+run pairs) spent per shrink.
 constexpr unsigned MaxShrinkProbes = 400;
 
-/// A probe wrapper that both enforces the budget and requires the
-/// baseline to stay healthy: a shrink candidate that breaks the baseline
-/// is rejected outright.
-bool divergesWithin(const std::string &Source, const std::string &Name,
-                    ObfuscationMode Mode, uint64_t ObfSeed,
-                    size_t PrefixSteps, unsigned &Probes,
-                    DivergenceKind &KindOut, std::string *DetailOut,
-                    VMEngine Engine, bool CrossVM) {
-  if (Probes >= MaxShrinkProbes)
-    return false;
-  ++Probes;
-  DivergenceKind K = DivergenceKind::None;
-  if (!DifferentialFuzzer::probeSource(Source, Name, Mode, ObfSeed,
-                                       PrefixSteps, K, DetailOut, Engine,
-                                       CrossVM))
-    return false;
-  if (K == DivergenceKind::None)
-    return false;
-  KindOut = K;
-  return true;
+/// A fuzz program built from \p Source under \p Name.
+Workload makeWorkload(const std::string &Name, std::string Source) {
+  Workload W;
+  W.Name = Name;
+  W.Source = std::move(Source);
+  return W;
+}
+
+/// Shrink and replay probe sources that are new to every probe, so their
+/// pipeline retains no stage.
+EvalPipeline::Config uncachedPipeline() {
+  EvalPipeline::Config C;
+  C.CacheEnabled = false;
+  return C;
 }
 
 } // namespace
 
 ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
                                         ObfuscationMode Mode,
-                                        uint64_t ObfSeed, VMEngine Engine,
-                                        bool CrossVM) {
+                                        uint64_t ObfSeed) const {
   ShrinkResult Res;
   Res.Spec = Spec;
-  const size_t Full = std::numeric_limits<size_t>::max();
+  EvalPipeline Pipe(uncachedPipeline());
 
+  // One budgeted probe of the full pipeline. A candidate that breaks the
+  // baseline is rejected outright: the baseline must stay healthy.
+  auto Diverges = [&](std::string Source, DivergenceKind &K,
+                      std::string &Detail) {
+    if (Res.Probes >= MaxShrinkProbes)
+      return false;
+    ++Res.Probes;
+    const Workload W = makeWorkload(Spec.Name, std::move(Source));
+    CellVerdict V = cellVerdict(Pipe, W, baselineVerdict(Pipe, W), Mode,
+                                ObfSeed, SIZE_MAX);
+    if (!V.BaselineOk || V.Kind == DivergenceKind::None)
+      return false;
+    K = V.Kind;
+    Detail = std::move(V.Detail);
+    return true;
+  };
   auto SpecDiverges = [&](const ProgramSpec &S, DivergenceKind &K,
-                          std::string *Detail) {
-    return divergesWithin(generateMiniCProgram(S), S.Name, Mode, ObfSeed,
-                          Full, Res.Probes, K, Detail, Engine, CrossVM);
+                          std::string &Detail) {
+    return Diverges(generateMiniCProgram(S), K, Detail);
   };
 
   // Establish the starting state (and its kind/detail).
   {
     DivergenceKind K = DivergenceKind::None;
     std::string Detail;
-    if (!SpecDiverges(Res.Spec, K, &Detail)) {
+    if (!SpecDiverges(Res.Spec, K, Detail)) {
       // The divergence does not reproduce standalone — report as-is so
       // the caller still gets a repro of the original spec.
       Res.Source = generateMiniCProgram(Res.Spec);
@@ -382,7 +408,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
     auto Try = [&](ProgramSpec Candidate) {
       DivergenceKind K = DivergenceKind::None;
       std::string Detail;
-      if (!SpecDiverges(Candidate, K, &Detail))
+      if (!SpecDiverges(Candidate, K, Detail))
         return false;
       Res.Spec = std::move(Candidate);
       Res.Kind = K;
@@ -490,9 +516,7 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
         Dropped[I] = 1;
         DivergenceKind K = DivergenceKind::None;
         std::string Detail;
-        if (divergesWithin(joinChunks(Chunks, Dropped), Res.Spec.Name, Mode,
-                           ObfSeed, Full, Res.Probes, K, &Detail, Engine,
-                           CrossVM)) {
+        if (Diverges(joinChunks(Chunks, Dropped), K, Detail)) {
           Res.Kind = K;
           Res.Detail = std::move(Detail);
           ++Res.DroppedFunctions;
@@ -511,19 +535,17 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
   // boundary and name the step that flips behaviour.
   {
     KhaosOptions Opts;
-    Opts.Seed = ObfSeed;
+    Opts.ExtraPass = Cfg.ExtraPass;
     std::vector<std::string> Steps = obfuscationStepNames(Mode, Opts);
     Res.StepCount = Steps.size();
+    const Workload W = makeWorkload(Spec.Name, Res.Source);
+    const BaselineVerdict Base = baselineVerdict(Pipe, W);
     auto PrefixDiverges = [&](size_t K) {
-      DivergenceKind Kind = DivergenceKind::None;
-      std::string Detail;
       // The bisection runs outside the probe budget: it is O(log steps)
       // and a repro without a guilty step is not actionable.
       ++Res.Probes;
-      if (!probeSource(Res.Source, Res.Spec.Name, Mode, ObfSeed, K, Kind,
-                       &Detail, Engine, CrossVM))
-        return false;
-      return Kind != DivergenceKind::None;
+      CellVerdict V = cellVerdict(Pipe, W, Base, Mode, ObfSeed, K);
+      return V.BaselineOk && V.Kind != DivergenceKind::None;
     };
     if (!Steps.empty() && PrefixDiverges(0)) {
       // The unobfuscated module already disagrees with the baseline —
@@ -590,14 +612,29 @@ std::string DifferentialFuzzer::formatRepro(const FuzzDivergence &D) {
   return Out;
 }
 
-DivergenceKind DifferentialFuzzer::replayRepro(const std::string &ReproText,
-                                               std::string &Error,
-                                               VMEngine Engine,
-                                               bool CrossVM) {
-  Error.clear();
+/// Parses a repro's obf-seed: decimal or 0x-hex digits and nothing else
+/// (no sign, no octal-looking leading zero, no trailing text).
+static bool parseObfSeed(const std::string &Text, uint64_t &Out) {
+  const bool Hex = startsWith(Text, "0x");
+  const char *First = Text.data() + (Hex ? 2 : 0);
+  const char *Last = Text.data() + Text.size();
+  if (!Hex && Last - First > 1 && *First == '0')
+    return false;
+  auto [End, EC] = std::from_chars(First, Last, Out, Hex ? 16 : 10);
+  return EC == std::errc() && End == Last;
+}
+
+ReplayResult
+DifferentialFuzzer::replayRepro(const std::string &ReproText) const {
+  ReplayResult Out;
+  auto Malformed = [&Out](std::string Why) {
+    Out.State = ReplayResult::Status::Malformed;
+    Out.Message = std::move(Why);
+    return Out;
+  };
   std::string Name, Source;
   ObfuscationMode Mode = ObfuscationMode::None;
-  bool HaveMode = false;
+  bool HaveMode = false, HaveSeed = false;
   uint64_t ObfSeed = 0;
   bool InSource = false;
   size_t Pos = 0;
@@ -608,10 +645,8 @@ DivergenceKind DifferentialFuzzer::replayRepro(const std::string &ReproText,
         Pos, NL == std::string::npos ? std::string::npos : NL - Pos);
     Pos = NL == std::string::npos ? ReproText.size() + 1 : NL + 1;
     if (First) {
-      if (Line != ReproMagic) {
-        Error = "not a khaos-fuzz repro (bad magic line)";
-        return DivergenceKind::None;
-      }
+      if (Line != ReproMagic)
+        return Malformed("not a khaos-fuzz repro (bad magic line)");
       First = false;
       continue;
     }
@@ -633,23 +668,29 @@ DivergenceKind DifferentialFuzzer::replayRepro(const std::string &ReproText,
       Name = V;
     else if (const char *V2 = Field("mode"))
       HaveMode = parseObfuscationModeName(V2, Mode);
-    else if (const char *V3 = Field("obf-seed"))
-      ObfSeed = std::strtoull(V3, nullptr, 0);
+    else if (const char *V3 = Field("obf-seed")) {
+      if (!parseObfSeed(V3, ObfSeed))
+        return Malformed(formatStr("malformed repro: bad obf-seed '%s' "
+                                   "(want decimal or 0x-hex)",
+                                   V3));
+      HaveSeed = true;
+    }
   }
-  if (Name.empty() || !HaveMode || Source.empty()) {
-    Error = "malformed repro: missing name, mode or source";
-    return DivergenceKind::None;
+  if (Name.empty() || !HaveMode || !HaveSeed || Source.empty())
+    return Malformed("malformed repro: missing name, mode, obf-seed or "
+                     "source");
+  EvalPipeline Pipe(uncachedPipeline());
+  const Workload W = makeWorkload(Name, std::move(Source));
+  CellVerdict V = cellVerdict(Pipe, W, baselineVerdict(Pipe, W), Mode,
+                              ObfSeed, SIZE_MAX);
+  if (!V.BaselineOk) {
+    Out.State = ReplayResult::Status::BaselineFailed;
+    Out.Message = "repro " + V.Detail;
+    return Out;
   }
-  DivergenceKind Kind = DivergenceKind::None;
-  std::string Detail;
-  if (!probeSource(Source, Name, Mode, ObfSeed,
-                   std::numeric_limits<size_t>::max(), Kind, &Detail, Engine,
-                   CrossVM)) {
-    Error = "repro baseline failed to compile or run";
-    return DivergenceKind::None;
-  }
-  Error = Detail;
-  return Kind;
+  Out.Kind = V.Kind;
+  Out.Message = std::move(V.Detail);
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -657,15 +698,6 @@ DivergenceKind DifferentialFuzzer::replayRepro(const std::string &ReproText,
 //===----------------------------------------------------------------------===//
 
 namespace {
-
-/// Outcome of one (case × mode) cell, recorded at its matrix slot so the
-/// report order is scheduling-independent.
-struct CellOutcome {
-  bool BaselineOk = true;
-  DivergenceKind Kind = DivergenceKind::None;
-  std::string Detail;
-  uint64_t ObfSeed = 0;
-};
 
 std::string sanitizeFileToken(std::string S) {
   for (char &C : S)
@@ -698,10 +730,8 @@ FuzzReport DifferentialFuzzer::run() {
     std::vector<Workload> Workloads;
     for (unsigned I = Start; I != End; ++I) {
       Specs.push_back(sampleSpec(Cfg.Seed, I));
-      Workload W;
-      W.Name = Specs.back().Name;
-      W.Source = generateMiniCProgram(Specs.back());
-      Workloads.push_back(std::move(W));
+      Workloads.push_back(makeWorkload(Specs.back().Name,
+                                       generateMiniCProgram(Specs.back())));
     }
 
     // Fan the (case × mode) matrix over the scheduler pool. A fresh
@@ -715,71 +745,21 @@ FuzzReport DifferentialFuzzer::run() {
     EvalScheduler Sched(SchedCfg);
     EvalPipeline &Pipe = Sched.pipeline();
 
-    // Baseline pre-pass (one cell per program on the pool): compile via
-    // the cached pipeline stage and run under the fuzzer's baseline step
-    // cap. Specs whose baseline is hotter probe nothing and are reported
-    // as baseline errors instead of burning wall-clock in every mode.
-    struct BaselineInfo {
-      bool Ok = false;
-      std::string Error;
-      std::string EngineMismatch; ///< Non-empty = engines disagreed.
-      ExecResult Run;
-    };
-    std::vector<BaselineInfo> Baselines(Workloads.size());
+    // Baseline pre-pass (one cell per program on the pool). A spec whose
+    // baseline is hotter than the step cap probes nothing, so it is
+    // reported as a baseline error instead of burning wall-clock in every
+    // mode.
+    std::vector<BaselineVerdict> Baselines(Workloads.size());
     const std::vector<ObfuscationMode> NoneMode = {ObfuscationMode::None};
     Sched.forEachCell(Workloads, NoneMode, [&](const EvalCell &Cell) {
-      BaselineInfo &B = Baselines[Cell.WorkloadIdx];
-      auto Base = Pipe.baseline(*Cell.W);
-      if (!*Base) {
-        B.Error = "baseline compile failed: " + Base->Error;
-        return;
-      }
-      ExecOptions RefOpts;
-      RefOpts.MaxSteps = BaselineMaxSteps;
-      RefOpts.Engine = Cfg.Engine;
-      B.Run = runChecked(*Base->M, RefOpts, Cfg.CrossVM, &B.EngineMismatch);
-      if (!B.EngineMismatch.empty())
-        return; // Reported as an engine-mismatch divergence per cell.
-      if (!B.Run.Ok) {
-        B.Error = "baseline failed: " + B.Run.Error;
-        return;
-      }
-      B.Ok = true;
+      Baselines[Cell.WorkloadIdx] = baselineVerdict(Pipe, *Cell.W);
     });
 
-    std::vector<CellOutcome> Cells(Workloads.size() * Modes.size());
+    std::vector<CellVerdict> Cells(Workloads.size() * Modes.size());
     Sched.forEachCell(Workloads, Modes, [&](const EvalCell &Cell) {
-      CellOutcome &Out = Cells[Cell.FlatIdx];
-      Out.ObfSeed = Cell.Seed;
-      const BaselineInfo &Base = Baselines[Cell.WorkloadIdx];
-      if (!Base.EngineMismatch.empty()) {
-        Out.Kind = DivergenceKind::EngineMismatch;
-        Out.Detail = "baseline: " + Base.EngineMismatch;
-        return;
-      }
-      if (!Base.Ok) {
-        Out.BaselineOk = false;
-        Out.Detail = Base.Error;
-        return;
-      }
-      CompiledWorkload Obf =
-          Pipe.obfuscate(*Cell.W, Cell.Mode, nullptr, Cell.Seed);
-      if (!Obf) {
-        Out.Kind = DivergenceKind::CompileError;
-        Out.Detail = Obf.Error;
-        return;
-      }
-      ExecOptions ObfOpts;
-      ObfOpts.MaxSteps = obfStepBudget(Base.Run);
-      ObfOpts.Engine = Cfg.Engine;
-      std::string Mismatch;
-      ExecResult Got = runChecked(*Obf.M, ObfOpts, Cfg.CrossVM, &Mismatch);
-      if (!Mismatch.empty()) {
-        Out.Kind = DivergenceKind::EngineMismatch;
-        Out.Detail = "obfuscated: " + Mismatch;
-        return;
-      }
-      Out.Kind = classifyRuns(Base.Run, Got, ObfOpts.MaxSteps, &Out.Detail);
+      Cells[Cell.FlatIdx] =
+          cellVerdict(Pipe, *Cell.W, Baselines[Cell.WorkloadIdx], Cell.Mode,
+                      Cell.Seed, SIZE_MAX);
     });
 
     // Sequential, matrix-ordered reporting + shrinking: this is what
@@ -790,7 +770,7 @@ FuzzReport DifferentialFuzzer::run() {
       const ProgramSpec &Spec = Specs[WI];
       unsigned OkModes = 0, DivModes = 0, BaseErrs = 0;
       for (size_t MI = 0; MI != Modes.size(); ++MI) {
-        const CellOutcome &Cell = Cells[WI * Modes.size() + MI];
+        const CellVerdict &Cell = Cells[WI * Modes.size() + MI];
         if (!Cell.BaselineOk)
           ++BaseErrs;
         else if (Cell.Kind == DivergenceKind::None)
@@ -816,7 +796,7 @@ FuzzReport DifferentialFuzzer::run() {
             DivModes, BaseErrs);
 
       for (size_t MI = 0; MI != Modes.size(); ++MI) {
-        const CellOutcome &Cell = Cells[WI * Modes.size() + MI];
+        const CellVerdict &Cell = Cells[WI * Modes.size() + MI];
         if (!Cell.BaselineOk) {
           OS << formatStr("baseline-error %06u %s : %s\n", CaseIdx,
                           Spec.Name.c_str(), Cell.Detail.c_str());
@@ -842,8 +822,7 @@ FuzzReport DifferentialFuzzer::run() {
                         divergenceKindName(D.Kind), D.Detail.c_str());
 
         if (Cfg.Shrink) {
-          D.Shrunk =
-              shrink(Spec, D.Mode, D.ObfSeed, Cfg.Engine, Cfg.CrossVM);
+          D.Shrunk = shrink(Spec, D.Mode, D.ObfSeed);
           if (D.Shrunk.Kind == DivergenceKind::None) {
             // The divergence did not reproduce in the shrinker's
             // standalone probe; keep the matrix verdict on the repro

@@ -19,9 +19,13 @@
 /// On a divergence the fuzzer minimizes automatically: a greedy spec-level
 /// shrinker (fewer functions, fewer iterations, features off), a greedy
 /// source-level function dropper, then a bisection over the driver's named
-/// step sequence (obfuscationStepNames / obfuscateModulePrefix) that names
-/// the guilty pass — emitting a self-contained repro file that replays
-/// with `khaos-fuzz --replay`.
+/// step sequence (obfuscationStepNames, probed a prefix at a time through
+/// KhaosOptions::Steps) that names the guilty pass — emitting a
+/// self-contained repro file that replays with `khaos-fuzz --replay`.
+/// The matrix, the shrinker, the bisection and replay all reach their
+/// verdicts through the same two members (baselineVerdict, cellVerdict)
+/// over EvalPipeline, so a repro takes the route of the verdict it
+/// reproduces.
 ///
 /// Everything is deterministic end-to-end: a given (seed, budget, modes)
 /// produces bit-identical verdict lines and repro files at any thread
@@ -42,6 +46,9 @@
 #include <vector>
 
 namespace khaos {
+
+class EvalPipeline;
+struct Workload;
 
 /// How one (program, mode) cell's behaviour differed from its baseline.
 enum class DivergenceKind : uint8_t {
@@ -92,6 +99,18 @@ struct FuzzDivergence {
   std::string ReproName; ///< Deterministic repro file name.
 };
 
+/// What replaying one repro file found.
+struct ReplayResult {
+  enum class Status : uint8_t {
+    Replayed,       ///< The probe ran; Kind says whether the bug reproduces.
+    Malformed,      ///< Bad magic, or a header field missing or unparsable.
+    BaselineFailed, ///< The embedded source's baseline fails to build or run.
+  };
+  Status State = Status::Replayed;
+  DivergenceKind Kind = DivergenceKind::None; ///< None = no longer reproduces.
+  std::string Message; ///< Divergence detail, or why the repro did not run.
+};
+
 /// Aggregate outcome of one fuzzing run.
 struct FuzzReport {
   unsigned Cases = 0;          ///< Programs generated.
@@ -129,6 +148,10 @@ public:
     /// Verdict stream (defaults to std::cout). Stderr-style telemetry is
     /// never written here, so the stream is byte-stable across runs.
     std::ostream *Out = nullptr;
+    /// KhaosOptions::ExtraPass of every obfuscated run: the matrix, the
+    /// shrinker and replay. The fuzzer's tests plant a known bug through
+    /// it; empty fuzzes the real pipeline.
+    std::function<std::unique_ptr<Pass>()> ExtraPass;
   };
 
   explicit DifferentialFuzzer(Config C) : Cfg(std::move(C)) {}
@@ -158,49 +181,38 @@ public:
   /// FP-heavy, EH × setjmp × indirect-call combinations, 3..32 functions).
   static ProgramSpec sampleSpec(uint64_t BaseSeed, unsigned Index);
 
-  /// Compiles + runs baseline and obfuscated variants of \p Source and
-  /// classifies the difference. Returns false when the baseline itself
-  /// failed (compile error or trap) — such probes say nothing about the
-  /// obfuscator. \p PrefixSteps limits the obfuscation pipeline to its
-  /// first N steps (SIZE_MAX = full pipeline; the bisection's probe).
-  /// Runs execute under \p Engine; with \p CrossVM both engines run and
-  /// any disagreement is reported as EngineMismatch (checked before the
-  /// baseline-vs-obfuscated classification, on baseline and obfuscated
-  /// runs alike).
-  static bool probeSource(const std::string &Source, const std::string &Name,
-                          ObfuscationMode Mode, uint64_t ObfSeed,
-                          size_t PrefixSteps, DivergenceKind &KindOut,
-                          std::string *DetailOut = nullptr,
-                          VMEngine Engine = VMEngine::Precompiled,
-                          bool CrossVM = false);
-
-  /// Minimizes a diverging (spec, mode, seed): greedy spec reduction,
-  /// greedy function dropping, then pass bisection. Deterministic; spends
-  /// at most 400 probes (compile+run pairs).
-  /// \p Engine / \p CrossVM must match the configuration that found the
-  /// divergence, or the shrinker probes a different predicate.
-  static ShrinkResult shrink(const ProgramSpec &Spec, ObfuscationMode Mode,
-                             uint64_t ObfSeed,
-                             VMEngine Engine = VMEngine::Precompiled,
-                             bool CrossVM = false);
+  /// Minimizes a diverging (spec, mode, seed) under this fuzzer's Config:
+  /// greedy spec reduction, greedy function dropping, then pass bisection.
+  /// Deterministic; spends at most 400 probes (compile+run pairs) before
+  /// the bisection.
+  ShrinkResult shrink(const ProgramSpec &Spec, ObfuscationMode Mode,
+                      uint64_t ObfSeed) const;
 
   /// Formats \p D as a self-contained repro file (header + MiniC source).
   static std::string formatRepro(const FuzzDivergence &D);
 
-  /// Replays a repro file: parses the header + source and re-probes
-  /// under \p Engine (with \p CrossVM, on both engines). Repro files
-  /// record the engine that produced them, but replay deliberately takes
-  /// the engine from the caller — old repros are replayable against
-  /// either engine via khaos-fuzz --replay --vm=....
-  /// Returns the observed kind (None = the bug no longer reproduces);
-  /// on a malformed repro or failing baseline sets \p Error and returns
-  /// None.
-  static DivergenceKind replayRepro(const std::string &ReproText,
-                                    std::string &Error,
-                                    VMEngine Engine = VMEngine::Precompiled,
-                                    bool CrossVM = false);
+  /// Replays a repro file: parses the header (name, mode and obf-seed are
+  /// required) and source, and re-probes under this fuzzer's Config.
+  /// Repro files record the engine that produced them, but replay
+  /// deliberately takes the engine from Config, so old repros replay
+  /// against either engine via khaos-fuzz --replay --vm=....
+  ReplayResult replayRepro(const std::string &ReproText) const;
 
 private:
+  struct BaselineVerdict;
+  struct CellVerdict;
+
+  /// Builds \p W's baseline on \p Pipe and runs it under BaselineMaxSteps
+  /// (on both engines with Config::CrossVM).
+  BaselineVerdict baselineVerdict(EvalPipeline &Pipe, const Workload &W) const;
+
+  /// Obfuscates \p W with the first \p Steps steps of \p Mode's pipeline
+  /// (seeded \p Seed, plus Config::ExtraPass) on \p Pipe, runs it under
+  /// the obfuscated step budget and classifies it against \p Base.
+  CellVerdict cellVerdict(EvalPipeline &Pipe, const Workload &W,
+                          const BaselineVerdict &Base, ObfuscationMode Mode,
+                          uint64_t Seed, size_t Steps) const;
+
   Config Cfg;
 };
 

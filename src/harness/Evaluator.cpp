@@ -273,11 +273,14 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
                                          ObfuscationResult *StatsOut) {
   CompiledWorkload Out;
   ObfuscationResult R;
-  if (modeUsesFission(Mode)) {
+  if (modeUsesFission(Mode) && Opts.Steps != 0) {
     // Clone the shared fission-stage artifact and run only the fusion
     // suffix. The uncached path takes exactly the same route (the store
     // recomputes the artifact per request), so results cannot depend on
-    // whether caching is enabled.
+    // whether caching is enabled. Fission is the first step and comes
+    // before Opts.ExtraPass, so the stage holds the same module whatever
+    // prefix or extra pass the caller asks for; only a zero-step prefix,
+    // which must not run fission at all, compiles afresh.
     std::shared_ptr<const FissionArtifact> FA =
         fissionStage(W, Opts.Fission);
     Out.Ctx = FA->Ctx;

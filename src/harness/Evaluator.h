@@ -235,7 +235,9 @@ public:
                              uint64_t Seed = 0xc906);
 
   /// Variant with full driver options (Opts.Seed is honored; Table 2 sets
-  /// RunPostOpt=false to measure the primitives themselves).
+  /// RunPostOpt=false to measure the primitives themselves). Opts.Steps
+  /// and Opts.ExtraPass reach no cached stage, so the differential fuzzer
+  /// probes step prefixes and planted passes through this same route.
   CompiledWorkload obfuscate(const Workload &W, ObfuscationMode Mode,
                              const KhaosOptions &Opts,
                              ObfuscationResult *StatsOut = nullptr);

@@ -12,10 +12,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cctype>
-#include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 
 using namespace khaos;
@@ -120,10 +118,9 @@ FissionPhase khaos::runFissionPhase(Module &M, const FissionOptions &Opts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Step lists. Every public entry point — obfuscateModule, finishFissionMode
-// and the obfuscateModulePrefix bisection hook — executes the same flat
-// sequence of named steps, so a bisection prefix is a true prefix of the
-// production pipeline.
+// Step lists. obfuscateModule and finishFissionMode run a prefix of the
+// same flat sequence of named steps, so a bisection prefix is a true
+// prefix of the production pipeline.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -161,15 +158,6 @@ const OLLVMStep OLLVMSteps[] = {
     {ObfuscationMode::IndCall, "indirect-calls", runIndirectCalls, 1.0},
     {ObfuscationMode::SplitBB, "split-blocks", runSplitBasicBlocks, 1.0},
 };
-
-std::mutex ExtraPassMutex;
-std::vector<std::pair<std::string, std::function<std::unique_ptr<Pass>()>>>
-    &extraPasses() {
-  static std::vector<
-      std::pair<std::string, std::function<std::unique_ptr<Pass>()>>>
-      Passes;
-  return Passes;
-}
 
 /// Fusion candidate names for the FuFi modes: eligible functions fission
 /// did not touch, in module order (fusion's candidate ordering is part of
@@ -247,14 +235,10 @@ std::vector<ObfStep> buildSteps(ObfuscationMode Mode,
                          }});
   }
 
-  {
-    std::lock_guard<std::mutex> Lock(ExtraPassMutex);
-    for (const auto &Extra : extraPasses()) {
-      std::function<std::unique_ptr<Pass>()> Factory = Extra.second;
-      Steps.push_back({"extra:" + Extra.first, [Factory](Module &M) {
-                         Factory()->run(M);
-                       }});
-    }
+  if (Opts.ExtraPass) {
+    std::shared_ptr<Pass> SP = Opts.ExtraPass();
+    Steps.push_back({"extra:" + std::string(SP->getName()),
+                     [SP](Module &M) { SP->run(M); }});
   }
 
   if (Opts.RunPostOpt) {
@@ -284,13 +268,16 @@ ObfuscationResult khaos::finishFissionMode(Module &M, ObfuscationMode Mode,
                                            const KhaosOptions &Opts,
                                            const FissionPhase &Phase) {
   assert(modeUsesFission(Mode) && "mode has no fission prefix");
+  assert(Opts.Steps != 0 && "the fission step has already run");
   auto State = std::make_shared<StepState>();
   State->Phase = Phase;
   State->HavePhase = true;
   State->R.Fission = Phase.Stats;
-  for (const ObfStep &S :
-       buildSteps(Mode, Opts, State, /*IncludeFission=*/false))
-    S.Run(M);
+  std::vector<ObfStep> Steps =
+      buildSteps(Mode, Opts, State, /*IncludeFission=*/false);
+  // The fission step already ran and counts against Opts.Steps.
+  for (size_t I = 0, E = std::min(Opts.Steps - 1, Steps.size()); I != E; ++I)
+    Steps[I].Run(M);
   return State->R;
 }
 
@@ -304,32 +291,12 @@ khaos::obfuscationStepNames(ObfuscationMode Mode, const KhaosOptions &Opts) {
   return Names;
 }
 
-ObfuscationResult khaos::obfuscateModulePrefix(Module &M,
-                                               ObfuscationMode Mode,
-                                               const KhaosOptions &Opts,
-                                               size_t NumSteps) {
+ObfuscationResult khaos::obfuscateModule(Module &M, ObfuscationMode Mode,
+                                         const KhaosOptions &Opts) {
   auto State = std::make_shared<StepState>();
   std::vector<ObfStep> Steps =
       buildSteps(Mode, Opts, State, /*IncludeFission=*/true);
-  for (size_t I = 0, E = std::min(NumSteps, Steps.size()); I != E; ++I)
+  for (size_t I = 0, E = std::min(Opts.Steps, Steps.size()); I != E; ++I)
     Steps[I].Run(M);
   return State->R;
-}
-
-ObfuscationResult khaos::obfuscateModule(Module &M, ObfuscationMode Mode,
-                                         const KhaosOptions &Opts) {
-  return obfuscateModulePrefix(M, Mode, Opts,
-                               std::numeric_limits<size_t>::max());
-}
-
-void khaos::registerExtraObfuscationPass(
-    const std::string &Name,
-    std::function<std::unique_ptr<Pass>()> Factory) {
-  std::lock_guard<std::mutex> Lock(ExtraPassMutex);
-  extraPasses().emplace_back(Name, std::move(Factory));
-}
-
-void khaos::clearExtraObfuscationPasses() {
-  std::lock_guard<std::mutex> Lock(ExtraPassMutex);
-  extraPasses().clear();
 }

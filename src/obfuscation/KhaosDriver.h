@@ -10,6 +10,11 @@
 /// middle-end passes and compiles at O2+LTO; §4). The driver also gathers
 /// the Table 2 statistics.
 ///
+/// Each mode runs as one flat sequence of named steps. KhaosOptions::Steps
+/// stops it after a prefix and KhaosOptions::ExtraPass adds one step, so
+/// the differential fuzzer can bisect a divergence and plant a bug through
+/// the production code path.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_OBFUSCATION_KHAOSDRIVER_H
@@ -20,6 +25,7 @@
 #include "obfuscation/OLLVM.h"
 #include "transform/Pass.h"
 
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <string>
@@ -77,6 +83,14 @@ struct KhaosOptions {
   bool RunPostOpt = true;
   FissionOptions Fission;
   FusionOptions Fusion;
+  /// Run only the first Steps steps of the mode's pipeline (see
+  /// obfuscationStepNames); SIZE_MAX runs all of them. The differential
+  /// fuzzer's pass bisection probes prefixes through this.
+  size_t Steps = SIZE_MAX;
+  /// When set, the pass it makes runs for every mode after the primitive
+  /// step(s) and before post-optimization, as step "extra:<getName()>".
+  /// The differential fuzzer's tests plant a known bug through it.
+  std::function<std::unique_ptr<Pass>()> ExtraPass;
 };
 
 /// True for the modes whose pipeline starts with the fission pass
@@ -102,53 +116,28 @@ FissionPhase runFissionPhase(Module &M, const FissionOptions &Opts = {});
 /// Completes \p Mode on a module that already carries \p Phase's fission
 /// output: applies the mode's fusion step (restricted to the candidate set
 /// the mode prescribes) and the post-optimization. Only valid for modes
-/// where modeUsesFission() is true.
+/// where modeUsesFission() is true; the fission step counts against
+/// Opts.Steps, which must therefore be at least 1.
 ObfuscationResult finishFissionMode(Module &M, ObfuscationMode Mode,
                                     const KhaosOptions &Opts,
                                     const FissionPhase &Phase);
 
-/// Obfuscates \p M in place with \p Mode and re-optimizes. For fission
-/// modes this is exactly runFissionPhase() + finishFissionMode().
+/// Obfuscates \p M in place with \p Mode and re-optimizes, running the
+/// first Opts.Steps steps. For fission modes the full run is exactly
+/// runFissionPhase() + finishFissionMode().
 ObfuscationResult obfuscateModule(Module &M, ObfuscationMode Mode,
                                   const KhaosOptions &Opts = {});
 
-//===----------------------------------------------------------------------===//
-// Pass-bisection hooks. The full pipeline of a mode is a flat, named step
-// sequence: the mode's obfuscation primitive(s), any registered extra
-// passes, then the post-optimization passes one by one. obfuscateModule()
-// is exactly the full-prefix run, so a prefix run reproduces the true
-// pipeline up to a step boundary — which is what lets the differential
-// fuzzer bisect a behavioural divergence down to the guilty step.
-//===----------------------------------------------------------------------===//
-
-/// Names of the steps obfuscateModule(M, Mode, Opts) executes, in order.
-/// Primitive steps are named after the transformation ("fission",
-/// "fusion", "substitution", ...), registered extra passes appear as
-/// "extra:<name>", and post-optimization passes as "post-opt:<pass>#<k>"
-/// (k disambiguates repeated pipeline passes, first occurrence = 1).
+/// Names of every step of (Mode, Opts)'s pipeline, in order. The pipeline
+/// is one flat step sequence: the mode's obfuscation primitive(s)
+/// ("fission", "fusion", "substitution", ...), Opts.ExtraPass as
+/// "extra:<name>", then the post-optimization passes one by one as
+/// "post-opt:<pass>#<k>" (k disambiguates repeated pipeline passes, first
+/// occurrence = 1). obfuscateModule and finishFissionMode run a prefix of
+/// it, so the differential fuzzer can bisect a behavioural divergence down
+/// to the guilty step.
 std::vector<std::string> obfuscationStepNames(ObfuscationMode Mode,
                                               const KhaosOptions &Opts = {});
-
-/// Applies only the first \p NumSteps steps of the mode's pipeline to
-/// \p M. With NumSteps >= obfuscationStepNames(...).size() this is
-/// obfuscateModule() exactly — one shared code path, so bisection prefixes
-/// are true prefixes of the production pipeline.
-ObfuscationResult obfuscateModulePrefix(Module &M, ObfuscationMode Mode,
-                                        const KhaosOptions &Opts,
-                                        size_t NumSteps);
-
-/// Registers an extra obfuscation pass: \p Factory's pass runs for every
-/// mode after the primitive step(s) and before post-optimization, as step
-/// "extra:<Name>". Process-wide; register before any pipeline or fuzzer
-/// use (ArtifactStore keys do not include this state, so registering
-/// mid-run would desynchronize cached artifacts). This is the test hook
-/// the differential-fuzzer suite uses to plant known divergences.
-void registerExtraObfuscationPass(
-    const std::string &Name,
-    std::function<std::unique_ptr<Pass>()> Factory);
-
-/// Drops every registered extra pass (test teardown).
-void clearExtraObfuscationPasses();
 
 } // namespace khaos
 

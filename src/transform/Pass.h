@@ -71,9 +71,9 @@ std::unique_ptr<Pass> createInlinerPass(unsigned InstructionThreshold);
 std::unique_ptr<Pass> createLICMPass();
 
 /// The standard pipeline for \p Level as an ordered pass list. The
-/// obfuscation driver's pass-bisection hooks (obfuscationStepNames /
-/// obfuscateModulePrefix) enumerate this list to name and prefix-run the
-/// post-optimization steps individually.
+/// obfuscation driver enumerates it to name each post-optimization pass as
+/// its own step (obfuscationStepNames), so KhaosOptions::Steps can stop
+/// between any two of them.
 std::vector<std::unique_ptr<Pass>> buildOptPassList(OptLevel Level);
 
 /// Populates \p PM with the standard pipeline for \p Level.

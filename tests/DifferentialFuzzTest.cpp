@@ -6,19 +6,20 @@
 ///
 /// \file
 /// The differential fuzzer's own correctness net. The centerpiece plants a
-/// deliberately broken obfuscation pass — registered only in this test
-/// binary via registerExtraObfuscationPass — and asserts the fuzzer finds
-/// the divergence, the shrinker converges to the minimal generator spec,
-/// the pass bisection names exactly the planted pass, and the emitted
-/// repro replays. The remaining cases pin the step-sequence contract
-/// (prefix-running the full step list is obfuscateModule) and the
-/// end-to-end determinism guarantee (bit-identical output at any thread
-/// count).
+/// deliberately broken obfuscation pass — through the planted fuzzer's
+/// Config::ExtraPass only — and asserts the fuzzer finds the divergence,
+/// the shrinker converges to the minimal generator spec, the pass
+/// bisection names exactly the planted pass, and the emitted repro
+/// replays. The remaining cases pin the step-sequence contract (the
+/// pipeline's prefix route prints what the fresh driver prints), the
+/// isolation of the planted hook, and the end-to-end determinism guarantee
+/// (bit-identical output at any thread count).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "frontend/IRGen.h"
 #include "harness/DifferentialFuzzer.h"
+#include "harness/Evaluator.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
@@ -30,6 +31,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <thread>
 
 using namespace khaos;
 
@@ -37,7 +39,7 @@ namespace {
 
 /// The planted bug: rewrites every integer multiply in the module into an
 /// add — a silent semantic change of the kind a buggy obfuscation pass
-/// would introduce. Registered only in this binary.
+/// would introduce. Only the fuzzers that name it in their Config run it.
 class PlantedMulFlip : public Pass {
 public:
   const char *getName() const override { return "planted-mul-flip"; }
@@ -70,16 +72,9 @@ public:
   }
 };
 
-/// Registers the planted pass for the test's lifetime only: every other
-/// case in this binary (and every other binary) sees a clean pipeline.
-class PlantedDivergenceTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    registerExtraObfuscationPass(
-        "planted-mul-flip", [] { return std::make_unique<PlantedMulFlip>(); });
-  }
-  void TearDown() override { clearExtraObfuscationPasses(); }
-};
+std::unique_ptr<Pass> plantedPass() {
+  return std::make_unique<PlantedMulFlip>();
+}
 
 DifferentialFuzzer::Config plantedConfig(std::ostream *Out,
                                          unsigned Threads) {
@@ -89,10 +84,11 @@ DifferentialFuzzer::Config plantedConfig(std::ostream *Out,
   Cfg.Threads = Threads;
   Cfg.Modes = {ObfuscationMode::Sub};
   Cfg.Out = Out;
+  Cfg.ExtraPass = plantedPass;
   return Cfg;
 }
 
-TEST_F(PlantedDivergenceTest, FuzzerFindsShrinksAndBisectsThePlantedPass) {
+TEST(PlantedDivergenceTest, FuzzerFindsShrinksAndBisectsThePlantedPass) {
   std::ostringstream OS;
   DifferentialFuzzer Fuzzer(plantedConfig(&OS, 2));
   FuzzReport Report = Fuzzer.run();
@@ -113,19 +109,20 @@ TEST_F(PlantedDivergenceTest, FuzzerFindsShrinksAndBisectsThePlantedPass) {
   // before it, not the post-opt passes after it.
   EXPECT_EQ(D.Shrunk.GuiltyStep, "extra:planted-mul-flip");
   ASSERT_GT(D.Shrunk.GuiltyStepIndex, 0u);
+  KhaosOptions Opts;
+  Opts.ExtraPass = plantedPass;
   std::vector<std::string> Steps =
-      obfuscationStepNames(ObfuscationMode::Sub);
+      obfuscationStepNames(ObfuscationMode::Sub, Opts);
   ASSERT_LE(D.Shrunk.GuiltyStepIndex, Steps.size());
   EXPECT_EQ(Steps[D.Shrunk.GuiltyStepIndex - 1], D.Shrunk.GuiltyStep);
 
   // The repro is self-contained: replaying it reproduces a divergence.
-  std::string Error;
-  EXPECT_NE(DifferentialFuzzer::replayRepro(D.ReproText, Error),
-            DivergenceKind::None)
-      << Error;
+  ReplayResult R = Fuzzer.replayRepro(D.ReproText);
+  EXPECT_EQ(R.State, ReplayResult::Status::Replayed) << R.Message;
+  EXPECT_NE(R.Kind, DivergenceKind::None) << R.Message;
 }
 
-TEST_F(PlantedDivergenceTest, VerdictsAndReprosAreThreadCountInvariant) {
+TEST(PlantedDivergenceTest, VerdictsAndReprosAreThreadCountInvariant) {
   std::ostringstream A, B;
   FuzzReport RA = DifferentialFuzzer(plantedConfig(&A, 1)).run();
   FuzzReport RB = DifferentialFuzzer(plantedConfig(&B, 4)).run();
@@ -135,6 +132,27 @@ TEST_F(PlantedDivergenceTest, VerdictsAndReprosAreThreadCountInvariant) {
     EXPECT_EQ(RA.Divergences[I].ReproText, RB.Divergences[I].ReproText);
     EXPECT_EQ(RA.Divergences[I].ReproName, RB.Divergences[I].ReproName);
   }
+}
+
+/// The planted pass lives in one fuzzer's Config, not in the process: a
+/// clean fuzzer over the same programs, running at the same time on
+/// another thread, sees none of it. Under TSan this is also the check that
+/// the hook shares no state between the two runs.
+TEST(PlantedDivergenceTest, PlantedAndCleanFuzzersShareNoState) {
+  std::ostringstream PlantedOut, CleanOut;
+  DifferentialFuzzer::Config Planted = plantedConfig(&PlantedOut, 2);
+  Planted.Shrink = false;
+  DifferentialFuzzer::Config Clean = Planted;
+  Clean.Out = &CleanOut;
+  Clean.ExtraPass = nullptr;
+  FuzzReport PlantedReport, CleanReport;
+  std::thread T(
+      [&] { PlantedReport = DifferentialFuzzer(Planted).run(); });
+  CleanReport = DifferentialFuzzer(Clean).run();
+  T.join();
+  EXPECT_FALSE(PlantedReport.Divergences.empty());
+  EXPECT_TRUE(CleanReport.Divergences.empty()) << CleanOut.str();
+  EXPECT_EQ(CleanReport.Passes, CleanReport.Cells);
 }
 
 //===----------------------------------------------------------------------===//
@@ -155,11 +173,48 @@ TEST(ObfuscationSteps, FullPrefixIsExactlyObfuscateModule) {
     KhaosOptions Opts;
     Opts.Seed = 0x5eed;
     obfuscateModule(*A, Mode, Opts);
-    size_t N = obfuscationStepNames(Mode, Opts).size();
-    obfuscateModulePrefix(*B, Mode, Opts, N);
+    Opts.Steps = obfuscationStepNames(Mode, Opts).size();
+    obfuscateModule(*B, Mode, Opts);
     EXPECT_EQ(printModule(*A), printModule(*B))
         << "mode " << obfuscationModeName(Mode);
   }
+}
+
+/// The fuzzer's one route: EvalPipeline::obfuscate, where fission modes
+/// clone the cached fission stage, prints exactly what a fresh compile plus
+/// obfuscateModule prints under the same options, at any step prefix.
+TEST(ObfuscationSteps, PipelinePrefixMatchesFreshDriver) {
+  EvalPipeline Pipe;
+  auto Check = [&Pipe](const Workload &W, ObfuscationMode Mode,
+                       size_t Steps) {
+    KhaosOptions Opts;
+    Opts.Seed = 0x5eed;
+    Opts.Steps = Steps;
+    CompiledWorkload Got = Pipe.obfuscate(W, Mode, Opts);
+    Context Ctx;
+    std::string Error;
+    std::unique_ptr<Module> Want = compileMiniC(W.Source, Ctx, W.Name, Error);
+    ASSERT_TRUE(Got && Want) << Got.Error << Error;
+    obfuscateModule(*Want, Mode, Opts);
+    EXPECT_EQ(printModule(*Got.M), printModule(*Want))
+        << W.Name << " mode " << obfuscationModeName(Mode) << " steps "
+        << Steps;
+  };
+  std::vector<Workload> Programs;
+  for (unsigned Index : {2u, 3u}) {
+    ProgramSpec S = DifferentialFuzzer::sampleSpec(0xabc, Index);
+    Programs.emplace_back();
+    Programs.back().Name = S.Name;
+    Programs.back().Source = generateMiniCProgram(S);
+  }
+  std::vector<ObfuscationMode> Modes = allObfuscationModes();
+  Modes.push_back(ObfuscationMode::Fla);
+  for (const Workload &W : Programs)
+    for (ObfuscationMode Mode : Modes)
+      Check(W, Mode, SIZE_MAX);
+  for (ObfuscationMode Mode : {ObfuscationMode::Sub, ObfuscationMode::FuFiAll})
+    for (size_t K = 0, N = obfuscationStepNames(Mode).size(); K <= N; ++K)
+      Check(Programs.front(), Mode, K);
 }
 
 TEST(ObfuscationSteps, NamesMatchTheModePipeline) {
@@ -188,11 +243,10 @@ TEST(ObfuscationSteps, NamesMatchTheModePipeline) {
   EXPECT_EQ(obfuscationStepNames(ObfuscationMode::Sub, NoPost).size(), 1u);
 
   // The extra-pass hook appears between the primitive and post-opt.
-  registerExtraObfuscationPass(
-      "planted-mul-flip", [] { return std::make_unique<PlantedMulFlip>(); });
+  KhaosOptions Planted;
+  Planted.ExtraPass = plantedPass;
   std::vector<std::string> WithExtra =
-      obfuscationStepNames(ObfuscationMode::Sub, Opts);
-  clearExtraObfuscationPasses();
+      obfuscationStepNames(ObfuscationMode::Sub, Planted);
   ASSERT_GE(WithExtra.size(), 2u);
   EXPECT_EQ(WithExtra[0], "substitution");
   EXPECT_EQ(WithExtra[1], "extra:planted-mul-flip");
@@ -239,15 +293,47 @@ TEST(DifferentialFuzzer, SampleSpecIsPureAndSweepsTheCorners) {
 }
 
 TEST(DifferentialFuzzer, ReplayRejectsMalformedRepros) {
-  std::string Error;
-  EXPECT_EQ(DifferentialFuzzer::replayRepro("not a repro\n", Error),
-            DivergenceKind::None);
-  EXPECT_FALSE(Error.empty());
-  Error.clear();
-  EXPECT_EQ(DifferentialFuzzer::replayRepro(
-                "# khaos-fuzz repro v1\n# mode: Sub\n", Error),
-            DivergenceKind::None);
-  EXPECT_FALSE(Error.empty());
+  const DifferentialFuzzer Fuzzer{DifferentialFuzzer::Config{}};
+  const std::string Seed = "# obf-seed: 0x5\n";
+  const std::string Good = "# khaos-fuzz repro v1\n"
+                           "# name: tiny\n"
+                           "# mode: Sub\n" +
+                           Seed +
+                           "# --- MiniC source ---\n"
+                           "int main() {\n"
+                           "  int x = 6;\n"
+                           "  return x * 7;\n"
+                           "}\n";
+  ReplayResult R = Fuzzer.replayRepro(Good);
+  EXPECT_EQ(R.State, ReplayResult::Status::Replayed) << R.Message;
+  EXPECT_EQ(R.Kind, DivergenceKind::None) << R.Message;
+
+  auto WithSeedLine = [&](const std::string &Line) {
+    std::string Text = Good;
+    Text.replace(Text.find(Seed), Seed.size(), Line);
+    return Text;
+  };
+  // A garbage or missing obf-seed is a malformed repro, never seed 0.
+  for (const std::string &Bad :
+       {std::string("not a repro\n"),
+        std::string("# khaos-fuzz repro v1\n# mode: Sub\n"),
+        WithSeedLine("# obf-seed: 0xzz\n"), WithSeedLine(""),
+        WithSeedLine("# obf-seed: 12abc\n"),
+        WithSeedLine("# obf-seed: -5\n"),
+        WithSeedLine("# obf-seed: 017\n")}) {
+    R = Fuzzer.replayRepro(Bad);
+    EXPECT_EQ(R.State, ReplayResult::Status::Malformed) << Bad;
+    EXPECT_FALSE(R.Message.empty());
+  }
+  EXPECT_EQ(Fuzzer.replayRepro(WithSeedLine("# obf-seed: 5\n")).State,
+            ReplayResult::Status::Replayed);
+
+  // A source whose baseline does not build is reported as such.
+  std::string Broken = Good;
+  Broken.replace(Broken.find("x * 7"), 5, "y * 7");
+  R = Fuzzer.replayRepro(Broken);
+  EXPECT_EQ(R.State, ReplayResult::Status::BaselineFailed);
+  EXPECT_NE(R.Message.find("baseline"), std::string::npos) << R.Message;
 }
 
 TEST(DifferentialFuzzer, ParseObfuscationModeNames) {

@@ -32,7 +32,8 @@
 /// and prints which engine produced the verdict.
 ///
 /// Exit status: 0 = no divergence, 1 = divergences found (or a replayed
-/// repro still reproduces), 2 = usage error (an unknown flag among them);
+/// repro still reproduces), 2 = usage error (an unknown flag among them)
+/// or a repro that cannot be replayed (malformed, or its baseline fails);
 /// `--help` prints the flag table.
 ///
 //===----------------------------------------------------------------------===//
@@ -138,7 +139,7 @@ int listSteps(const std::string &ModeName) {
   return 0;
 }
 
-int replay(const std::string &Path, VMEngine Engine, bool CrossVM) {
+int replay(const std::string &Path, const DifferentialFuzzer::Config &Cfg) {
   std::ifstream File(Path, std::ios::binary);
   if (!File) {
     std::fprintf(stderr, "khaos-fuzz: cannot read '%s'\n", Path.c_str());
@@ -146,23 +147,20 @@ int replay(const std::string &Path, VMEngine Engine, bool CrossVM) {
   }
   std::ostringstream Buf;
   Buf << File.rdbuf();
-  std::string Error;
-  DivergenceKind Kind =
-      DifferentialFuzzer::replayRepro(Buf.str(), Error, Engine, CrossVM);
-  const char *Verdict = CrossVM ? "cross-vm" : vmEngineName(Engine);
-  if (Kind == DivergenceKind::None && !Error.empty() &&
-      Error.find("repro") != std::string::npos) {
-    std::fprintf(stderr, "khaos-fuzz: %s\n", Error.c_str());
+  ReplayResult R = DifferentialFuzzer(Cfg).replayRepro(Buf.str());
+  if (R.State != ReplayResult::Status::Replayed) {
+    std::fprintf(stderr, "khaos-fuzz: %s\n", R.Message.c_str());
     return 2;
   }
-  if (Kind == DivergenceKind::None) {
+  const char *Verdict = Cfg.CrossVM ? "cross-vm" : vmEngineName(Cfg.Engine);
+  if (R.Kind == DivergenceKind::None) {
     std::printf("replay %s: engine=%s no divergence (bug no longer "
                 "reproduces)\n",
                 Path.c_str(), Verdict);
     return 0;
   }
   std::printf("replay %s: engine=%s kind=%s : %s\n", Path.c_str(), Verdict,
-              divergenceKindName(Kind), Error.c_str());
+              divergenceKindName(R.Kind), R.Message.c_str());
   return 1;
 }
 
@@ -196,7 +194,7 @@ int main(int argc, char **argv) {
   if (!ListStepsMode.empty())
     return listSteps(ListStepsMode);
   if (!ReplayPath.empty())
-    return replay(ReplayPath, Cfg.Engine, Cfg.CrossVM);
+    return replay(ReplayPath, Cfg);
 
   if (!Sched.ConnectPath.empty()) {
     // The FuzzBatch wire request carries (seed, budget, engine, cross-vm,
