@@ -533,6 +533,23 @@ inline void requireUnsharded(const EvalScheduler &S, const char *Bench) {
   std::exit(2);
 }
 
+/// Benches that compute their cells with direct pipeline calls rather than
+/// the scheduler's matrix front-ends must refuse --connect: the scheduler
+/// would ping the daemon and then run every cell in-process anyway. Call
+/// it on the parsed config, before the scheduler is built.
+inline void requireInProcess(const EvalScheduler::Config &C,
+                             const char *Bench) {
+  if (C.ConnectPath.empty())
+    return;
+  std::fprintf(stderr,
+               "%s: this bench computes its cells in-process and cannot "
+               "use a khaos-evald daemon; use --connect with the overhead "
+               "and diffing matrix benches (fig6, fig7, fig8, "
+               "fig9_confound, fig10, table3)\n",
+               Bench);
+  std::exit(2);
+}
+
 /// Per-cell overhead lines: "cell <matrix> <flat> <workload> <mode>
 /// <percent|n/a>". The zero-padded flat index makes lexicographic order
 /// equal matrix order, so `sort` merges shard outputs into the unsharded
@@ -574,22 +591,23 @@ inline void reportScheduler(const EvalScheduler &S, const EvalRunStats &R) {
                S.threadCount(),
                static_cast<unsigned long long>(S.baseSeed()), S.shardIndex(),
                S.shardCount(), R.Cells, R.Failures, R.ToolFailures);
+  const ArtifactStore::Snapshot &C = R.Cache;
   std::fprintf(stderr,
                "[cache] %s hits=%llu misses=%llu evictions=%llu "
                "recompile-bytes-saved=%llu\n",
                S.pipeline().store().enabled() ? "on" : "off",
-               static_cast<unsigned long long>(R.CacheHits),
-               static_cast<unsigned long long>(R.CacheMisses),
-               static_cast<unsigned long long>(R.CacheEvictions),
-               static_cast<unsigned long long>(R.CacheBytesSaved));
+               static_cast<unsigned long long>(C.Hits),
+               static_cast<unsigned long long>(C.Misses),
+               static_cast<unsigned long long>(C.Evictions),
+               static_cast<unsigned long long>(C.BytesSaved));
   if (S.pipeline().store().diskCache())
     std::fprintf(stderr,
                  "[disk] disk-hits=%llu disk-misses=%llu "
                  "disk-evictions=%llu disk-corrupt=%llu\n",
-                 static_cast<unsigned long long>(R.DiskHits),
-                 static_cast<unsigned long long>(R.DiskMisses),
-                 static_cast<unsigned long long>(R.DiskEvictions),
-                 static_cast<unsigned long long>(R.DiskCorrupt));
+                 static_cast<unsigned long long>(C.DiskHits),
+                 static_cast<unsigned long long>(C.DiskMisses),
+                 static_cast<unsigned long long>(C.DiskEvictions),
+                 static_cast<unsigned long long>(C.DiskCorrupt));
   if (!R.Passes.empty())
     std::fprintf(stderr,
                  "[passes] sites-rewritten=%u strings-encrypted=%u "

@@ -50,7 +50,9 @@ struct RowResult {
 } // namespace
 
 int main(int argc, char **argv) {
-  EvalScheduler Sched(parseSchedulerArgs(argc, argv));
+  EvalScheduler::Config SC = parseSchedulerArgs(argc, argv);
+  requireInProcess(SC, "fig9_bindiff_options");
+  EvalScheduler Sched(SC);
   requireUnsharded(Sched, "fig9_bindiff_options");
   printHeader("Figure 9", "BinDiff similarity: BinTuner vs Khaos across "
                           "compiler option levels");

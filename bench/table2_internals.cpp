@@ -58,7 +58,9 @@ SuiteStats gather(const EvalScheduler &Sched,
 } // namespace
 
 int main(int argc, char **argv) {
-  EvalScheduler Sched(parseSchedulerArgs(argc, argv));
+  EvalScheduler::Config SC = parseSchedulerArgs(argc, argv);
+  requireInProcess(SC, "table2_internals");
+  EvalScheduler Sched(SC);
   requireUnsharded(Sched, "table2_internals");
   printHeader("Table 2", "statistics of the fission and the fusion");
 

@@ -63,12 +63,22 @@ template <typename Fn> EngineRun timeRuns(unsigned Iters, Fn &&Run) {
 } // namespace
 
 int main(int argc, char **argv) {
+  // The bench runs a bare pipeline, so it takes --json plus the shared
+  // pipeline rows; the scheduler rows (--threads, --seed, --shards,
+  // --shard-index, --connect) would configure nothing it runs.
+  const char *Bench = argc > 0 ? argv[0] : "bench_vm_engines";
+  EvalScheduler::Config SC;
+  BuildFlagValues Build;
   std::string JsonPath;
-  EvalScheduler::Config SC = parseSchedulerArgs(
-      argc, argv,
-      {{"--json", "PATH", "also write the machine-readable result file",
-        [&JsonPath](const char *V) { JsonPath = V; }}});
+  std::vector<BenchFlagSpec> Specs = {
+      {"--json", "PATH", "also write the machine-readable result file",
+       [&JsonPath](const char *V) { JsonPath = V; }}};
+  for (BenchFlagSpec &S : pipelineFlagSpecs(SC, Bench, Build))
+    Specs.push_back(std::move(S));
+  parseBenchFlags(argc, argv, Specs);
+  resolveBaselineFlags(SC, Bench, Build, nullptr, nullptr);
   EvalPipeline Pipe(SC.pipelineConfig());
+  const OptLevel Level = SC.Baseline.Level;
 
   // The Figure-6 workload plane (baselines only — engine throughput, not
   // obfuscation overhead). Quick mode thins it like every other bench.
@@ -98,9 +108,9 @@ int main(int argc, char **argv) {
   bool AllMatch = true;
 
   for (const Workload &W : Suite) {
-    std::shared_ptr<const CompiledWorkload> Base = Pipe.baseline(W);
+    std::shared_ptr<const CompiledWorkload> Base = Pipe.baseline(W, Level);
     std::shared_ptr<const EvalPipeline::PrecompiledArtifact> Pre =
-        Pipe.precompiledBaseline(W);
+        Pipe.precompiledBaseline(W, Level);
     if (!Base || !*Base || !Pre || !Pre->Ok) {
       Table.addRow({W.Name, "n/a", "n/a"});
       continue;

@@ -9,7 +9,9 @@
 #include "harness/DiskCache.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <tuple>
 
 using namespace khaos;
@@ -69,40 +71,60 @@ uint64_t ArtifactKey::address() const {
   return H;
 }
 
+namespace {
+
+using Counters = ArtifactStore::StageCounters;
+constexpr size_t NumStages = static_cast<size_t>(ArtifactStage::NumStages);
+
+/// Every counter of a stage, for the counter-wise arithmetic.
+constexpr uint64_t Counters::*CounterFields[] = {
+    &Counters::Hits,     &Counters::Misses,     &Counters::Evictions,
+    &Counters::DiskHits, &Counters::DiskMisses, &Counters::DiskEvictions,
+    &Counters::DiskCorrupt};
+
+/// Sets \p S's totals to the sum over its stages.
+ArtifactStore::Snapshot &sumStages(ArtifactStore::Snapshot &S) {
+  Counters &Total = S;
+  Total = {};
+  for (const Counters &C : S.PerStage)
+    Total += C;
+  return S;
+}
+
+} // namespace
+
+Counters &Counters::operator+=(const Counters &O) {
+  for (uint64_t Counters::*F : CounterFields)
+    this->*F += O.*F;
+  return *this;
+}
+
+Counters &Counters::operator-=(const Counters &O) {
+  for (uint64_t Counters::*F : CounterFields)
+    this->*F -= O.*F;
+  return *this;
+}
+
 ArtifactStore::Snapshot
 ArtifactStore::Snapshot::delta(const Snapshot &After,
                                const Snapshot &Before) {
-  Snapshot D;
-  for (size_t S = 0; S != static_cast<size_t>(ArtifactStage::NumStages);
-       ++S) {
-    D.PerStage[S].Hits = After.PerStage[S].Hits - Before.PerStage[S].Hits;
-    D.PerStage[S].Misses =
-        After.PerStage[S].Misses - Before.PerStage[S].Misses;
-    D.PerStage[S].Evictions =
-        After.PerStage[S].Evictions - Before.PerStage[S].Evictions;
-    D.PerStage[S].DiskHits =
-        After.PerStage[S].DiskHits - Before.PerStage[S].DiskHits;
-    D.PerStage[S].DiskMisses =
-        After.PerStage[S].DiskMisses - Before.PerStage[S].DiskMisses;
-    D.PerStage[S].DiskEvictions =
-        After.PerStage[S].DiskEvictions - Before.PerStage[S].DiskEvictions;
-    D.PerStage[S].DiskCorrupt =
-        After.PerStage[S].DiskCorrupt - Before.PerStage[S].DiskCorrupt;
-  }
-  D.Hits = After.Hits - Before.Hits;
-  D.Misses = After.Misses - Before.Misses;
-  D.Evictions = After.Evictions - Before.Evictions;
-  D.BytesSaved = After.BytesSaved - Before.BytesSaved;
-  D.DiskHits = After.DiskHits - Before.DiskHits;
-  D.DiskMisses = After.DiskMisses - Before.DiskMisses;
-  D.DiskEvictions = After.DiskEvictions - Before.DiskEvictions;
-  D.DiskCorrupt = After.DiskCorrupt - Before.DiskCorrupt;
-  return D;
+  Snapshot D = After;
+  for (size_t S = 0; S != NumStages; ++S)
+    D.PerStage[S] -= Before.PerStage[S];
+  D.BytesSaved -= Before.BytesSaved;
+  return sumStages(D);
+}
+
+ArtifactStore::Snapshot &
+ArtifactStore::Snapshot::operator+=(const Snapshot &O) {
+  for (size_t S = 0; S != NumStages; ++S)
+    PerStage[S] += O.PerStage[S];
+  BytesSaved += O.BytesSaved;
+  return sumStages(*this);
 }
 
 std::shared_ptr<const void>
 ArtifactStore::diskLoad(const ArtifactKey &K, const ArtifactCodec *Codec) {
-  size_t StageIdx = static_cast<size_t>(K.Stage);
   std::vector<uint8_t> Payload;
   DiskGetStatus S = Disk->get(K, Payload);
   std::shared_ptr<const void> Value;
@@ -113,21 +135,18 @@ ArtifactStore::diskLoad(const ArtifactKey &K, const ArtifactCodec *Codec) {
                                   // codec rejected it. Recompute.
   }
   std::lock_guard<std::mutex> Lock(M);
+  Counters &C = Stages[static_cast<size_t>(K.Stage)];
   switch (S) {
   case DiskGetStatus::Hit:
-    Counters.DiskHits += 1;
-    Counters.PerStage[StageIdx].DiskHits += 1;
+    C.DiskHits += 1;
     break;
   case DiskGetStatus::Corrupt:
-    Counters.DiskCorrupt += 1;
-    Counters.PerStage[StageIdx].DiskCorrupt += 1;
+    C.DiskCorrupt += 1;
     // A corrupt entry is also a miss: the artifact gets recomputed.
-    Counters.DiskMisses += 1;
-    Counters.PerStage[StageIdx].DiskMisses += 1;
+    C.DiskMisses += 1;
     break;
   case DiskGetStatus::Miss:
-    Counters.DiskMisses += 1;
-    Counters.PerStage[StageIdx].DiskMisses += 1;
+    C.DiskMisses += 1;
     break;
   }
   return Value;
@@ -142,8 +161,7 @@ void ArtifactStore::diskStore(const ArtifactKey &K, const void *Value,
   if (Evicted == 0)
     return;
   std::lock_guard<std::mutex> Lock(M);
-  Counters.DiskEvictions += Evicted;
-  Counters.PerStage[static_cast<size_t>(K.Stage)].DiskEvictions += Evicted;
+  Stages[static_cast<size_t>(K.Stage)].DiskEvictions += Evicted;
 }
 
 void ArtifactStore::trimLocked() {
@@ -162,9 +180,7 @@ void ArtifactStore::trimLocked() {
         Victim = It;
     if (Victim == Artifacts.end())
       return; // Everything left is pinned.
-    size_t StageIdx = static_cast<size_t>(Victim->first.Stage);
-    Counters.Evictions += 1;
-    Counters.PerStage[StageIdx].Evictions += 1;
+    Stages[static_cast<size_t>(Victim->first.Stage)].Evictions += 1;
     TotalBytes -= Victim->second.CostBytes;
     // Dropping the entry only stops retention: requesters holding the
     // shared_ptr (or mid-wait on the shared_future) are unaffected.
@@ -186,14 +202,12 @@ std::shared_ptr<const void> ArtifactStore::getOrComputeErased(
     const std::function<std::shared_ptr<const void>()> &F,
     const ArtifactCodec *Codec) {
   size_t StageIdx = static_cast<size_t>(K.Stage);
-  assert(StageIdx < static_cast<size_t>(ArtifactStage::NumStages) &&
-         "key has an invalid stage");
+  assert(StageIdx < NumStages && "key has an invalid stage");
 
   if (!Cfg.Enabled) {
     {
       std::lock_guard<std::mutex> Lock(M);
-      Counters.Misses += 1;
-      Counters.PerStage[StageIdx].Misses += 1;
+      Stages[StageIdx].Misses += 1;
     }
     return F();
   }
@@ -207,15 +221,13 @@ std::shared_ptr<const void> ArtifactStore::getOrComputeErased(
     if (It != Artifacts.end()) {
       assert(It->second.Type == Type &&
              "one key requested with two artifact types");
-      Counters.Hits += 1;
-      Counters.PerStage[StageIdx].Hits += 1;
-      Counters.BytesSaved += It->second.CostBytes;
+      Stages[StageIdx].Hits += 1;
+      BytesSaved += It->second.CostBytes;
       It->second.LastUse = ++UseTick;
       Existing = It->second.Value;
       Hit = true;
     } else {
-      Counters.Misses += 1;
-      Counters.PerStage[StageIdx].Misses += 1;
+      Stages[StageIdx].Misses += 1;
       Entry E{Promise.get_future().share(), Type, CostBytes,
               /*LastUse=*/++UseTick, /*Ready=*/false};
       Artifacts.emplace(K, std::move(E));
@@ -264,8 +276,13 @@ std::shared_ptr<const void> ArtifactStore::getOrComputeErased(
 }
 
 ArtifactStore::Snapshot ArtifactStore::stats() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Counters;
+  Snapshot S;
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    std::copy(std::begin(Stages), std::end(Stages), S.PerStage);
+    S.BytesSaved = BytesSaved;
+  }
+  return sumStages(S);
 }
 
 size_t ArtifactStore::size() const {

@@ -138,27 +138,28 @@ public:
     uint64_t DiskMisses = 0;
     uint64_t DiskEvictions = 0;
     uint64_t DiskCorrupt = 0;
+
+    /// Counter-wise sum and difference.
+    StageCounters &operator+=(const StageCounters &O);
+    StageCounters &operator-=(const StageCounters &O);
   };
 
   /// Monotonic counter snapshot. Matrix runs diff two snapshots to report
-  /// per-run telemetry while the store itself lives across runs.
-  struct Snapshot {
+  /// per-run telemetry while the store itself lives across runs. The
+  /// inherited counters are the totals: the sum over PerStage, derived
+  /// by stats(), delta() and operator+=, never counted on their own.
+  struct Snapshot : StageCounters {
     StageCounters PerStage[static_cast<size_t>(ArtifactStage::NumStages)];
-    uint64_t Hits = 0;
-    uint64_t Misses = 0;
-    uint64_t Evictions = 0;
     /// Bytes of MiniC source whose recompilation hits avoided.
     uint64_t BytesSaved = 0;
-    uint64_t DiskHits = 0;
-    uint64_t DiskMisses = 0;
-    uint64_t DiskEvictions = 0;
-    uint64_t DiskCorrupt = 0;
 
     StageCounters stage(ArtifactStage S) const {
       return PerStage[static_cast<size_t>(S)];
     }
     /// Counter-wise After - Before.
     static Snapshot delta(const Snapshot &After, const Snapshot &Before);
+    /// Counter-wise sum: folds another run's delta into this one.
+    Snapshot &operator+=(const Snapshot &O);
   };
 
   /// A disabled store never retains anything: every request recomputes
@@ -257,7 +258,9 @@ private:
   std::unique_ptr<DiskCache> Disk;
   mutable std::mutex M;
   std::map<ArtifactKey, Entry> Artifacts;
-  Snapshot Counters;
+  /// The counters, one set per stage; stats() derives the totals.
+  StageCounters Stages[static_cast<size_t>(ArtifactStage::NumStages)];
+  uint64_t BytesSaved = 0;
   uint64_t UseTick = 0;
   uint64_t TotalBytes = 0;
 };

@@ -720,7 +720,7 @@ FuzzReport DifferentialFuzzer::run() {
   }
   std::vector<ObfuscationMode> Modes =
       Cfg.Modes.empty() ? allObfuscationModes() : Cfg.Modes;
-  const unsigned Batch = std::max(1u, Cfg.CasesPerBatch);
+  const unsigned Batch = Config::CasesPerBatch;
 
   for (unsigned Start = 0; Start < Cfg.Budget; Start += Batch) {
     const unsigned End = std::min(Cfg.Budget, Start + Batch);

@@ -135,8 +135,8 @@ public:
     /// ArtifactStore LRU cap per batch; soaks stay memory-bounded.
     uint64_t StoreMaxBytes = 256u << 20;
     /// Cases per scheduler batch (matrix granularity; result order —
-    /// and thus output — is independent of this and of Threads).
-    unsigned CasesPerBatch = 32;
+    /// and thus output — is independent of Threads).
+    static constexpr unsigned CasesPerBatch = 32;
     bool Verbose = true; ///< false = only divergence + summary lines.
     /// VM engine executing every baseline and obfuscated run (--vm).
     VMEngine Engine = VMEngine::Precompiled;
@@ -157,7 +157,7 @@ public:
   explicit DifferentialFuzzer(Config C) : Cfg(std::move(C)) {}
 
   /// Runs the whole budget. Deterministic: bit-identical report, verdict
-  /// lines and repro files at any Config::Threads / CasesPerBatch.
+  /// lines and repro files at any Config::Threads.
   FuzzReport run();
 
   //===--------------------------------------------------------------------===//

@@ -26,15 +26,6 @@ uint64_t khaos::deriveCellSeed(uint64_t BaseSeed,
   return RNG::fromName(WorkloadName, Salt).next();
 }
 
-void EvalRunStats::mergeCell(const ObfuscationResult &R, bool Failed) {
-  std::lock_guard<std::mutex> Lock(M);
-  Cells += 1;
-  Failures += Failed ? 1 : 0;
-  Fission.merge(R.Fission);
-  Fusion.merge(R.Fusion);
-  Passes.merge(R.Report);
-}
-
 void EvalRunStats::countCell(bool Failed) {
   std::lock_guard<std::mutex> Lock(M);
   Cells += 1;
@@ -53,14 +44,7 @@ void EvalRunStats::countToolFailure() {
 
 void EvalRunStats::mergeCache(const ArtifactStore::Snapshot &Delta) {
   std::lock_guard<std::mutex> Lock(M);
-  CacheHits += Delta.Hits;
-  CacheMisses += Delta.Misses;
-  CacheEvictions += Delta.Evictions;
-  CacheBytesSaved += Delta.BytesSaved;
-  DiskHits += Delta.DiskHits;
-  DiskMisses += Delta.DiskMisses;
-  DiskEvictions += Delta.DiskEvictions;
-  DiskCorrupt += Delta.DiskCorrupt;
+  Cache += Delta;
 }
 
 EvalScheduler::EvalScheduler(Config C) : Cfg(std::move(C)) {
@@ -249,25 +233,6 @@ void EvalScheduler::forEachCellTask(
   });
 }
 
-std::vector<EvalScheduler::CellCompilation>
-EvalScheduler::compileMatrix(const std::vector<Workload> &Workloads,
-                             const std::vector<ObfuscationMode> &Modes,
-                             EvalRunStats *RunStats) const {
-  ArtifactStore::Snapshot Before = Pipe->store().stats();
-  std::vector<CellCompilation> Out(Workloads.size() * Modes.size());
-  forEachCell(Workloads, Modes, [&](const EvalCell &C) {
-    CellCompilation &Slot = Out[C.FlatIdx];
-    Slot.Ran = true;
-    Slot.Compiled = Pipe->obfuscate(*C.W, C.Mode, &Slot.Stats, C.Seed);
-    if (RunStats)
-      RunStats->mergeCell(Slot.Stats, !Slot.Compiled);
-  });
-  if (RunStats)
-    RunStats->mergeCache(
-        ArtifactStore::Snapshot::delta(Pipe->store().stats(), Before));
-  return Out;
-}
-
 std::vector<EvalScheduler::CellOverhead>
 EvalScheduler::overheadMatrix(const std::vector<Workload> &Workloads,
                               const std::vector<ObfuscationMode> &Modes,
@@ -283,8 +248,7 @@ EvalScheduler::overheadMatrix(const std::vector<Workload> &Workloads,
       // is byte-identical to an in-process run.
       EvalRequest Req;
       Req.Kind = EvalWireKind::Overhead;
-      Req.WorkloadName = C.W->Name;
-      Req.WorkloadSource = C.W->Source;
+      Req.W = *C.W;
       Req.Mode = C.Mode;
       Req.Seed = C.Seed;
       EvalResponse Resp = callDaemon(Req);
@@ -348,21 +312,13 @@ EvalScheduler::confoundMatrix(const std::vector<Workload> &Workloads,
         if (remote()) {
           EvalRequest Req;
           Req.Kind = EvalWireKind::DiffTask;
-          Req.WorkloadName = C.W->Name;
-          Req.WorkloadSource = C.W->Source;
-          Req.VulnFunctions = C.W->VulnFunctions;
+          Req.W = *C.W;
           Req.Mode = C.Mode;
           Req.Seed = C.Seed;
           Req.Tool = Tool;
           Req.BaselineLevel = static_cast<uint8_t>(C.Baseline.Level);
           Req.BaselineCodegen = C.Baseline.packedCodegen();
-          EvalResponse Resp = callDaemon(Req);
-          R.ImagesOk = Resp.ImagesOk != 0;
-          R.ToolOk = Resp.ToolOk != 0;
-          R.ToolError = std::move(Resp.ToolError);
-          R.Precision = Resp.Precision;
-          R.Similarity = Resp.Similarity;
-          R.VulnRanks = std::move(Resp.VulnRanks);
+          R = callDaemon(Req).Diff;
         } else {
           R = Pipe->diffTask(*C.W, C.Baseline, C.Mode, C.Seed, Tool);
         }

@@ -84,29 +84,17 @@ struct EvalRunStats {
   /// timeout/crash). The cell's other tools still report; the failed
   /// task renders as "n/a".
   size_t ToolFailures = 0;
-  FissionStats Fission;
-  FusionStats Fusion;
   /// Per-pass potency/cost totals (MBA sites, encrypted strings, block
-  /// splits, byte growth) folded in from every cell's ObfuscationResult.
+  /// splits, byte growth) folded in from every cell's B-side image.
   PassReport Passes;
+  /// Cache telemetry: the ArtifactStore's counter delta over each matrix
+  /// run, summed (reportScheduler prints it on stderr; stdout stays
+  /// byte-identical). The disk counters stay zero without --cache-dir,
+  /// and every counter stays zero under --connect, whose caching happens
+  /// in the daemon's store.
+  ArtifactStore::Snapshot Cache;
 
-  // Cache telemetry, folded in from the ArtifactStore after each matrix
-  // run (reportScheduler prints it on stderr; stdout stays byte-identical).
-  uint64_t CacheHits = 0;
-  uint64_t CacheMisses = 0;
-  uint64_t CacheEvictions = 0; ///< LRU evictions under --store-max-bytes.
-  uint64_t CacheBytesSaved = 0; ///< Bytes of recompilation avoided.
-  // Disk-tier telemetry (--cache-dir); all zero without a disk tier.
-  uint64_t DiskHits = 0;
-  uint64_t DiskMisses = 0;
-  uint64_t DiskEvictions = 0; ///< File evictions under --disk-max-bytes.
-  uint64_t DiskCorrupt = 0;   ///< Invalid on-disk artifacts discarded.
-
-  /// Thread-safe: folds one cell's transformation stats into the totals.
-  void mergeCell(const ObfuscationResult &R, bool Failed);
-
-  /// Thread-safe: counts a cell that produced no transformation stats
-  /// (e.g. an overhead measurement).
+  /// Thread-safe: counts one cell.
   void countCell(bool Failed);
 
   /// Thread-safe: folds one image's pass telemetry into the totals
@@ -117,7 +105,7 @@ struct EvalRunStats {
   /// Thread-safe: counts one failed (cell × tool) task.
   void countToolFailure();
 
-  /// Thread-safe: folds an ArtifactStore counter delta into the totals.
+  /// Thread-safe: folds an ArtifactStore counter delta into Cache.
   void mergeCache(const ArtifactStore::Snapshot &Delta);
 
 private:
@@ -208,19 +196,6 @@ public:
   // have one slot per matrix cell; slots of cells owned by other shards
   // keep Ran == false and are otherwise default-initialized.
   //===--------------------------------------------------------------------===//
-
-  /// Compiled cell: the obfuscated module plus its transformation stats.
-  struct CellCompilation {
-    bool Ran = false;
-    CompiledWorkload Compiled;
-    ObfuscationResult Stats;
-  };
-
-  /// EvalPipeline::obfuscate() over the whole matrix.
-  std::vector<CellCompilation>
-  compileMatrix(const std::vector<Workload> &Workloads,
-                const std::vector<ObfuscationMode> &Modes,
-                EvalRunStats *RunStats = nullptr) const;
 
   /// Runtime overhead of one cell; Ok=false when compile/run/verify failed.
   struct CellOverhead {

@@ -7,12 +7,10 @@
 #include "harness/EvalService.h"
 
 #include "diffing/DiffWorkerProtocol.h"
-#include "harness/DifferentialFuzzer.h"
 
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <sstream>
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -43,27 +41,20 @@ bool requestLayout(IO &X, Request &Req) {
   case EvalWireKind::Ping:
     return true;
   case EvalWireKind::Overhead:
-    X.str(Req.WorkloadName);
-    X.str(Req.WorkloadSource);
+    X.str(Req.W.Name);
+    X.str(Req.W.Source);
     X.u8(Req.Mode);
     X.u64(Req.Seed);
     return true;
   case EvalWireKind::DiffTask:
-    X.str(Req.WorkloadName);
-    X.str(Req.WorkloadSource);
-    X.seq(Req.VulnFunctions, [&](auto &Name) { X.str(Name); });
+    X.str(Req.W.Name);
+    X.str(Req.W.Source);
+    X.seq(Req.W.VulnFunctions, [&](auto &Name) { X.str(Name); });
     X.u8(Req.Mode);
     X.u64(Req.Seed);
     X.str(Req.Tool);
     X.u8(Req.BaselineLevel);
     X.u8(Req.BaselineCodegen);
-    return true;
-  case EvalWireKind::FuzzBatch:
-    X.u64(Req.FuzzSeed);
-    X.u32(Req.FuzzBudget);
-    X.u8(Req.FuzzEngine);
-    X.u8(Req.FuzzCrossVM);
-    X.u8(Req.FuzzVerbose);
     return true;
   }
   return false;
@@ -85,20 +76,12 @@ bool responseLayout(IO &X, Response &Resp) {
     X.f64(Resp.Percent);
     return true;
   case EvalWireKind::DiffTask:
-    X.u8(Resp.ImagesOk);
-    X.u8(Resp.ToolOk);
-    X.str(Resp.ToolError);
-    X.f64(Resp.Precision);
-    X.f64(Resp.Similarity);
-    X.seq(Resp.VulnRanks, [&](auto &Rank) { X.u32(Rank); });
-    return true;
-  case EvalWireKind::FuzzBatch:
-    X.u32(Resp.Cases);
-    X.u32(Resp.Cells);
-    X.u32(Resp.Passes);
-    X.u32(Resp.BaselineErrors);
-    X.u32(Resp.DivergenceCount);
-    X.str(Resp.Text);
+    X.u8(Resp.Diff.ImagesOk);
+    X.u8(Resp.Diff.ToolOk);
+    X.str(Resp.Diff.ToolError);
+    X.f64(Resp.Diff.Precision);
+    X.f64(Resp.Diff.Similarity);
+    X.seq(Resp.Diff.VulnRanks, [&](auto &Rank) { X.u32(Rank); });
     return true;
   }
   return false;
@@ -125,9 +108,6 @@ bool checkFieldRanges(const EvalRequest &Req, std::string &Err) {
     if (Req.BaselineCodegen >> 6)
       return Bad("BaselineCodegen", Req.BaselineCodegen);
   }
-  if (Req.Kind == EvalWireKind::FuzzBatch &&
-      Req.FuzzEngine > static_cast<uint8_t>(VMEngine::Precompiled))
-    return Bad("FuzzEngine", Req.FuzzEngine);
   return true;
 }
 
@@ -375,11 +355,8 @@ EvalResponse EvalServer::handle(const EvalRequest &Req) {
       return Resp;
     }
     case EvalWireKind::Overhead: {
-      Workload W;
-      W.Name = Req.WorkloadName;
-      W.Source = Req.WorkloadSource;
       double Pct = 0.0;
-      bool Ok = Pipe.overheadPercent(W, Req.Mode, Pct, Req.Seed);
+      bool Ok = Pipe.overheadPercent(Req.W, Req.Mode, Pct, Req.Seed);
       Resp.Ok = true;
       Resp.Measured = Ok ? 1 : 0;
       Resp.Percent = Ok ? Pct : 0.0;
@@ -394,46 +371,14 @@ EvalResponse EvalServer::handle(const EvalRequest &Req) {
         Resp.Error = "unknown diffing tool '" + Req.Tool + "'";
         return Resp;
       }
-      Workload W;
-      W.Name = Req.WorkloadName;
-      W.Source = Req.WorkloadSource;
-      W.VulnFunctions = Req.VulnFunctions;
       // The request carries its cell's baseline build config explicitly,
       // so one daemon serves a confound sweep over many configs; the
       // artifact keys never alias across configs.
       BuildConfig BC;
       BC.Level = static_cast<OptLevel>(Req.BaselineLevel);
       BC.Codegen = BuildConfig::unpackCodegen(Req.BaselineCodegen);
-      EvalPipeline::DiffTaskResult R =
-          Pipe.diffTask(W, BC, Req.Mode, Req.Seed, Req.Tool);
       Resp.Ok = true;
-      Resp.ImagesOk = R.ImagesOk ? 1 : 0;
-      Resp.ToolOk = R.ToolOk ? 1 : 0;
-      Resp.ToolError = std::move(R.ToolError);
-      Resp.Precision = R.Precision;
-      Resp.Similarity = R.Similarity;
-      Resp.VulnRanks = std::move(R.VulnRanks);
-      return Resp;
-    }
-    case EvalWireKind::FuzzBatch: {
-      std::ostringstream Text;
-      DifferentialFuzzer::Config FC;
-      FC.Seed = Req.FuzzSeed;
-      FC.Budget = Req.FuzzBudget;
-      FC.Engine = static_cast<VMEngine>(Req.FuzzEngine);
-      FC.CrossVM = Req.FuzzCrossVM != 0;
-      FC.Verbose = Req.FuzzVerbose != 0;
-      FC.Out = &Text;
-      DifferentialFuzzer Fuzzer(FC);
-      FuzzReport Report = Fuzzer.run();
-      Resp.Ok = true;
-      Resp.Cases = Report.Cases;
-      Resp.Cells = Report.Cells;
-      Resp.Passes = Report.Passes;
-      Resp.BaselineErrors = Report.BaselineErrors;
-      Resp.DivergenceCount =
-          static_cast<uint32_t>(Report.Divergences.size());
-      Resp.Text = Text.str();
+      Resp.Diff = Pipe.diffTask(Req.W, BC, Req.Mode, Req.Seed, Req.Tool);
       return Resp;
     }
     }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The khaos-evald wire protocol and its server/client endpoints: a
-/// long-lived daemon serves eval/diff/fuzz-batch requests from many
+/// long-lived daemon serves overhead and diff-task requests from many
 /// concurrent clients against ONE shared warm EvalPipeline — the serving
 /// shape where compiles, images and diff outcomes are paid once per
 /// daemon (and, with a --cache-dir disk tier, once per machine) instead
@@ -30,10 +30,11 @@
 /// Encodings use the diff-worker framing (WireProtocol, openRequest/
 /// openResponse/closeBody) and its conventions — one layout function per
 /// kind serving encoder and decoder alike, no optional fields, doubles as
-/// raw IEEE-754 bit patterns — so a bench running --connect produces
-/// byte-identical stdout to the same bench running in-process
-/// (EvalServiceTest pins every kind's frames so the format cannot drift
-/// silently).
+/// raw IEEE-754 bit patterns. The bodies carry the pipeline's own records
+/// (the cell's Workload in, an EvalPipeline::DiffTaskResult out), so a
+/// bench running --connect produces byte-identical stdout to the same
+/// bench running in-process (EvalServiceTest pins every kind's frames so
+/// the format cannot drift silently).
 ///
 /// Isolation: each connection is served by its own thread; diff tools
 /// keep their per-request subprocess isolation (the SubprocessDiffTool
@@ -79,9 +80,10 @@ enum class EvalWireKind : uint8_t {
   /// builds the images only (the probe the plane's ToolIdx-0 bookkeeping
   /// uses when no tools are requested).
   DiffTask = 3,
-  /// One deterministic fuzz batch: (seed, budget, engine, cross-vm) in,
-  /// verdict text + counters out.
-  FuzzBatch = 4,
+  // 4 is retired (a fuzz batch; khaos-fuzz runs its batches in-process)
+  // and must never be reused: an old client's kind-4 frame has to keep
+  // getting the "unknown request kind 4" error response rather than be
+  // read as some newer kind.
 };
 
 /// One request, tagged by Kind; only the fields of that kind are
@@ -89,10 +91,10 @@ enum class EvalWireKind : uint8_t {
 struct EvalRequest {
   EvalWireKind Kind = EvalWireKind::Ping;
 
-  // Overhead + DiffTask: the cell.
-  std::string WorkloadName;
-  std::string WorkloadSource;
-  std::vector<std::string> VulnFunctions; ///< DiffTask rank targets.
+  // Overhead + DiffTask: the cell. Both kinds send the workload's name
+  // and source, DiffTask also its vulnerable functions (the rank
+  // targets); VulnCVEs stay off the wire.
+  Workload W;
   ObfuscationMode Mode = ObfuscationMode::None;
   uint64_t Seed = 0;
   std::string Tool; ///< DiffTask registry tool ("" = images only).
@@ -102,13 +104,6 @@ struct EvalRequest {
   /// reference codegen) so pre-confound callers are unchanged.
   uint8_t BaselineLevel = 2;     ///< static_cast<uint8_t>(OptLevel::O2).
   uint8_t BaselineCodegen = 0x1e; ///< BuildConfig{}.packedCodegen().
-
-  // FuzzBatch.
-  uint64_t FuzzSeed = 0;
-  uint32_t FuzzBudget = 0;
-  uint8_t FuzzEngine = 0;  ///< VMEngine for the batch.
-  uint8_t FuzzCrossVM = 0;
-  uint8_t FuzzVerbose = 0;
 };
 
 /// One response. Ok=false carries only Error (protocol-level failure);
@@ -129,21 +124,9 @@ struct EvalResponse {
   uint8_t Measured = 0; ///< overheadPercent() succeeded.
   double Percent = 0.0;
 
-  // DiffTask.
-  uint8_t ImagesOk = 0;
-  uint8_t ToolOk = 0;
-  std::string ToolError;
-  double Precision = 0.0;
-  double Similarity = 0.0;
-  std::vector<uint32_t> VulnRanks; ///< Parallel to request VulnFunctions.
-
-  // FuzzBatch.
-  uint32_t Cases = 0;
-  uint32_t Cells = 0;
-  uint32_t Passes = 0;
-  uint32_t BaselineErrors = 0;
-  uint32_t DivergenceCount = 0;
-  std::string Text; ///< The batch's verdict/summary stream.
+  // DiffTask: the daemon's EvalPipeline::diffTask result. Its Report
+  // stays off the wire, so a remote result carries an empty one.
+  EvalPipeline::DiffTaskResult Diff;
 };
 
 /// Payload builders/parsers (exposed so tests can pin golden frames).

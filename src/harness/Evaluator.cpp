@@ -152,11 +152,6 @@ EvalPipeline::baseline(const Workload &W, OptLevel Level) {
 }
 
 std::shared_ptr<const EvalPipeline::PrecompiledArtifact>
-EvalPipeline::precompiledBaseline(const Workload &W) {
-  return precompiledBaseline(W, Cfg.Baseline.Level);
-}
-
-std::shared_ptr<const EvalPipeline::PrecompiledArtifact>
 EvalPipeline::precompiledBaseline(const Workload &W, OptLevel Level) {
   ArtifactKey K{W.Name, ObfuscationMode::None, 0,
                 ArtifactStage::PrecompiledModule,
@@ -328,13 +323,6 @@ EvalPipeline::obfuscatedImage(const Workload &W, ObfuscationMode Mode,
         return Out;
       },
       &imageCodec());
-}
-
-std::shared_ptr<const EvalPipeline::DiffArtifact>
-EvalPipeline::diffOutcome(const Workload &W, ObfuscationMode Mode,
-                          uint64_t Seed, const std::string &ToolName) {
-  return diffOutcome(W, Mode, Seed, ToolName, baselineImage(W),
-                     obfuscatedImage(W, Mode, Seed));
 }
 
 std::shared_ptr<const EvalPipeline::DiffArtifact>

@@ -148,8 +148,6 @@ public:
     BytecodeModule BM;
   };
   std::shared_ptr<const PrecompiledArtifact>
-  precompiledBaseline(const Workload &W);
-  std::shared_ptr<const PrecompiledArtifact>
   precompiledBaseline(const Workload &W, OptLevel Level);
 
   /// Stage BaselineImage: the A-side binary + features under build config
@@ -197,21 +195,15 @@ public:
   /// backends cheap to re-run: a warm re-run hits here and performs zero
   /// worker round trips. A tool that throws DiffToolError (worker
   /// timeout/crash) yields Ok = false with the message — failures are
-  /// artifacts too, computed once.
+  /// artifacts too, computed once. The caller passes the pair it already
+  /// holds (a re-fetch would recompile it under --no-cache): \p A and \p B
+  /// must be the stages of (W, config) and (W, Mode, Seed); the
+  /// config-free form keys against the pipeline's configured baseline.
   struct DiffArtifact {
     bool Ok = false;      ///< Tool ran to completion.
     std::string Error;    ///< DiffToolError message when !Ok.
     DiffOutcome Outcome;
   };
-  std::shared_ptr<const DiffArtifact>
-  diffOutcome(const Workload &W, ObfuscationMode Mode, uint64_t Seed,
-              const std::string &ToolName);
-
-  /// Variant for callers that already hold the cell's image artifacts
-  /// (diffTask): skips the stage re-fetch, which with the store disabled
-  /// (--no-cache) would recompile the pair a second time. \p A and \p B
-  /// must be the stages of (W, config) and (W, Mode, Seed); the
-  /// config-free form keys against the pipeline's configured baseline.
   std::shared_ptr<const DiffArtifact>
   diffOutcome(const Workload &W, ObfuscationMode Mode, uint64_t Seed,
               const std::string &ToolName,

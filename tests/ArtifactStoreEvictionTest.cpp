@@ -157,7 +157,7 @@ TEST(ArtifactStoreEviction, BoundedSchedulerRunMatchesUnbounded) {
   EvalScheduler Unbounded({/*Threads=*/4, /*Seed=*/0xc906});
   EvalRunStats FreeRun;
   auto Expected = Unbounded.precisionMatrix(Suite, Modes, Tools, &FreeRun);
-  EXPECT_EQ(FreeRun.CacheEvictions, 0u);
+  EXPECT_EQ(FreeRun.Cache.Evictions, 0u);
 
   // A 1-byte cap evicts every artifact the moment it completes: the run
   // degenerates to recompute-per-use but must produce identical numbers,
@@ -175,8 +175,8 @@ TEST(ArtifactStoreEviction, BoundedSchedulerRunMatchesUnbounded) {
     EXPECT_EQ(Got[I].Ok, Expected[I].Ok);
     EXPECT_EQ(Got[I].PerTool, Expected[I].PerTool) << "cell " << I;
   }
-  EXPECT_GT(TightRun.CacheEvictions, 0u);
-  EXPECT_EQ(TightRun.CacheEvictions,
+  EXPECT_GT(TightRun.Cache.Evictions, 0u);
+  EXPECT_EQ(TightRun.Cache.Evictions,
             Bounded.pipeline().store().stats().Evictions);
 
   // A warm re-run on the bounded store recomputes (nothing was

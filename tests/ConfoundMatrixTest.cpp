@@ -236,7 +236,7 @@ TEST(ConfoundMatrix, WarmRunPerformsZeroBaselineRecompiles) {
       Sched.pipeline().store().stats(), AfterCold);
   EXPECT_EQ(Delta.Misses, 0u);
   EXPECT_GT(Delta.Hits, 0u);
-  EXPECT_EQ(WarmRun.CacheMisses, 0u);
+  EXPECT_EQ(WarmRun.Cache.Misses, 0u);
   ASSERT_EQ(Warm.size(), Cold.size());
   for (size_t I = 0; I != Cold.size(); ++I) {
     EXPECT_EQ(Warm[I].Ok, Cold[I].Ok);

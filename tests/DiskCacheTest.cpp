@@ -530,23 +530,27 @@ TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
   Workload W = specCpu2006Suite().front();
   ObfuscationMode Mode = ObfuscationMode::Fission;
   uint64_t Seed = 0xc906;
+  auto Diff = [&](EvalPipeline &P) {
+    return P.diffOutcome(W, Mode, Seed, "SAFE", P.baselineImage(W),
+                         P.obfuscatedImage(W, Mode, Seed));
+  };
 
   EvalPipeline Memory(EvalPipeline::Config{true, 0,
                                            VMEngine::Precompiled, {}, 0});
   auto MemRun = Memory.baselineRun(W);
-  auto MemDiff = Memory.diffOutcome(W, Mode, Seed, "SAFE");
+  auto MemDiff = Diff(Memory);
 
   EvalPipeline Cold(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
                                          Dir, 0});
   auto ColdRun = Cold.baselineRun(W);
-  auto ColdDiff = Cold.diffOutcome(W, Mode, Seed, "SAFE");
+  auto ColdDiff = Diff(Cold);
   ASSERT_TRUE(ColdRun->Ok);
   ASSERT_TRUE(ColdDiff->Ok);
 
   EvalPipeline Warm(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
                                          Dir, 0});
   auto WarmRun = Warm.baselineRun(W);
-  auto WarmDiff = Warm.diffOutcome(W, Mode, Seed, "SAFE");
+  auto WarmDiff = Diff(Warm);
 
   // Warm really came from disk, not recompute.
   ArtifactStore::Snapshot S = Warm.store().stats();
@@ -583,11 +587,12 @@ TEST(ArtifactStoreDisk, ArtFileNamesAndBytesArePinned) {
   EvalPipeline Cold(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
                                          Dir, 0});
   ASSERT_TRUE(Cold.baselineRun(W)->Ok);
-  ASSERT_TRUE(Cold.baselineImage(W)->Ok);
+  auto Base = Cold.baselineImage(W);
+  ASSERT_TRUE(Base->Ok);
   auto Obf = Cold.obfuscatedImage(W, Mode, Seed);
   ASSERT_TRUE(Obf->Ok);
   EXPECT_FALSE(Obf->Report.empty());
-  ASSERT_TRUE(Cold.diffOutcome(W, Mode, Seed, "SAFE")->Ok);
+  ASSERT_TRUE(Cold.diffOutcome(W, Mode, Seed, "SAFE", Base, Obf)->Ok);
 
   std::map<std::string, std::string> Got;
   DIR *D = ::opendir(Dir.c_str());

@@ -15,8 +15,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "diffing/DiffWorkerProtocol.h"
 #include "diffing/SubprocessDiffTool.h"
-#include "harness/DifferentialFuzzer.h"
 #include "harness/EvalScheduler.h"
 #include "harness/EvalService.h"
 #include "workloads/Suites.h"
@@ -29,7 +29,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -81,8 +80,8 @@ TEST(EvalWire, GoldenPingRequestBytes) {
 TEST(EvalWire, GoldenOverheadRequestBytes) {
   EvalRequest Req;
   Req.Kind = EvalWireKind::Overhead;
-  Req.WorkloadName = "ab";
-  Req.WorkloadSource = "x";
+  Req.W.Name = "ab";
+  Req.W.Source = "x";
   Req.Mode = ObfuscationMode::Fission;
   Req.Seed = 0x0102030405060708ull;
   std::vector<uint8_t> Bytes = encodeEvalRequest(Req);
@@ -97,63 +96,49 @@ TEST(EvalWire, GoldenOverheadRequestBytes) {
 }
 
 TEST(EvalWire, RequestRoundTripsEveryKind) {
-  EvalRequest Diff;
-  Diff.Kind = EvalWireKind::DiffTask;
-  Diff.WorkloadName = "wl";
-  Diff.WorkloadSource = "int main() { return 0; }";
-  Diff.VulnFunctions = {"f", "g"};
-  Diff.Mode = ObfuscationMode::Fusion;
-  Diff.Seed = 77;
-  Diff.Tool = "SAFE";
-  Diff.BaselineLevel = 0;      // An O0 confound cell.
-  Diff.BaselineCodegen = 0x3f; // Spill + every knob + gcc style (bit 5).
+  EvalRequest Req;
+  Req.Kind = EvalWireKind::DiffTask;
+  Req.W.Name = "wl";
+  Req.W.Source = "int main() { return 0; }";
+  Req.W.VulnFunctions = {"f", "g"};
+  Req.Mode = ObfuscationMode::Fusion;
+  Req.Seed = 77;
+  Req.Tool = "SAFE";
+  Req.BaselineLevel = 0;      // An O0 confound cell.
+  Req.BaselineCodegen = 0x3f; // Spill + every knob + gcc style (bit 5).
 
-  EvalRequest Fuzz;
-  Fuzz.Kind = EvalWireKind::FuzzBatch;
-  Fuzz.FuzzSeed = 0xdead;
-  Fuzz.FuzzBudget = 25;
-  Fuzz.FuzzEngine = 1;
-  Fuzz.FuzzCrossVM = 1;
-  Fuzz.FuzzVerbose = 0;
-
-  for (const EvalRequest &Req : {Diff, Fuzz}) {
-    EvalRequest Out;
-    std::string Err;
-    ASSERT_TRUE(decodeEvalRequest(encodeEvalRequest(Req), Out, Err)) << Err;
-    EXPECT_EQ(Out.Kind, Req.Kind);
-    EXPECT_EQ(Out.WorkloadName, Req.WorkloadName);
-    EXPECT_EQ(Out.WorkloadSource, Req.WorkloadSource);
-    EXPECT_EQ(Out.VulnFunctions, Req.VulnFunctions);
-    EXPECT_EQ(Out.Mode, Req.Mode);
-    EXPECT_EQ(Out.Seed, Req.Seed);
-    EXPECT_EQ(Out.Tool, Req.Tool);
-    EXPECT_EQ(Out.BaselineLevel, Req.BaselineLevel);
-    EXPECT_EQ(Out.BaselineCodegen, Req.BaselineCodegen);
-    EXPECT_EQ(Out.FuzzSeed, Req.FuzzSeed);
-    EXPECT_EQ(Out.FuzzBudget, Req.FuzzBudget);
-    EXPECT_EQ(Out.FuzzEngine, Req.FuzzEngine);
-    EXPECT_EQ(Out.FuzzCrossVM, Req.FuzzCrossVM);
-  }
+  EvalRequest Out;
+  std::string Err;
+  ASSERT_TRUE(decodeEvalRequest(encodeEvalRequest(Req), Out, Err)) << Err;
+  EXPECT_EQ(Out.Kind, Req.Kind);
+  EXPECT_EQ(Out.W.Name, Req.W.Name);
+  EXPECT_EQ(Out.W.Source, Req.W.Source);
+  EXPECT_EQ(Out.W.VulnFunctions, Req.W.VulnFunctions);
+  EXPECT_EQ(Out.Mode, Req.Mode);
+  EXPECT_EQ(Out.Seed, Req.Seed);
+  EXPECT_EQ(Out.Tool, Req.Tool);
+  EXPECT_EQ(Out.BaselineLevel, Req.BaselineLevel);
+  EXPECT_EQ(Out.BaselineCodegen, Req.BaselineCodegen);
 }
 
 TEST(EvalWire, ResponseRoundTripsWithDoublesBitExact) {
   EvalResponse Resp;
   Resp.Kind = EvalWireKind::DiffTask;
   Resp.Ok = true;
-  Resp.ImagesOk = 1;
-  Resp.ToolOk = 1;
-  Resp.Precision = 0.1 + 0.2; // A value with ugly low bits.
-  Resp.Similarity = 1.0 / 3.0;
-  Resp.VulnRanks = {0, 4, UINT32_MAX};
+  Resp.Diff.ImagesOk = true;
+  Resp.Diff.ToolOk = true;
+  Resp.Diff.Precision = 0.1 + 0.2; // A value with ugly low bits.
+  Resp.Diff.Similarity = 1.0 / 3.0;
+  Resp.Diff.VulnRanks = {0, 4, UINT32_MAX};
 
   EvalResponse Out;
   std::string Err;
   ASSERT_TRUE(decodeEvalResponse(encodeEvalResponse(Resp), Out, Err)) << Err;
   // Bit-exact, not approximately-equal: byte-identical stdout depends
   // on doubles crossing the wire as raw IEEE-754 bits.
-  EXPECT_EQ(Out.Precision, Resp.Precision);
-  EXPECT_EQ(Out.Similarity, Resp.Similarity);
-  EXPECT_EQ(Out.VulnRanks, Resp.VulnRanks);
+  EXPECT_EQ(Out.Diff.Precision, Resp.Diff.Precision);
+  EXPECT_EQ(Out.Diff.Similarity, Resp.Diff.Similarity);
+  EXPECT_EQ(Out.Diff.VulnRanks, Resp.Diff.VulnRanks);
 
   EvalResponse ErrResp;
   ErrResp.Kind = EvalWireKind::Overhead;
@@ -171,7 +156,7 @@ TEST(EvalWire, MalformedFramesAreRejectedNotCrashed) {
   // Truncated at every prefix of a valid frame.
   EvalRequest Whole;
   Whole.Kind = EvalWireKind::DiffTask;
-  Whole.WorkloadName = "w";
+  Whole.W.Name = "w";
   Whole.Tool = "SAFE";
   std::vector<uint8_t> Valid = encodeEvalRequest(Whole);
   for (size_t Len = 0; Len != Valid.size(); ++Len) {
@@ -208,6 +193,26 @@ TEST(EvalWire, Version2PeersAreRejectedByName) {
       << Err;
 }
 
+/// The v3 fuzz-batch request an older khaos-fuzz --connect sent: the
+/// header with kind 4, then seed, budget, engine, cross-vm and verbose.
+std::vector<uint8_t> retiredFuzzBatchFrame() {
+  return {
+      0x31, 0x56, 0x45, 0x4B, 0x03, 0x00, 0x01, 0x04, // header, kind=4
+      0x51, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // seed
+      0x04, 0x00, 0x00, 0x00,                         // budget
+      0x01, 0x00, 0x01,                               // engine, flags
+  };
+}
+
+TEST(EvalWire, RetiredFuzzBatchKindIsUnknown) {
+  // Kind 4 is never reused, so the decoder names it rather than reading
+  // an old client's frame as some newer kind.
+  EvalRequest Req;
+  std::string Err;
+  EXPECT_FALSE(decodeEvalRequest(retiredFuzzBatchFrame(), Req, Err));
+  EXPECT_EQ(Err, "unknown request kind 4");
+}
+
 /// "<size>:<FNV-1a of the bytes>" — a frame's identity in the pin table.
 std::string frameDigest(const std::vector<uint8_t> &Bytes) {
   uint64_t H = 0xcbf29ce484222325ull;
@@ -222,27 +227,21 @@ std::string frameDigest(const std::vector<uint8_t> &Bytes) {
 }
 
 const EvalWireKind AllKinds[] = {EvalWireKind::Ping, EvalWireKind::Overhead,
-                                 EvalWireKind::DiffTask,
-                                 EvalWireKind::FuzzBatch};
+                                 EvalWireKind::DiffTask};
 
 /// A request with every field set away from its default, so a field
 /// dropped or reordered in any kind's layout moves that kind's bytes.
 EvalRequest fullRequest(EvalWireKind Kind) {
   EvalRequest Req;
   Req.Kind = Kind;
-  Req.WorkloadName = "pin-wl";
-  Req.WorkloadSource = "int main() { return 7; }";
-  Req.VulnFunctions = {"parse_header", "copy_field"};
+  Req.W.Name = "pin-wl";
+  Req.W.Source = "int main() { return 7; }";
+  Req.W.VulnFunctions = {"parse_header", "copy_field"};
   Req.Mode = ObfuscationMode::SplitBB;
   Req.Seed = 0x0123456789abcdefull;
   Req.Tool = "SAFE";
   Req.BaselineLevel = 1;
   Req.BaselineCodegen = 0x3f;
-  Req.FuzzSeed = 0xfeedface12345678ull;
-  Req.FuzzBudget = 1234;
-  Req.FuzzEngine = 1;
-  Req.FuzzCrossVM = 1;
-  Req.FuzzVerbose = 1;
   return Req;
 }
 
@@ -258,25 +257,19 @@ EvalResponse fullResponse(EvalWireKind Kind) {
   Resp.BaselineCodegen = 0x21;
   Resp.Measured = 1;
   Resp.Percent = 12.5 + 1.0 / 3.0;
-  Resp.ImagesOk = 1;
-  Resp.ToolOk = 1;
-  Resp.ToolError = "tool-error-text";
-  Resp.Precision = 0.1 + 0.2;
-  Resp.Similarity = 2.0 / 3.0;
-  Resp.VulnRanks = {3, 0, UINT32_MAX};
-  Resp.Cases = 11;
-  Resp.Cells = 22;
-  Resp.Passes = 33;
-  Resp.BaselineErrors = 44;
-  Resp.DivergenceCount = 55;
-  Resp.Text = "verdict stream\n";
+  Resp.Diff.ImagesOk = true;
+  Resp.Diff.ToolOk = true;
+  Resp.Diff.ToolError = "tool-error-text";
+  Resp.Diff.Precision = 0.1 + 0.2;
+  Resp.Diff.Similarity = 2.0 / 3.0;
+  Resp.Diff.VulnRanks = {3, 0, UINT32_MAX};
   return Resp;
 }
 
 /// Every kind's request, ok-response and error-response bytes, pinned:
 /// the golden frames above cover only Ping and Overhead requests, so a
-/// field reordered in the DiffTask or FuzzBatch request or in any
-/// response body would pass them unnoticed. Decoding each frame
+/// field reordered in the DiffTask request or in any response body would
+/// pass them unnoticed. Decoding each frame
 /// re-encodes to the same bytes.
 TEST(EvalWire, EveryKindsFramesArePinned) {
   const std::map<std::string, std::string> Pinned = {
@@ -289,9 +282,6 @@ TEST(EvalWire, EveryKindsFramesArePinned) {
       {"kind 3 error-response", "28:479f475e72042b78"},
       {"kind 3 ok-response", "61:215ea3e823dacf03"},
       {"kind 3 request", "99:d82d66ecbe267098"},
-      {"kind 4 error-response", "28:6c0e026697dfc19d"},
-      {"kind 4 ok-response", "47:2e29d365ef9f9182"},
-      {"kind 4 request", "23:af97ba2c0c704412"},
   };
   std::map<std::string, std::string> Got;
   for (EvalWireKind Kind : AllKinds) {
@@ -350,11 +340,11 @@ TEST(EvalWire, TruncationsInsideSequencesAreRejected) {
 
   // VulnFunctions' count follows the workload name and source.
   EvalRequest Req = fullRequest(EvalWireKind::DiffTask);
-  size_t Off = HeaderBytes + 4 + Req.WorkloadName.size() + 4 +
-               Req.WorkloadSource.size();
+  size_t Off =
+      HeaderBytes + 4 + Req.W.Name.size() + 4 + Req.W.Source.size();
   uint32_t Count = 0;
   std::memcpy(&Count, &ReqBytes.at(Off), 4);
-  ASSERT_EQ(Count, Req.VulnFunctions.size());
+  ASSERT_EQ(Count, Req.W.VulnFunctions.size());
   std::vector<uint8_t> Huge = ReqBytes;
   std::memset(&Huge[Off], 0xFF, 4);
   EvalRequest HugeReq;
@@ -365,9 +355,9 @@ TEST(EvalWire, TruncationsInsideSequencesAreRejected) {
   // VulnRanks' count follows ImagesOk, ToolOk, ToolError and the two
   // doubles.
   EvalResponse Resp = fullResponse(EvalWireKind::DiffTask);
-  Off = HeaderBytes + 1 + 1 + 4 + Resp.ToolError.size() + 8 + 8;
+  Off = HeaderBytes + 1 + 1 + 4 + Resp.Diff.ToolError.size() + 8 + 8;
   std::memcpy(&Count, &RespBytes.at(Off), 4);
-  ASSERT_EQ(Count, Resp.VulnRanks.size());
+  ASSERT_EQ(Count, Resp.Diff.VulnRanks.size());
   Huge = RespBytes;
   std::memset(&Huge[Off], 0xFF, 4);
   EvalResponse HugeResp;
@@ -411,8 +401,9 @@ TEST(EvalServer, DiffTaskMatchesInProcessPipeline) {
 
   // The reference: the same computation done in-process.
   EvalPipeline Local(inProcessConfig());
-  auto LocalDiff = Local.diffOutcome(W, Mode, Seed, "SAFE");
-  ASSERT_TRUE(LocalDiff->Ok);
+  EvalPipeline::DiffTaskResult LocalDiff =
+      Local.diffTask(W, BuildConfig{}, Mode, Seed, "SAFE");
+  ASSERT_TRUE(LocalDiff.ToolOk);
 
   EvalServer Server({freshSocket("diff"), inProcessConfig()});
   std::string Err;
@@ -422,19 +413,18 @@ TEST(EvalServer, DiffTaskMatchesInProcessPipeline) {
 
   EvalRequest Req;
   Req.Kind = EvalWireKind::DiffTask;
-  Req.WorkloadName = W.Name;
-  Req.WorkloadSource = W.Source;
-  Req.VulnFunctions = W.VulnFunctions;
+  Req.W = W;
   Req.Mode = Mode;
   Req.Seed = Seed;
   Req.Tool = "SAFE";
   EvalResponse Resp;
   ASSERT_TRUE(Client.call(Req, Resp, Err)) << Err;
   ASSERT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_EQ(Resp.ImagesOk, 1);
-  EXPECT_EQ(Resp.ToolOk, 1);
-  EXPECT_EQ(Resp.Precision, LocalDiff->Outcome.Precision);
-  EXPECT_EQ(Resp.Similarity, LocalDiff->Outcome.Similarity);
+  EXPECT_TRUE(Resp.Diff.ImagesOk);
+  EXPECT_TRUE(Resp.Diff.ToolOk);
+  EXPECT_EQ(Resp.Diff.Precision, LocalDiff.Precision);
+  EXPECT_EQ(Resp.Diff.Similarity, LocalDiff.Similarity);
+  EXPECT_EQ(Resp.Diff.VulnRanks, LocalDiff.VulnRanks);
 
   // An unknown tool is a protocol error response, never a daemon abort.
   Req.Tool = "no-such-tool";
@@ -482,8 +472,7 @@ TEST(EvalServer, FourConcurrentClientsShareOneWarmPipeline) {
       for (const Workload &W : Suite) {
         EvalRequest Req;
         Req.Kind = EvalWireKind::Overhead;
-        Req.WorkloadName = W.Name;
-        Req.WorkloadSource = W.Source;
+        Req.W = W;
         Req.Mode = Mode;
         Req.Seed = Seed;
         EvalResponse Resp;
@@ -601,8 +590,8 @@ TEST(EvalServer, SchedulerConnectMatrixMatchesInProcess) {
   EXPECT_EQ(RemoteGridRun.Failures, LocalGridRun.Failures);
   EXPECT_EQ(RemoteGridRun.ToolFailures, LocalGridRun.ToolFailures);
   // Cache accounting lives daemon-side in remote mode.
-  EXPECT_EQ(RemoteRun.CacheHits + RemoteRun.CacheMisses, 0u);
-  EXPECT_EQ(RemoteGridRun.CacheHits + RemoteGridRun.CacheMisses, 0u);
+  EXPECT_EQ(RemoteRun.Cache.Hits + RemoteRun.Cache.Misses, 0u);
+  EXPECT_EQ(RemoteGridRun.Cache.Hits + RemoteGridRun.Cache.Misses, 0u);
 }
 
 /// Enum-typed wire bytes are cast straight to their enums, so a byte
@@ -619,8 +608,8 @@ TEST(EvalServer, OutOfRangeFieldBytesAreRejectedByName) {
 
   EvalRequest Diff;
   Diff.Kind = EvalWireKind::DiffTask;
-  Diff.WorkloadName = "fields-wl";
-  Diff.WorkloadSource = "int main() { return 0; }";
+  Diff.W.Name = "fields-wl";
+  Diff.W.Source = "int main() { return 0; }";
   Diff.Mode = ObfuscationMode::Sub;
   Diff.Seed = 0xc906;
   Diff.Tool = "SAFE";
@@ -633,21 +622,15 @@ TEST(EvalServer, OutOfRangeFieldBytesAreRejectedByName) {
   BadCodegen.BaselineCodegen = 0xde;
   EvalRequest BadOverheadMode;
   BadOverheadMode.Kind = EvalWireKind::Overhead;
-  BadOverheadMode.WorkloadName = Diff.WorkloadName;
-  BadOverheadMode.WorkloadSource = Diff.WorkloadSource;
+  BadOverheadMode.W = Diff.W;
   BadOverheadMode.Mode = static_cast<ObfuscationMode>(
       static_cast<uint8_t>(ObfuscationMode::SplitBB) + 1);
-  EvalRequest BadEngine;
-  BadEngine.Kind = EvalWireKind::FuzzBatch;
-  BadEngine.FuzzBudget = 1;
-  BadEngine.FuzzEngine = 2;
 
   const std::pair<const char *, EvalRequest> Cases[] = {
       {"Mode", BadMode},
       {"BaselineLevel", BadLevel},
       {"BaselineCodegen", BadCodegen},
       {"Mode", BadOverheadMode},
-      {"FuzzEngine", BadEngine},
   };
   for (const auto &[Field, Req] : Cases) {
     EvalResponse Resp;
@@ -661,8 +644,44 @@ TEST(EvalServer, OutOfRangeFieldBytesAreRejectedByName) {
   EvalResponse Resp;
   ASSERT_TRUE(Client.call(Diff, Resp, Err)) << Err;
   ASSERT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_EQ(Resp.ImagesOk, 1);
-  EXPECT_EQ(Resp.ToolOk, 1);
+  EXPECT_TRUE(Resp.Diff.ImagesOk);
+  EXPECT_TRUE(Resp.Diff.ToolOk);
+}
+
+TEST(EvalServer, RetiredFuzzBatchKindGetsAnErrorResponse) {
+  EvalServer Server({freshSocket("kind4"), inProcessConfig()});
+  std::string Err;
+  ASSERT_TRUE(Server.start(Err)) << Err;
+
+  // The old client's frame, sent raw: EvalClient cannot encode kind 4.
+  int S = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(S, 0);
+  sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Server.socketPath().c_str(),
+               sizeof(Addr.sun_path) - 1);
+  ASSERT_EQ(
+      ::connect(S, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+  std::vector<uint8_t> Payload;
+  ASSERT_EQ(writeDiffFrame(S, retiredFuzzBatchFrame(), -1, Err),
+            FrameIOResult::Ok)
+      << Err;
+  ASSERT_EQ(readDiffFrame(S, Payload, -1, Err), FrameIOResult::Ok) << Err;
+  ::close(S);
+
+  EvalResponse Resp;
+  ASSERT_TRUE(decodeEvalResponse(Payload, Resp, Err)) << Err;
+  EXPECT_FALSE(Resp.Ok);
+  EXPECT_EQ(Resp.Error, "malformed request: unknown request kind 4");
+
+  // The daemon keeps serving.
+  EvalClient Client;
+  ASSERT_TRUE(Client.connect(Server.socketPath(), Err)) << Err;
+  EvalRequest Ping;
+  Ping.Kind = EvalWireKind::Ping;
+  ASSERT_TRUE(Client.call(Ping, Resp, Err)) << Err;
+  EXPECT_TRUE(Resp.Ok);
 }
 
 TEST(EvalServer, HungWorkerFailsOneRequestWithoutStallingOthers) {
@@ -795,8 +814,8 @@ TEST(EvalServer, MidFrameClientDisconnectLeavesDaemonServing) {
   {
     EvalRequest Slow;
     Slow.Kind = EvalWireKind::Overhead;
-    Slow.WorkloadName = "disc-wl";
-    Slow.WorkloadSource = "int main() { return 0; }";
+    Slow.W.Name = "disc-wl";
+    Slow.W.Source = "int main() { return 0; }";
     Slow.Mode = ObfuscationMode::Sub;
     Slow.Seed = 0xc906;
     int S = RawConnect();
@@ -814,41 +833,6 @@ TEST(EvalServer, MidFrameClientDisconnectLeavesDaemonServing) {
   EvalResponse Resp;
   ASSERT_TRUE(Client.call(Req, Resp, Err)) << Err;
   EXPECT_TRUE(Resp.Ok);
-}
-
-TEST(EvalServer, FuzzBatchMatchesLocalRun) {
-  // The daemon's fuzz batch is the same deterministic computation as a
-  // local DifferentialFuzzer with the wire-carried knobs.
-  std::ostringstream LocalText;
-  DifferentialFuzzer::Config FC;
-  FC.Seed = 0x51;
-  FC.Budget = 4;
-  FC.Engine = VMEngine::Precompiled;
-  FC.Verbose = true;
-  FC.Out = &LocalText;
-  DifferentialFuzzer Local(FC);
-  FuzzReport LocalReport = Local.run();
-
-  EvalServer Server({freshSocket("fuzz"), inProcessConfig()});
-  std::string Err;
-  ASSERT_TRUE(Server.start(Err)) << Err;
-  EvalClient Client;
-  ASSERT_TRUE(Client.connect(Server.socketPath(), Err)) << Err;
-
-  EvalRequest Req;
-  Req.Kind = EvalWireKind::FuzzBatch;
-  Req.FuzzSeed = 0x51;
-  Req.FuzzBudget = 4;
-  Req.FuzzEngine = static_cast<uint8_t>(VMEngine::Precompiled);
-  Req.FuzzCrossVM = 0;
-  Req.FuzzVerbose = 1;
-  EvalResponse Resp;
-  ASSERT_TRUE(Client.call(Req, Resp, Err)) << Err;
-  ASSERT_TRUE(Resp.Ok) << Resp.Error;
-  EXPECT_EQ(Resp.Cases, LocalReport.Cases);
-  EXPECT_EQ(Resp.Cells, LocalReport.Cells);
-  EXPECT_EQ(Resp.DivergenceCount, LocalReport.Divergences.size());
-  EXPECT_EQ(Resp.Text, LocalText.str());
 }
 
 } // namespace

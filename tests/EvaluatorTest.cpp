@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <mutex>
+
 using namespace khaos;
 
 namespace {
@@ -47,6 +49,40 @@ void expectStatsEqual(const ObfuscationResult &A, const ObfuscationResult &B) {
   EXPECT_EQ(A.Fusion.Trampolines, B.Fusion.Trampolines);
   EXPECT_EQ(A.Fusion.TaggedPointerSites, B.Fusion.TaggedPointerSites);
   EXPECT_EQ(A.BaselineSites, B.BaselineSites);
+}
+
+/// One cell of EvalPipeline::obfuscate over a scheduler's matrix.
+struct CompiledCell {
+  CompiledWorkload Compiled;
+  ObfuscationResult Stats;
+};
+
+/// Totals over the cells, merged under a mutex as the benches merge theirs.
+struct CompiledTotals {
+  size_t Cells = 0;
+  size_t Failures = 0;
+  ObfuscationResult Stats; ///< Fission and Fusion summed over the cells.
+};
+
+/// EvalPipeline::obfuscate over every cell on \p Sched's pool; each result
+/// lands at its FlatIdx.
+std::vector<CompiledCell>
+obfuscateMatrix(const EvalScheduler &Sched, const std::vector<Workload> &Suite,
+                const std::vector<ObfuscationMode> &Modes,
+                CompiledTotals &Totals) {
+  std::vector<CompiledCell> Out(Suite.size() * Modes.size());
+  std::mutex M;
+  Sched.forEachCell(Suite, Modes, [&](const EvalCell &C) {
+    CompiledCell &Slot = Out[C.FlatIdx];
+    Slot.Compiled =
+        Sched.pipeline().obfuscate(*C.W, C.Mode, &Slot.Stats, C.Seed);
+    std::lock_guard<std::mutex> Lock(M);
+    Totals.Cells += 1;
+    Totals.Failures += Slot.Compiled ? 0 : 1;
+    Totals.Stats.Fission.merge(Slot.Stats.Fission);
+    Totals.Stats.Fusion.merge(Slot.Stats.Fusion);
+  });
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -89,9 +125,9 @@ TEST(EvalScheduler, CompileMatrixIdenticalAcrossThreadCounts) {
   EXPECT_EQ(Serial.threadCount(), 1u);
   EXPECT_EQ(Pool.threadCount(), 8u);
 
-  EvalRunStats SerialRun, PoolRun;
-  auto A = Serial.compileMatrix(Suite, Modes, &SerialRun);
-  auto B = Pool.compileMatrix(Suite, Modes, &PoolRun);
+  CompiledTotals SerialRun, PoolRun;
+  auto A = obfuscateMatrix(Serial, Suite, Modes, SerialRun);
+  auto B = obfuscateMatrix(Pool, Suite, Modes, PoolRun);
   ASSERT_EQ(A.size(), Suite.size() * Modes.size());
   ASSERT_EQ(A.size(), B.size());
 
@@ -111,8 +147,7 @@ TEST(EvalScheduler, CompileMatrixIdenticalAcrossThreadCounts) {
   EXPECT_EQ(SerialRun.Cells, A.size());
   EXPECT_EQ(PoolRun.Cells, B.size());
   EXPECT_EQ(SerialRun.Failures, PoolRun.Failures);
-  expectStatsEqual({SerialRun.Fission, SerialRun.Fusion, 0, {}},
-                   {PoolRun.Fission, PoolRun.Fusion, 0, {}});
+  expectStatsEqual(SerialRun.Stats, PoolRun.Stats);
 }
 
 TEST(EvalScheduler, OverheadMatrixIdenticalAcrossThreadCounts) {
@@ -168,8 +203,8 @@ TEST(EvalScheduler, FailingWorkloadSurfacesErrorNotCrash) {
 
   const std::vector<ObfuscationMode> &Modes = allObfuscationModes();
   EvalScheduler Pool({/*Threads=*/8, /*Seed=*/0xc906});
-  EvalRunStats Run;
-  auto Cells = Pool.compileMatrix(Suite, Modes, &Run);
+  CompiledTotals Run;
+  auto Cells = obfuscateMatrix(Pool, Suite, Modes, Run);
   ASSERT_EQ(Cells.size(), Suite.size() * Modes.size());
 
   for (size_t MI = 0; MI != Modes.size(); ++MI) {

@@ -8,9 +8,11 @@
 /// Tests for the staged pipeline redesign: cached and uncached runs
 /// produce identical printed IR and precision numbers, a warm-cache
 /// precision re-run performs zero baseline recompiles and reuses the
-/// fission-stage artifact for the FuFi modes, the union of sharded runs
-/// equals the unsharded run cell-for-cell, and the DiffTool registry
-/// rejects unknown names loudly while accepting new backends.
+/// fission-stage artifact for the FuFi modes, run telemetry sums the
+/// store's per-stage counter deltas and derives every total from the
+/// stages, the union of sharded runs equals the unsharded run
+/// cell-for-cell, and the DiffTool registry rejects unknown names loudly
+/// while accepting new backends.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +30,7 @@
 
 #include <atomic>
 #include <climits>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -214,19 +217,92 @@ TEST(PipelineCache, FissionStageSharedAcrossFissionModes) {
   const std::vector<ObfuscationMode> Modes = {
       ObfuscationMode::Fission, ObfuscationMode::FuFiSep,
       ObfuscationMode::FuFiOri, ObfuscationMode::FuFiAll};
-  EvalRunStats Run;
-  auto Cells = Sched.compileMatrix(Suite, Modes, &Run);
-  ASSERT_EQ(Cells.size(), Suite.size() * Modes.size());
-  for (const auto &Cell : Cells)
-    EXPECT_TRUE(Cell.Compiled) << Cell.Compiled.Error;
+  std::vector<CompiledWorkload> Cells(Suite.size() * Modes.size());
+  Sched.forEachCell(Suite, Modes, [&](const EvalCell &C) {
+    Cells[C.FlatIdx] =
+        Sched.pipeline().obfuscate(*C.W, C.Mode, nullptr, C.Seed);
+  });
+  for (const CompiledWorkload &Cell : Cells)
+    EXPECT_TRUE(Cell) << Cell.Error;
 
   // The fission prefix ran once per workload; the other three fission-mode
   // cells of each workload reused (cloned) the cached artifact.
   ArtifactStore::Snapshot S = Sched.pipeline().store().stats();
   EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Misses, Suite.size());
   EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Hits, 3 * Suite.size());
-  EXPECT_EQ(Run.CacheMisses + Run.CacheHits, S.Hits + S.Misses);
-  EXPECT_GT(Run.CacheBytesSaved, 0u);
+  EXPECT_GT(S.BytesSaved, 0u);
+}
+
+/// Every counter a Snapshot totals, by name.
+const std::pair<const char *, uint64_t ArtifactStore::StageCounters::*>
+    CounterFields[] = {
+        {"Hits", &ArtifactStore::StageCounters::Hits},
+        {"Misses", &ArtifactStore::StageCounters::Misses},
+        {"Evictions", &ArtifactStore::StageCounters::Evictions},
+        {"DiskHits", &ArtifactStore::StageCounters::DiskHits},
+        {"DiskMisses", &ArtifactStore::StageCounters::DiskMisses},
+        {"DiskEvictions", &ArtifactStore::StageCounters::DiskEvictions},
+        {"DiskCorrupt", &ArtifactStore::StageCounters::DiskCorrupt},
+};
+
+/// Each total of \p S is that counter summed over S.PerStage.
+void expectTotalsSumTheStages(const ArtifactStore::Snapshot &S,
+                              const char *What) {
+  for (const auto &[Name, Field] : CounterFields) {
+    uint64_t Sum = 0;
+    for (const ArtifactStore::StageCounters &C : S.PerStage)
+      Sum += C.*Field;
+    EXPECT_EQ(S.*Field, Sum) << What << " total " << Name;
+  }
+}
+
+TEST(PipelineCache, RunStatsFoldStoreDeltasStageByStage) {
+  // A disk tier and a memory drop between the runs, so the hit, miss,
+  // disk-hit and disk-miss counters are all nonzero somewhere.
+  const std::string Dir = ::testing::TempDir() + "khaos-pipeline-fold-" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(Dir);
+  std::vector<Workload> Suite = smallSuite(2);
+  const std::vector<ObfuscationMode> Modes = {ObfuscationMode::Sub,
+                                              ObfuscationMode::FuFiAll};
+  EvalScheduler::Config C;
+  C.Threads = 2;
+  C.CacheDir = Dir;
+  EvalScheduler Sched(C);
+  const ArtifactStore &Store = Sched.pipeline().store();
+
+  EvalRunStats Run;
+  ArtifactStore::Snapshot S0 = Store.stats();
+  Sched.precisionMatrix(Suite, Modes, {"Asm2Vec"}, &Run);
+  ArtifactStore::Snapshot S1 = Store.stats();
+  Sched.pipeline().store().clear();
+  Sched.overheadMatrix(Suite, Modes, &Run);
+  Sched.precisionMatrix(Suite, Modes, {"Asm2Vec"}, &Run);
+  ArtifactStore::Snapshot S2 = Store.stats();
+  std::filesystem::remove_all(Dir);
+
+  ArtifactStore::Snapshot D1 = ArtifactStore::Snapshot::delta(S1, S0);
+  ArtifactStore::Snapshot D2 = ArtifactStore::Snapshot::delta(S2, S1);
+  for (size_t I = 0; I != static_cast<size_t>(ArtifactStage::NumStages);
+       ++I) {
+    const char *Stage = artifactStageName(static_cast<ArtifactStage>(I));
+    for (const auto &[Name, Field] : CounterFields)
+      EXPECT_EQ(Run.Cache.PerStage[I].*Field,
+                D1.PerStage[I].*Field + D2.PerStage[I].*Field)
+          << Stage << " " << Name;
+  }
+  EXPECT_EQ(Run.Cache.BytesSaved, D1.BytesSaved + D2.BytesSaved);
+  EXPECT_GT(Run.Cache.Hits, 0u);
+  EXPECT_GT(Run.Cache.Misses, 0u);
+  EXPECT_GT(Run.Cache.DiskHits, 0u);
+  EXPECT_GT(Run.Cache.DiskMisses, 0u);
+  EXPECT_GT(Run.Cache.BytesSaved, 0u);
+
+  expectTotalsSumTheStages(S1, "stats()");
+  expectTotalsSumTheStages(S2, "stats()");
+  expectTotalsSumTheStages(D1, "delta()");
+  expectTotalsSumTheStages(D2, "delta()");
+  expectTotalsSumTheStages(Run.Cache, "folded run");
 }
 
 TEST(PipelineCache, WarmPrecisionRunPerformsZeroRecompiles) {
@@ -255,8 +331,8 @@ TEST(PipelineCache, WarmPrecisionRunPerformsZeroRecompiles) {
       ArtifactStore::Snapshot::delta(AfterWarm, AfterCold);
   EXPECT_EQ(Delta.Misses, 0u);
   EXPECT_GT(Delta.Hits, 0u);
-  EXPECT_EQ(WarmRun.CacheMisses, 0u);
-  EXPECT_GT(WarmRun.CacheBytesSaved, 0u);
+  EXPECT_EQ(WarmRun.Cache.Misses, 0u);
+  EXPECT_GT(WarmRun.Cache.BytesSaved, 0u);
 
   // And produced bit-identical numbers.
   ASSERT_EQ(Cold.size(), Warm.size());

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The khaos-evald front-end: binds an EvalServer on a Unix-domain socket
-/// and serves eval/diff/fuzz-batch requests from many concurrent clients
+/// and serves overhead and diff-task requests from many concurrent clients
 /// against ONE shared warm EvalPipeline — compiles, images and diff
 /// outcomes are paid once per daemon (and, with --cache-dir, once per
 /// machine) instead of once per bench process.
@@ -17,11 +17,12 @@
 ///               [--baseline-opt LEVEL] [--codegen T[,T...]]
 ///               [--compiler-style clang|gcc]
 ///
-/// Clients are the benches and khaos-fuzz run with `--connect PATH`;
-/// their stdout is byte-identical to in-process runs (the client refuses
-/// a daemon whose engine/cache or baseline build configuration differs
-/// from its own — a client wanting O0 cells against a daemon warmed at O2
-/// aborts loudly instead of comparing incomparable results).
+/// Clients are the overhead and diffing matrix benches run with
+/// `--connect PATH`; their stdout is byte-identical to in-process runs
+/// (the client refuses a daemon whose engine/cache or baseline build
+/// configuration differs from its own — a client wanting O0 cells against
+/// a daemon warmed at O2 aborts loudly instead of comparing incomparable
+/// results).
 ///
 /// Lifecycle: prints one "[khaos-evald] listening on PATH" line to stderr
 /// once ready (scripts wait for it), then serves until SIGINT/SIGTERM,

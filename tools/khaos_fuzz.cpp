@@ -12,17 +12,15 @@
 ///   khaos-fuzz [--seed S] [--budget N] [--threads N] [--modes A,B,...]
 ///              [--no-shrink] [--repro-dir DIR] [--store-max-bytes B]
 ///              [--quiet] [--vm reference|precompiled] [--cross-vm]
-///              [--list-steps MODE] [--replay FILE] [--connect SOCKET]
+///              [--list-steps MODE] [--replay FILE]
 ///
 /// --quiet drops the verdict line of every clean case from stdout, which
 /// keeps only divergences, baseline errors and the summary; stderr is the
 /// same either way.
 ///
-/// --connect ships the batch to a running khaos-evald daemon (same
-/// socket the benches use) and prints the daemon's verdict stream;
-/// stdout matches a local run of the same (--seed, --budget, --vm).
-/// Flags the wire request cannot carry (--repro-dir, --modes,
-/// --no-shrink) are refused with --connect rather than silently ignored.
+/// Batches always run in this process: the fuzzer builds a fresh store
+/// per batch, so a khaos-evald daemon's warm store has nothing to offer
+/// it, and --connect is refused like any other unknown flag.
 ///
 /// --vm selects the engine every run executes under; --cross-vm runs each
 /// check on BOTH engines and reports any disagreement as its own
@@ -40,7 +38,6 @@
 
 #include "BenchCommon.h"
 #include "harness/DifferentialFuzzer.h"
-#include "harness/EvalService.h"
 #include "support/StringUtils.h"
 
 #include <cstdio>
@@ -84,44 +81,6 @@ fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
                              const std::vector<BenchFlagSpec> &Specs) {
   std::fprintf(stderr, "khaos-fuzz: %s\n", Why.c_str());
   exitWithUsage(2, "khaos-fuzz", "[flags]", Specs);
-}
-
-/// --connect mode: ship the whole batch to a running khaos-evald and
-/// print its verdict stream. The daemon runs the identical deterministic
-/// batch, so stdout matches a local run of the same (--seed, --budget).
-int runRemote(const std::string &SocketPath,
-              const DifferentialFuzzer::Config &Cfg) {
-  EvalClient Client;
-  std::string Err;
-  if (!Client.connect(SocketPath, Err)) {
-    std::fprintf(stderr, "khaos-fuzz: %s\n", Err.c_str());
-    return 2;
-  }
-  EvalRequest Req;
-  Req.Kind = EvalWireKind::FuzzBatch;
-  Req.FuzzSeed = Cfg.Seed;
-  Req.FuzzBudget = Cfg.Budget;
-  Req.FuzzEngine = static_cast<uint8_t>(Cfg.Engine);
-  Req.FuzzCrossVM = Cfg.CrossVM ? 1 : 0;
-  Req.FuzzVerbose = Cfg.Verbose ? 1 : 0;
-  EvalResponse Resp;
-  if (!Client.call(Req, Resp, Err)) {
-    std::fprintf(stderr, "khaos-fuzz: daemon call failed: %s\n",
-                 Err.c_str());
-    return 2;
-  }
-  if (!Resp.Ok) {
-    std::fprintf(stderr, "khaos-fuzz: daemon error: %s\n",
-                 Resp.Error.c_str());
-    return 2;
-  }
-  std::fwrite(Resp.Text.data(), 1, Resp.Text.size(), stdout);
-  std::fprintf(stderr,
-               "[khaos-fuzz] cases=%u cells=%u divergences=%u "
-               "baseline-errors=%u (via %s)\n",
-               Resp.Cases, Resp.Cells, Resp.DivergenceCount,
-               Resp.BaselineErrors, SocketPath.c_str());
-  return Resp.DivergenceCount == 0 ? 0 : 1;
 }
 
 int listSteps(const std::string &ModeName) {
@@ -171,7 +130,7 @@ int main(int argc, char **argv) {
   std::string ModesSpec, ListStepsMode, ReplayPath;
   std::vector<BenchFlagSpec> Specs =
       fuzzerFlagSpecs(Cfg, ModesSpec, ListStepsMode, ReplayPath);
-  // Of the shared rows the fuzzer takes the five it forwards into Cfg
+  // Of the shared rows the fuzzer takes the four it forwards into Cfg
   // below; the others configure nothing it runs.
   EvalScheduler::Config Sched;
   BuildFlagValues Unused;
@@ -180,7 +139,7 @@ int main(int argc, char **argv) {
     Shared.push_back(std::move(S));
   for (BenchFlagSpec &S : Shared)
     for (const char *Name :
-         {"--threads", "--seed", "--store-max-bytes", "--vm", "--connect"})
+         {"--threads", "--seed", "--store-max-bytes", "--vm"})
       if (std::strcmp(S.Name, Name) == 0)
         Specs.push_back(std::move(S));
   parseBenchFlags(argc, argv, Specs);
@@ -195,22 +154,6 @@ int main(int argc, char **argv) {
     return listSteps(ListStepsMode);
   if (!ReplayPath.empty())
     return replay(ReplayPath, Cfg);
-
-  if (!Sched.ConnectPath.empty()) {
-    // The FuzzBatch wire request carries (seed, budget, engine, cross-vm,
-    // verbose) only; flags that would silently change the batch locally
-    // but not remotely are refused instead of ignored.
-    if (!Cfg.ReproDir.empty() || !ModesSpec.empty() || !Cfg.Shrink) {
-      std::fprintf(stderr,
-                   "khaos-fuzz: --repro-dir/--modes/--no-shrink cannot be "
-                   "combined with --connect (the daemon runs the batch "
-                   "with its own defaults)\n");
-      return 2;
-    }
-    if (Cfg.Budget == 0)
-      usageError("--budget N is required", Specs);
-    return runRemote(Sched.ConnectPath, Cfg);
-  }
 
   if (!ModesSpec.empty()) {
     for (const std::string &Name : split(ModesSpec, ',')) {
