@@ -10,9 +10,9 @@
 /// one flag table (parseBenchFlags); `--help` prints that table. Set
 /// KHAOS_QUICK=1 in the environment to run each figure on a reduced
 /// workload sample (for smoke-testing the harness). A bench's stdout is
-/// byte-identical at every thread count, shard split, cache setting and
-/// VM engine; scheduler diagnostics, cache telemetry and wall-clock
-/// timings go to stderr.
+/// byte-identical at every thread count, shard split and cache setting;
+/// scheduler diagnostics, cache telemetry and wall-clock timings go to
+/// stderr.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,20 +169,37 @@ inline void parseBenchFlags(int Argc, char **Argv,
   }
 }
 
+/// Rows khaos-fuzz shares with the scheduler benches, each writing the
+/// field it is handed (a DifferentialFuzzer or EvalScheduler config).
+inline BenchFlagSpec threadsFlag(unsigned &Out, const char *Bench) {
+  return {"--threads", "N", "scheduler worker threads (0 = hardware)",
+          [&Out, Bench](const char *V) {
+            Out = static_cast<unsigned>(
+                parseUnsignedFlag(V, "--threads", Bench, UINT_MAX));
+          }};
+}
+
+inline BenchFlagSpec seedFlag(uint64_t &Out, const char *Bench) {
+  return {"--seed", "S", "base run seed (cell seeds derive from it)",
+          [&Out, Bench](const char *V) {
+            Out = parseUnsignedFlag(V, "--seed", Bench);
+          }};
+}
+
+inline BenchFlagSpec storeMaxBytesFlag(uint64_t &Out, const char *Bench) {
+  return {"--store-max-bytes", "B", "LRU-bound the in-memory artifact store",
+          [&Out, Bench](const char *V) {
+            Out = parseUnsignedFlag(V, "--store-max-bytes", Bench);
+          }};
+}
+
 /// The shared rows that configure the scheduler: its worker count, run
 /// seed, cross-process shard split and the khaos-evald route.
 inline std::vector<BenchFlagSpec>
 schedulerFlagSpecs(EvalScheduler::Config &C, const char *Bench) {
   return {
-      {"--threads", "N", "scheduler worker threads (0 = hardware)",
-       [&C, Bench](const char *V) {
-         C.Threads = static_cast<unsigned>(
-             parseUnsignedFlag(V, "--threads", Bench, UINT_MAX));
-       }},
-      {"--seed", "S", "base run seed (cell seeds derive from it)",
-       [&C, Bench](const char *V) {
-         C.Seed = parseUnsignedFlag(V, "--seed", Bench);
-       }},
+      threadsFlag(C.Threads, Bench),
+      seedFlag(C.Seed, Bench),
       {"--shards", "N", "split the matrix across N processes",
        [&C, Bench](const char *V) {
          C.Shards = static_cast<unsigned>(
@@ -207,17 +224,14 @@ struct BuildFlagValues {
 
 /// The shared rows that configure the pipeline (EvalScheduler::Config's
 /// pipelineConfig() half, plus the diff-worker timeout): the artifact
-/// store and its disk tier, the VM engine and the baseline build config.
+/// store and its disk tier and the baseline build config.
 inline std::vector<BenchFlagSpec>
 pipelineFlagSpecs(EvalScheduler::Config &C, const char *Bench,
                   BuildFlagValues &Build) {
   return {
       {"--no-cache", nullptr, "recompute every artifact (identical output)",
        [&C](const char *) { C.CacheEnabled = false; }},
-      {"--store-max-bytes", "B", "LRU-bound the in-memory artifact store",
-       [&C, Bench](const char *V) {
-         C.StoreMaxBytes = parseUnsignedFlag(V, "--store-max-bytes", Bench);
-       }},
+      storeMaxBytesFlag(C.StoreMaxBytes, Bench),
       {"--cache-dir", "DIR", "persist serializable artifacts on disk",
        [&C](const char *V) { C.CacheDir = V; }},
       {"--disk-max-bytes", "B", "capacity of the on-disk cache tier",
@@ -230,16 +244,6 @@ pipelineFlagSpecs(EvalScheduler::Config &C, const char *Bench,
          // The pool hands it to poll() as an int.
          setDiffWorkerTimeoutMs(static_cast<unsigned>(
              parseUnsignedFlag(V, "--tool-timeout-ms", Bench, INT_MAX)));
-       }},
-      {"--vm", "ENGINE", "execution engine: reference|precompiled",
-       [&C](const char *V) {
-         if (!parseVMEngineName(V, C.Engine)) {
-           std::fprintf(stderr,
-                        "unknown --vm engine '%s' (expected 'reference' or "
-                        "'precompiled')\n",
-                        V);
-           std::exit(2);
-         }
        }},
       {"--baseline-opt", "L[,L...]",
        "baseline build level(s) O0..O3; a comma list is a confound axis",

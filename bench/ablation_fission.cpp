@@ -16,9 +16,6 @@
 
 #include "BenchCommon.h"
 
-#include "frontend/IRGen.h"
-#include "obfuscation/Fission.h"
-
 #include <algorithm>
 
 using namespace khaos;
@@ -26,8 +23,9 @@ using namespace khaos;
 namespace {
 
 /// Overhead of plain fission under one region-selection policy. The
-/// baseline run comes from the shared pipeline cache (one compile+run per
-/// workload for both policy variants).
+/// baseline run and the fission stage come from the shared pipeline cache
+/// (one compile+run per workload for both policy variants), and the
+/// obfuscated build is the pipeline's Fission mode under these options.
 bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
                         bool IgnoreFrequency, double &OverheadOut,
                         double &AvgParams) {
@@ -36,22 +34,20 @@ bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
     return false;
   const ExecResult &Ref = Base->Run;
 
-  Context Ctx;
-  std::string Error;
-  auto M = compileMiniC(W.Source, Ctx, W.Name, Error);
-  if (!M)
+  KhaosOptions Opts;
+  Opts.Fission.Regions.IgnoreFrequencyCost = IgnoreFrequency;
+  auto Fission = Pipe.fissionStage(W, Opts.Fission);
+  if (!*Fission)
     return false;
-
-  FissionStats Stats;
-  FissionOptions Opts;
-  Opts.Regions.IgnoreFrequencyCost = IgnoreFrequency;
-  std::vector<std::string> SepNames = runFission(*M, Stats, Opts);
   // Parameter counts as extracted: O2 may inline or drop sepFuncs.
+  const std::vector<std::string> &SepNames = Fission->Phase.SepFuncs;
   unsigned ParamSum = 0;
   for (const std::string &Name : SepNames)
-    ParamSum += M->getFunction(Name)->arg_size();
-  optimizeModule(*M, OptLevel::O2);
-  ExecResult Got = runModule(*M);
+    ParamSum += Fission->M->getFunction(Name)->arg_size();
+  CompiledWorkload Obf = Pipe.obfuscate(W, ObfuscationMode::Fission, Opts);
+  if (!Obf)
+    return false;
+  ExecResult Got = runModule(*Obf.M);
   if (!Got.Ok || Got.Stdout != Ref.Stdout)
     return false;
   OverheadOut = (double(Got.Cost) - double(Ref.Cost)) / double(Ref.Cost) *

@@ -15,10 +15,6 @@
 
 #include "BenchCommon.h"
 
-#include "diffing/Metrics.h"
-#include "frontend/IRGen.h"
-#include "ir/Verifier.h"
-
 using namespace khaos;
 
 namespace {
@@ -40,33 +36,29 @@ bool evaluate(EvalPipeline &Pipe, const Workload &W, const Variant &V,
   auto AImg = Pipe.baselineImage(W);
   if (!AImg->Ok)
     return false;
-  const BinaryImage &A = AImg->Image;
-  const ImageFeatures &FA = AImg->Features;
 
-  Context Ctx;
-  std::string Error;
-  auto M = compileMiniC(W.Source, Ctx, W.Name, Error);
-  if (!M)
+  // obfuscate hands Opts.Seed to fusion; the ablation fuses with
+  // FusionOptions' own seed.
+  KhaosOptions Opts;
+  Opts.Seed = FusionOptions{}.Seed;
+  Opts.Fusion.EnableDeepFusion = V.DeepFusion;
+  ObfuscationResult Stats;
+  CompiledWorkload Obf =
+      Pipe.obfuscate(W, ObfuscationMode::Fusion, Opts, &Stats);
+  if (!Obf)
     return false;
-  FusionStats Stats;
-  FusionOptions Opts;
-  Opts.EnableDeepFusion = V.DeepFusion;
-  runFusion(*M, Stats, Opts);
-  if (!verifyModule(*M).empty())
-    return false;
-  optimizeModule(*M, OptLevel::O2);
-  ExecResult Got = runModule(*M);
+  ExecResult Got = runModule(*Obf.M);
   if (!Got.Ok || Got.Stdout != Ref.Stdout)
     return false;
 
   OverheadOut = (double(Got.Cost) - double(Ref.Cost)) / double(Ref.Cost) *
                 100.0;
-  MergedBlocks = Stats.avgDeepBlocks();
+  MergedBlocks = Stats.Fusion.avgDeepBlocks();
 
-  BinaryImage B = lowerToBinary(*M);
-  ImageFeatures FB = extractFeatures(B);
-  auto Tool = createAsm2VecTool();
-  PrecisionOut = precisionAt1(A, B, Tool->diff(A, FA, B, FB));
+  BinaryImage B = lowerToBinary(*Obf.M);
+  PrecisionOut = Pipe.runDiffTool(*createAsm2VecTool(), AImg->Image,
+                                  AImg->Features, B, extractFeatures(B))
+                     .Precision;
   return true;
 }
 

@@ -9,9 +9,10 @@
 /// of Khaos (FuFi.all) against reference builds at O0..O3, for the
 /// SPECint 2006 / SPECspeed 2017 benchmarks the paper plots — plus
 /// BinTuner's runtime overhead (the paper reports 30.35%). Rows fan out on
-/// the EvalScheduler pool; the pipeline caches each workload's FuFi.all
-/// image once and diffs it against all four cached reference-level images
-/// instead of recompiling the obfuscated build per level.
+/// the EvalScheduler pool; each Khaos column is one EvalPipeline::diffTask,
+/// so the pipeline caches each workload's FuFi.all image once and diffs it
+/// against all four cached reference-level images instead of recompiling
+/// the obfuscated build per level.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,19 +29,6 @@ const char *Fig9Names[] = {
     "483.xalancbmk", "600.perlbench_s", "605.mcf_s",
     "620.omnetpp_s", "623.xalancbmk_s", "625.x264_s",
     "631.deepsjeng_s", "641.leela_s",  "657.xz_s"};
-
-/// BinDiff similarity of the cell's Khaos (FuFi.all) build against a
-/// cached reference build at the given level.
-double khaosSimilarityVsLevel(EvalPipeline &Pipe, const EvalCell &C,
-                              OptLevel Level) {
-  auto Ref = Pipe.baselineImage(*C.W, BuildConfig::forLevel(Level));
-  auto Obf = Pipe.obfuscatedImage(*C.W, ObfuscationMode::FuFiAll, C.Seed);
-  if (!Ref->Ok || !Obf->Ok)
-    return 0.0;
-  return createDiffTool("BinDiff")
-      ->diff(Ref->Image, Ref->Features, Obf->Image, Obf->Features)
-      .WholeBinarySimilarity;
-}
 
 struct RowResult {
   BinTunerResult BT;
@@ -84,8 +72,10 @@ int main(int argc, char **argv) {
     Row.BT = Tuner.run(*C.W, C.Seed);
     for (int L = 0; L != 4; ++L)
       Row.KhaosSim[L] =
-          khaosSimilarityVsLevel(Sched.pipeline(), C,
-                                 static_cast<OptLevel>(L));
+          Sched.pipeline()
+              .diffTask(*C.W, BuildConfig::forLevel(static_cast<OptLevel>(L)),
+                        C.Mode, C.Seed, "BinDiff")
+              .Similarity;
   });
 
   TableRenderer Table({"benchmark", "BT.vsO0", "BT.vsO1", "BT.vsO2",

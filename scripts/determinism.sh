@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Checks the determinism contract for one group of runs that share a
-# reference output: stdout is byte-identical across thread counts, VM
-# engines, cache tiers, shard splits and khaos-evald. CTest runs each group
+# reference output: stdout is byte-identical across thread counts, cache
+# tiers, shard splits and khaos-evald. CTest runs each group
 # as determinism_<group>, with KHAOS_QUICK=1 in its own /tmp directory.
 # Exit 0 when every comparison holds, 1 when one fails, 2 on misuse.
 set -euo pipefail
-U="usage: $0 <build-dir> fuzz|engines|fig6|fig8|fig8_tools|fig9_confound|evald"
+U="usage: $0 <build-dir> fuzz|fig6|fig8|fig8_tools|fig9_confound|evald"
 [ $# -eq 2 ] && [ -x "$1/khaos-fuzz" ] || { echo "$U" >&2; exit 2; }
 B=$(cd "$1" && pwd) G=$2 F8=bench_fig8_precision FC=bench_fig9_confound
 export KHAOS_QUICK=1
@@ -41,10 +41,6 @@ fuzz) # Verdicts and repros; khaos-fuzz exits nonzero on any divergence.
   # The four newest passes alone, so a bug cannot hide behind the roster.
   for T in 1 8; do run new$T khaos-fuzz --seed 0xc2 --budget 10 --threads $T \
     --cross-vm --modes MBA,StrEnc,IndCall,SplitBB; done; same new1 new8 ;;
-engines)
-  for T in 1 8; do run ref$T $F8 --threads $T --vm reference
-    run pre$T $F8 --threads $T --vm precompiled; same ref$T pre$T; done
-  same pre1 pre8 ;;
 fig6) # The warm run is the check on the BaselineRun codec.
   run t1 bench_fig6_overhead --threads 1; run t8 bench_fig6_overhead --threads 8
   same t1 t8; disk bench_fig6_overhead 2 ;;

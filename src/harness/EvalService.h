@@ -68,7 +68,7 @@ constexpr uint16_t EvalWireVersion = 3;
 
 enum class EvalWireKind : uint8_t {
   /// Liveness + configuration probe: the response carries the daemon's
-  /// engine/cache configuration so clients can refuse a daemon whose
+  /// cache/baseline configuration so clients can refuse a daemon whose
   /// results would not be byte-identical to their in-process run.
   Ping = 1,
   /// One overhead-matrix cell: run (workload, mode, seed) and report the
@@ -106,15 +106,15 @@ struct EvalRequest {
   uint8_t BaselineCodegen = 0x1e; ///< BuildConfig{}.packedCodegen().
 };
 
-/// One response. Ok=false carries only Error (protocol-level failure);
-/// Ok=true carries the fields of the request's kind.
+/// One response, tagged with the request header's kind. Ok=false carries
+/// only Error (protocol-level failure); Ok=true carries that kind's fields.
 struct EvalResponse {
   EvalWireKind Kind = EvalWireKind::Ping;
   bool Ok = false;
   std::string Error;
 
   // Ping.
-  uint8_t Engine = 0;       ///< VMEngine the daemon's pipeline runs.
+  uint8_t Engine = 0; ///< Always VMEngine::Precompiled (v3 layout).
   uint8_t CacheEnabled = 0;
   uint8_t HasDiskTier = 0;
   uint8_t BaselineLevel = 0;   ///< Daemon default baseline opt level.

@@ -129,6 +129,14 @@ const ArtifactCodec &diffOutcomeCodec() {
   return C;
 }
 
+/// Compiles \p W's source into a fresh Context. False when the frontend
+/// fails: Out.M stays null and Out.Error says why.
+bool compile(const Workload &W, CompiledWorkload &Out) {
+  Out.Ctx = std::make_shared<Context>();
+  Out.M = compileMiniC(W.Source, *Out.Ctx, W.Name, Out.Error);
+  return Out.M != nullptr;
+}
+
 } // namespace
 
 std::shared_ptr<const CompiledWorkload>
@@ -143,9 +151,7 @@ EvalPipeline::baseline(const Workload &W, OptLevel Level) {
   return Store.getOrCompute<CompiledWorkload>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const CompiledWorkload> {
         auto Out = std::make_shared<CompiledWorkload>();
-        Out->Ctx = std::make_shared<Context>();
-        Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
-        if (Out->M)
+        if (compile(W, *Out))
           optimizeModule(*Out->M, Level);
         return Out;
       });
@@ -176,34 +182,24 @@ EvalPipeline::baselineRun(const Workload &W) {
 
 std::shared_ptr<const EvalPipeline::BaselineRunArtifact>
 EvalPipeline::baselineRun(const Workload &W, OptLevel Level) {
-  // The engine is part of the key: both engines produce identical results
-  // on verified IR (the cross-VM oracle pins that), but an A/B pipeline
-  // must never let one engine's run satisfy the other's request. Ditto
-  // the opt level: O0 and O2 runs have different costs.
+  // The opt level is part of the key: O0 and O2 runs have different
+  // costs. Bits 8.. hold the precompiled engine's byte, which keeps the
+  // disk tier's .art names and addresses stable across revisions.
   ArtifactKey K{W.Name, ObfuscationMode::None, 0, ArtifactStage::BaselineRun,
                 static_cast<uint64_t>(Level) |
-                    (static_cast<uint64_t>(Cfg.Engine) << 8),
+                    (static_cast<uint64_t>(VMEngine::Precompiled) << 8),
                 fingerprintSource(W)};
   return Store.getOrCompute<BaselineRunArtifact>(
       K, W.Source.size(),
       [&]() -> std::shared_ptr<const BaselineRunArtifact> {
         auto Out = std::make_shared<BaselineRunArtifact>();
-        if (Cfg.Engine == VMEngine::Precompiled) {
-          // Run from the shared bytecode artifact: the decode cost is paid
-          // once per workload, not per execution.
-          std::shared_ptr<const PrecompiledArtifact> PB =
-              precompiledBaseline(W, Level);
-          if (!PB->Ok)
-            return Out;
-          Out->Run = runPrecompiled(PB->BM);
-        } else {
-          std::shared_ptr<const CompiledWorkload> Base = baseline(W, Level);
-          if (!*Base)
-            return Out;
-          ExecOptions EO;
-          EO.Engine = Cfg.Engine;
-          Out->Run = runModule(*Base->M, EO);
-        }
+        // Run from the shared bytecode artifact: the decode cost is paid
+        // once per workload, not per execution.
+        std::shared_ptr<const PrecompiledArtifact> PB =
+            precompiledBaseline(W, Level);
+        if (!PB->Ok)
+          return Out;
+        Out->Run = runPrecompiled(PB->BM);
         Out->Ok = Out->Run.Ok && Out->Run.Cost != 0;
         return Out;
       },
@@ -243,12 +239,8 @@ EvalPipeline::fissionStage(const Workload &W, const FissionOptions &Opts) {
   return Store.getOrCompute<FissionArtifact>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const FissionArtifact> {
         auto Out = std::make_shared<FissionArtifact>();
-        Out->Ctx = std::make_shared<Context>();
-        Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
-        if (!Out->M)
-          return Out;
-        Out->Phase = runFissionPhase(*Out->M, Opts);
-        Out->Ok = true;
+        if (compile(W, *Out))
+          Out->Phase = runFissionPhase(*Out->M, Opts);
         return Out;
       });
 }
@@ -279,7 +271,7 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
     std::shared_ptr<const FissionArtifact> FA =
         fissionStage(W, Opts.Fission);
     Out.Ctx = FA->Ctx;
-    if (!FA->Ok) {
+    if (!*FA) {
       Out.Error = FA->Error;
       return Out;
     }
@@ -288,9 +280,7 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
     Out.M = cloneModule(*FA->M);
     R = finishFissionMode(*Out.M, Mode, Opts, FA->Phase);
   } else {
-    Out.Ctx = std::make_shared<Context>();
-    Out.M = compileMiniC(W.Source, *Out.Ctx, W.Name, Out.Error);
-    if (!Out.M)
+    if (!compile(W, Out))
       return Out;
     R = obfuscateModule(*Out.M, Mode, Opts);
   }
@@ -391,9 +381,7 @@ bool EvalPipeline::overheadPercent(const Workload &W, ObfuscationMode Mode,
   CompiledWorkload Obf = obfuscate(W, Mode, nullptr, Seed);
   if (!Obf)
     return false;
-  ExecOptions EO;
-  EO.Engine = Cfg.Engine;
-  ExecResult ObfRun = runModule(*Obf.M, EO);
+  ExecResult ObfRun = runModule(*Obf.M);
   if (!ObfRun.Ok)
     return false;
   // Behavioural equality is part of the experiment's validity.

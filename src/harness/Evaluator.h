@@ -90,9 +90,6 @@ public:
     /// --store-max-bytes): full-suite sharded runs bound their memory,
     /// evicted stages transparently recompute.
     uint64_t StoreMaxBytes = 0;
-    /// Which VM engine executes programs (--vm). Part of the BaselineRun
-    /// artifact key, so one pipeline can serve A/B comparisons.
-    VMEngine Engine = VMEngine::Precompiled;
     /// Persistent disk tier under this directory (--cache-dir); empty =
     /// memory-only. Stages that are plain data (BaselineRun, the two
     /// image stages, DiffOutcome) survive process restarts; module-
@@ -126,9 +123,10 @@ public:
                                                    OptLevel Level);
 
   /// Stage BaselineRun: VM execution of the baseline at \p Level (the
-  /// overhead denominator). Ok requires a clean run with a nonzero cost.
-  /// Keyed per (level, engine); the no-argument form runs the pipeline's
-  /// configured baseline level.
+  /// overhead denominator), on the precompiled engine from the cached
+  /// PrecompiledModule stage. Ok requires a clean run with a nonzero cost.
+  /// Keyed per level; the no-argument form runs the pipeline's configured
+  /// baseline level.
   struct BaselineRunArtifact {
     bool Ok = false;
     ExecResult Run;
@@ -139,8 +137,8 @@ public:
 
   /// Stage PrecompiledModule: the baseline at \p Level lowered to
   /// bytecode. Decoding happens once per (workload, level); every
-  /// precompiled-engine run (BaselineRun, repeated bench iterations) then
-  /// starts from the cached BytecodeModule. The artifact pins the
+  /// baseline run (BaselineRun, repeated bench iterations) then starts
+  /// from the cached BytecodeModule. The artifact pins the
   /// Baseline artifact it points into.
   struct PrecompiledArtifact {
     bool Ok = false;
@@ -172,12 +170,9 @@ public:
   /// and FuFi.{sep,ori,all} modes (fission takes no seed, so the stage is
   /// keyed on the workload and the fission options alone). Consumers clone
   /// the module — never mutate it. cloneModule only reads M, so any
-  /// number of cells clone it at once, without a lock.
-  struct FissionArtifact {
-    bool Ok = false;          ///< false = frontend failure (see Error).
-    std::string Error;
-    std::shared_ptr<Context> Ctx;
-    std::unique_ptr<Module> M;
+  /// number of cells clone it at once, without a lock. A frontend failure
+  /// leaves M null and says why in Error.
+  struct FissionArtifact : CompiledWorkload {
     FissionPhase Phase;
   };
   std::shared_ptr<const FissionArtifact>

@@ -20,7 +20,8 @@
 
 #include <gtest/gtest.h>
 
-#include <dirent.h>
+#include <filesystem>
+
 #include <unistd.h>
 
 using namespace khaos;
@@ -32,24 +33,21 @@ std::vector<Workload> smallSuite(size_t N = 2) {
   return std::vector<Workload>(All.begin(), All.begin() + N);
 }
 
-/// Fresh empty cache directory under the gtest temp root.
-std::string freshDir(const char *Tag) {
-  static int Counter = 0;
-  std::string Dir = ::testing::TempDir() + "khaos-confound-" + Tag + "-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(++Counter);
-  DIR *D = ::opendir(Dir.c_str());
-  if (D) {
-    while (dirent *E = ::readdir(D)) {
-      std::string Name = E->d_name;
-      if (Name != "." && Name != "..")
-        ::unlink((Dir + "/" + Name).c_str());
-    }
-    ::closedir(D);
-    ::rmdir(Dir.c_str());
+/// A fresh empty cache directory under the gtest temp root, removed again
+/// when the test that made it is done.
+struct FreshDir {
+  std::string Path;
+  explicit FreshDir(const char *Tag) {
+    static int Counter = 0;
+    Path = ::testing::TempDir() + "khaos-confound-" + Tag + "-" +
+           std::to_string(::getpid()) + "-" + std::to_string(++Counter);
+    std::filesystem::remove_all(Path); // A crashed run's leftovers.
   }
-  return Dir;
-}
+  ~FreshDir() { std::filesystem::remove_all(Path); }
+  FreshDir(const FreshDir &) = delete;
+  FreshDir &operator=(const FreshDir &) = delete;
+  operator const std::string &() const { return Path; }
+};
 
 const std::vector<ObfuscationMode> TestModes = {
     ObfuscationMode::None, ObfuscationMode::Sub, ObfuscationMode::FuFiAll};
@@ -97,12 +95,12 @@ TEST(ConfoundCache, PerConfigBaselinesNeverAliasInMemory) {
 
 TEST(ConfoundCache, PerConfigBaselinesNeverAliasOnDisk) {
   Workload W = smallSuite(1).front();
-  std::string Dir = freshDir("aliasing");
+  FreshDir Dir("aliasing");
 
   std::vector<double> H0, H2;
   {
     EvalPipeline Cold(EvalPipeline::Config{
-        /*CacheEnabled=*/true, 0, VMEngine::Precompiled, Dir, 0});
+        /*CacheEnabled=*/true, 0, Dir, 0});
     auto I0 = Cold.baselineImage(W, BuildConfig::forLevel(OptLevel::O0));
     auto I2 = Cold.baselineImage(W, BuildConfig::forLevel(OptLevel::O2));
     ASSERT_TRUE(I0->Ok);
@@ -120,7 +118,7 @@ TEST(ConfoundCache, PerConfigBaselinesNeverAliasOnDisk) {
   // A second pipeline on the same cache dir serves both configs from
   // disk — no compile at either level, each config its own artifact.
   EvalPipeline Warm(EvalPipeline::Config{
-      /*CacheEnabled=*/true, 0, VMEngine::Precompiled, Dir, 0});
+      /*CacheEnabled=*/true, 0, Dir, 0});
   auto J0 = Warm.baselineImage(W, BuildConfig::forLevel(OptLevel::O0));
   auto J2 = Warm.baselineImage(W, BuildConfig::forLevel(OptLevel::O2));
   ASSERT_TRUE(J0->Ok);
@@ -161,7 +159,7 @@ TEST(ConfoundCache, PerStyleBaselinesNeverAliasInMemory) {
 
 TEST(ConfoundCache, PerStyleBaselinesNeverAliasOnDisk) {
   Workload W = smallSuite(1).front();
-  std::string Dir = freshDir("style-aliasing");
+  FreshDir Dir("style-aliasing");
   BuildConfig Clang = BuildConfig::forLevel(OptLevel::O2);
   BuildConfig Gcc = BuildConfig::forLevel(OptLevel::O2);
   Gcc.Codegen.Style = CompilerStyle::GccLike;
@@ -169,7 +167,7 @@ TEST(ConfoundCache, PerStyleBaselinesNeverAliasOnDisk) {
   std::vector<double> HC, HG;
   {
     EvalPipeline Cold(EvalPipeline::Config{
-        /*CacheEnabled=*/true, 0, VMEngine::Precompiled, Dir, 0});
+        /*CacheEnabled=*/true, 0, Dir, 0});
     auto IC = Cold.baselineImage(W, Clang);
     auto IG = Cold.baselineImage(W, Gcc);
     ASSERT_TRUE(IC->Ok);
@@ -187,7 +185,7 @@ TEST(ConfoundCache, PerStyleBaselinesNeverAliasOnDisk) {
   // Warm pipeline on the same cache dir: each style round-trips to its
   // own disk artifact, byte-for-byte, with zero recompiles.
   EvalPipeline Warm(EvalPipeline::Config{
-      /*CacheEnabled=*/true, 0, VMEngine::Precompiled, Dir, 0});
+      /*CacheEnabled=*/true, 0, Dir, 0});
   auto JC = Warm.baselineImage(W, Clang);
   auto JG = Warm.baselineImage(W, Gcc);
   ASSERT_TRUE(JC->Ok);

@@ -19,6 +19,7 @@
 
 #include "frontend/IRGen.h"
 #include "harness/DifferentialFuzzer.h"
+#include "harness/EvalScheduler.h"
 #include "harness/Evaluator.h"
 #include "ir/IRBuilder.h"
 #include "ir/IRPrinter.h"
@@ -269,6 +270,13 @@ TEST(DifferentialFuzzer, CleanPipelineProducesNoDivergences) {
   EXPECT_EQ(Report.BaselineErrors, 0u);
   EXPECT_EQ(Report.Passes, Report.Cells);
   EXPECT_NE(OS.str().find("summary seed=0x11"), std::string::npos);
+}
+
+/// khaos-fuzz binds --seed straight to Config::Seed, so a run without
+/// the flag fuzzes the struct's default, which is the seed every other
+/// binary defaults to.
+TEST(DifferentialFuzzer, DefaultSeedIsTheSchedulerDefault) {
+  EXPECT_EQ(DifferentialFuzzer::Config{}.Seed, EvalScheduler::Config{}.Seed);
 }
 
 TEST(DifferentialFuzzer, SampleSpecIsPureAndSweepsTheCorners) {

@@ -23,6 +23,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -38,25 +39,21 @@ using namespace khaos;
 
 namespace {
 
-/// Fresh empty cache directory under the gtest temp root.
-std::string freshDir(const char *Tag) {
-  static int Counter = 0;
-  std::string Dir = ::testing::TempDir() + "khaos-diskcache-" + Tag + "-" +
-                    std::to_string(::getpid()) + "-" +
-                    std::to_string(++Counter);
-  // Start clean even if a previous crashed run left the name behind.
-  DIR *D = ::opendir(Dir.c_str());
-  if (D) {
-    while (dirent *E = ::readdir(D)) {
-      std::string Name = E->d_name;
-      if (Name != "." && Name != "..")
-        ::unlink((Dir + "/" + Name).c_str());
-    }
-    ::closedir(D);
-    ::rmdir(Dir.c_str());
+/// A fresh empty cache directory under the gtest temp root, removed again
+/// when the test that made it is done.
+struct FreshDir {
+  std::string Path;
+  explicit FreshDir(const char *Tag) {
+    static int Counter = 0;
+    Path = ::testing::TempDir() + "khaos-diskcache-" + Tag + "-" +
+           std::to_string(::getpid()) + "-" + std::to_string(++Counter);
+    std::filesystem::remove_all(Path); // A crashed run's leftovers.
   }
-  return Dir;
-}
+  ~FreshDir() { std::filesystem::remove_all(Path); }
+  FreshDir(const FreshDir &) = delete;
+  FreshDir &operator=(const FreshDir &) = delete;
+  operator const std::string &() const { return Path; }
+};
 
 ArtifactKey sampleKey(const std::string &Workload, uint64_t Seed) {
   ArtifactKey K;
@@ -121,7 +118,8 @@ void writeFileBytes(const std::string &Path,
 }
 
 TEST(DiskCache, RoundTripAndMiss) {
-  DiskCache Cache({freshDir("roundtrip"), 0});
+  FreshDir Dir("roundtrip");
+  DiskCache Cache({Dir, 0});
   ArtifactKey K = sampleKey("wl", 7);
   std::vector<uint8_t> Payload = {1, 2, 3, 4, 5};
 
@@ -138,7 +136,7 @@ TEST(DiskCache, RoundTripAndMiss) {
 }
 
 TEST(DiskCache, PersistsAcrossInstances) {
-  std::string Dir = freshDir("persist");
+  FreshDir Dir("persist");
   ArtifactKey K = sampleKey("persist-wl", 1);
   std::vector<uint8_t> Payload = {9, 8, 7};
   {
@@ -158,7 +156,7 @@ TEST(DiskCache, PersistsAcrossInstances) {
 /// change must bump DiskCacheVersion instead of silently corrupting
 /// caches written by older binaries.
 TEST(DiskCache, EnvelopeLayoutIsPinned) {
-  std::string Dir = freshDir("layout");
+  FreshDir Dir("layout");
   DiskCache Cache({Dir, 0});
   ArtifactKey K = sampleKey("ab", 3); // 2-byte workload name.
   std::vector<uint8_t> Payload = {0x11, 0x22, 0x33};
@@ -180,7 +178,7 @@ TEST(DiskCache, EnvelopeLayoutIsPinned) {
 }
 
 TEST(DiskCache, TruncatedFileIsCorruptAndDeleted) {
-  std::string Dir = freshDir("truncated");
+  FreshDir Dir("truncated");
   DiskCache Cache({Dir, 0});
   ArtifactKey K = sampleKey("trunc-wl", 2);
   Cache.put(K, std::vector<uint8_t>(64, 0x5a));
@@ -201,7 +199,7 @@ TEST(DiskCache, TruncatedFileIsCorruptAndDeleted) {
 }
 
 TEST(DiskCache, BitFlipIsCorruptAndDeleted) {
-  std::string Dir = freshDir("bitflip");
+  FreshDir Dir("bitflip");
   DiskCache Cache({Dir, 0});
   ArtifactKey K = sampleKey("flip-wl", 3);
   Cache.put(K, std::vector<uint8_t>(32, 0x77));
@@ -217,7 +215,7 @@ TEST(DiskCache, BitFlipIsCorruptAndDeleted) {
 }
 
 TEST(DiskCache, WrongVersionIsCorruptAndDeleted) {
-  std::string Dir = freshDir("version");
+  FreshDir Dir("version");
   DiskCache Cache({Dir, 0});
   ArtifactKey K = sampleKey("ver-wl", 4);
   Cache.put(K, {42});
@@ -238,7 +236,7 @@ TEST(DiskCache, WrongVersionIsCorruptAndDeleted) {
 /// must read as a Miss (not the other key's bytes) and must NOT delete
 /// the innocent file.
 TEST(DiskCache, AddressCollisionReadsAsMissAndKeepsFile) {
-  std::string Dir = freshDir("collision");
+  FreshDir Dir("collision");
   DiskCache Cache({Dir, 0});
   ArtifactKey A = sampleKey("coll-a", 5);
   ArtifactKey B = sampleKey("coll-b", 6);
@@ -249,7 +247,7 @@ TEST(DiskCache, AddressCollisionReadsAsMissAndKeepsFile) {
                 static_cast<unsigned long long>(B.address()));
   std::string APath = onlyArtFile(Dir);
   std::string BPath =
-      Dir + "/" + artifactStageName(B.Stage) + "-" + Hex + ".art";
+      Dir.Path + "/" + artifactStageName(B.Stage) + "-" + Hex + ".art";
   ASSERT_EQ(::rename(APath.c_str(), BPath.c_str()), 0);
 
   // A fresh instance indexes the renamed file, looks up B, finds A's key
@@ -261,7 +259,7 @@ TEST(DiskCache, AddressCollisionReadsAsMissAndKeepsFile) {
 }
 
 TEST(DiskCache, LRUEvictionHonorsRecency) {
-  std::string Dir = freshDir("lru");
+  FreshDir Dir("lru");
   DiskCache Cache({Dir, 0});
   ArtifactKey K1 = sampleKey("lru-1", 1);
   ArtifactKey K2 = sampleKey("lru-2", 2);
@@ -286,7 +284,7 @@ TEST(DiskCache, LRUEvictionHonorsRecency) {
 /// would tie all three and the name tiebreak would evict the wrong file;
 /// the nanosecond seed must evict by actual write recency.
 TEST(DiskCache, StartupSeedOrdersSameSecondWritesByNanosecond) {
-  std::string Dir = freshDir("nsmtime");
+  FreshDir Dir("nsmtime");
   ArtifactKey Keys[3] = {sampleKey("ns-1", 1), sampleKey("ns-2", 2),
                          sampleKey("ns-3", 3)};
   std::vector<uint8_t> Payload(64, 0xbb);
@@ -304,9 +302,9 @@ TEST(DiskCache, StartupSeedOrdersSameSecondWritesByNanosecond) {
   for (int I = 0; I != 3; ++I)
     Named.push_back({artFileName(Keys[I]), I});
   std::sort(Named.begin(), Named.end());
-  setMtimeNs(Dir + "/" + Named[0].first, 1000000, 300);
-  setMtimeNs(Dir + "/" + Named[1].first, 1000000, 200);
-  setMtimeNs(Dir + "/" + Named[2].first, 1000000, 100);
+  setMtimeNs(Dir.Path + "/" + Named[0].first, 1000000, 300);
+  setMtimeNs(Dir.Path + "/" + Named[1].first, 1000000, 200);
+  setMtimeNs(Dir.Path + "/" + Named[2].first, 1000000, 100);
 
   // Cap fits the three seeded files; the fourth put evicts exactly one.
   DiskCache Bounded({Dir, PerFile * 3 + 1});
@@ -322,7 +320,7 @@ TEST(DiskCache, StartupSeedOrdersSameSecondWritesByNanosecond) {
 /// copied cache directory): the seed order falls back to the name
 /// tiebreak, so every process picks the same eviction victim.
 TEST(DiskCache, StartupSeedBreaksIdenticalMtimesByName) {
-  std::string Dir = freshDir("mtime-tie");
+  FreshDir Dir("mtime-tie");
   ArtifactKey Keys[3] = {sampleKey("tie-1", 1), sampleKey("tie-2", 2),
                          sampleKey("tie-3", 3)};
   std::vector<uint8_t> Payload(64, 0xcc);
@@ -339,7 +337,7 @@ TEST(DiskCache, StartupSeedBreaksIdenticalMtimesByName) {
     Named.push_back({artFileName(Keys[I]), I});
   std::sort(Named.begin(), Named.end());
   for (const auto &P : Named)
-    setMtimeNs(Dir + "/" + P.first, 2000000, 500);
+    setMtimeNs(Dir.Path + "/" + P.first, 2000000, 500);
 
   DiskCache Bounded({Dir, PerFile * 3 + 1});
   EXPECT_EQ(Bounded.put(sampleKey("tie-4", 4), Payload), 1u);
@@ -352,7 +350,8 @@ TEST(DiskCache, StartupSeedBreaksIdenticalMtimesByName) {
 }
 
 TEST(DiskCache, OversizePayloadIsNotStored) {
-  DiskCache Cache({freshDir("oversize"), 32});
+  FreshDir Dir("oversize");
+  DiskCache Cache({Dir, 32});
   ArtifactKey K = sampleKey("big-wl", 9);
   EXPECT_EQ(Cache.put(K, std::vector<uint8_t>(1024, 1)), 0u);
   EXPECT_EQ(Cache.fileCount(), 0u);
@@ -361,11 +360,12 @@ TEST(DiskCache, OversizePayloadIsNotStored) {
 }
 
 TEST(DiskCache, StaleTmpFilesAreSweptAtStartup) {
-  std::string Dir = freshDir("tmpsweep");
+  FreshDir Dir("tmpsweep");
   {
     DiskCache Mk({Dir, 0}); // Creates the directory.
   }
-  std::string Tmp = Dir + "/diff-outcome-0000000000000000.art.999-1.tmp";
+  std::string Tmp =
+      Dir.Path + "/diff-outcome-0000000000000000.art.999-1.tmp";
   writeFileBytes(Tmp, {1, 2, 3});
   DiskCache Cache({Dir, 0});
   EXPECT_EQ(::access(Tmp.c_str(), F_OK), -1);
@@ -401,7 +401,7 @@ ArtifactCodec blobCodec() {
 }
 
 TEST(ArtifactStoreDisk, WarmStoreLoadsWithoutRecompute) {
-  std::string Dir = freshDir("store-warm");
+  FreshDir Dir("store-warm");
   ArtifactKey K = sampleKey("store-wl", 11);
   ArtifactCodec Codec = blobCodec();
   int Computes = 0;
@@ -439,7 +439,7 @@ TEST(ArtifactStoreDisk, WarmStoreLoadsWithoutRecompute) {
 }
 
 TEST(ArtifactStoreDisk, FailureArtifactsNeverPersist) {
-  std::string Dir = freshDir("store-fail");
+  FreshDir Dir("store-fail");
   ArtifactKey K = sampleKey("fail-wl", 12);
   ArtifactCodec Codec = blobCodec();
   int Computes = 0;
@@ -466,7 +466,7 @@ TEST(ArtifactStoreDisk, FailureArtifactsNeverPersist) {
 }
 
 TEST(ArtifactStoreDisk, CorruptEntryIsRecomputedTransparently) {
-  std::string Dir = freshDir("store-corrupt");
+  FreshDir Dir("store-corrupt");
   ArtifactKey K = sampleKey("corrupt-wl", 13);
   ArtifactCodec Codec = blobCodec();
   int Computes = 0;
@@ -503,7 +503,7 @@ TEST(ArtifactStoreDisk, CorruptEntryIsRecomputedTransparently) {
 }
 
 TEST(ArtifactStoreDisk, DisabledStoreBypassesDisk) {
-  std::string Dir = freshDir("store-disabled");
+  FreshDir Dir("store-disabled");
   ArtifactKey K = sampleKey("disabled-wl", 14);
   ArtifactCodec Codec = blobCodec();
   int Computes = 0;
@@ -526,7 +526,7 @@ TEST(ArtifactStoreDisk, DisabledStoreBypassesDisk) {
 //===----------------------------------------------------------------------===//
 
 TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
-  std::string Dir = freshDir("pipeline");
+  FreshDir Dir("pipeline");
   Workload W = specCpu2006Suite().front();
   ObfuscationMode Mode = ObfuscationMode::Fission;
   uint64_t Seed = 0xc906;
@@ -535,20 +535,17 @@ TEST(ArtifactStoreDisk, PipelineColdWarmAndMemoryOnlyAgree) {
                          P.obfuscatedImage(W, Mode, Seed));
   };
 
-  EvalPipeline Memory(EvalPipeline::Config{true, 0,
-                                           VMEngine::Precompiled, {}, 0});
+  EvalPipeline Memory(EvalPipeline::Config{true, 0, {}, 0});
   auto MemRun = Memory.baselineRun(W);
   auto MemDiff = Diff(Memory);
 
-  EvalPipeline Cold(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
-                                         Dir, 0});
+  EvalPipeline Cold(EvalPipeline::Config{true, 0, Dir, 0});
   auto ColdRun = Cold.baselineRun(W);
   auto ColdDiff = Diff(Cold);
   ASSERT_TRUE(ColdRun->Ok);
   ASSERT_TRUE(ColdDiff->Ok);
 
-  EvalPipeline Warm(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
-                                         Dir, 0});
+  EvalPipeline Warm(EvalPipeline::Config{true, 0, Dir, 0});
   auto WarmRun = Warm.baselineRun(W);
   auto WarmDiff = Diff(Warm);
 
@@ -580,12 +577,11 @@ TEST(ArtifactStoreDisk, ArtFileNamesAndBytesArePinned) {
       {"diff-outcome-e5bf2ae891faf6b5.art", "170:aed17758e7f6aecd"},
       {"obfuscated-image-7a27f0af3e0caf30.art", "46463:82e2cbd3dce48b49"},
   };
-  std::string Dir = freshDir("pins");
+  FreshDir Dir("pins");
   Workload W = coreUtilsSuite().front();
   const ObfuscationMode Mode = ObfuscationMode::SplitBB;
   const uint64_t Seed = 0xc906;
-  EvalPipeline Cold(EvalPipeline::Config{true, 0, VMEngine::Precompiled,
-                                         Dir, 0});
+  EvalPipeline Cold(EvalPipeline::Config{true, 0, Dir, 0});
   ASSERT_TRUE(Cold.baselineRun(W)->Ok);
   auto Base = Cold.baselineImage(W);
   ASSERT_TRUE(Base->Ok);
@@ -595,13 +591,13 @@ TEST(ArtifactStoreDisk, ArtFileNamesAndBytesArePinned) {
   ASSERT_TRUE(Cold.diffOutcome(W, Mode, Seed, "SAFE", Base, Obf)->Ok);
 
   std::map<std::string, std::string> Got;
-  DIR *D = ::opendir(Dir.c_str());
+  DIR *D = ::opendir(Dir.Path.c_str());
   ASSERT_NE(D, nullptr);
   while (dirent *E = ::readdir(D)) {
     std::string Name = E->d_name;
     if (Name.size() <= 4 || Name.rfind(".art") != Name.size() - 4)
       continue;
-    std::vector<uint8_t> Bytes = readFileBytes(Dir + "/" + Name);
+    std::vector<uint8_t> Bytes = readFileBytes(Dir.Path + "/" + Name);
     uint64_t H = 0xcbf29ce484222325ull;
     for (uint8_t B : Bytes) {
       H ^= B;

@@ -31,6 +31,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -51,7 +52,7 @@ std::string freshSocket(const char *Tag) {
 
 EvalPipeline::Config inProcessConfig() {
   return EvalPipeline::Config{/*CacheEnabled=*/true, /*StoreMaxBytes=*/0,
-                              VMEngine::Precompiled, {}, 0};
+                              {}, 0};
 }
 
 //===----------------------------------------------------------------------===//
@@ -653,27 +654,38 @@ TEST(EvalServer, RetiredFuzzBatchKindGetsAnErrorResponse) {
   std::string Err;
   ASSERT_TRUE(Server.start(Err)) << Err;
 
-  // The old client's frame, sent raw: EvalClient cannot encode kind 4.
-  int S = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(S, 0);
-  sockaddr_un Addr;
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Server.socketPath().c_str(),
-               sizeof(Addr.sun_path) - 1);
-  ASSERT_EQ(
-      ::connect(S, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
-  std::vector<uint8_t> Payload;
-  ASSERT_EQ(writeDiffFrame(S, retiredFuzzBatchFrame(), -1, Err),
-            FrameIOResult::Ok)
-      << Err;
-  ASSERT_EQ(readDiffFrame(S, Payload, -1, Err), FrameIOResult::Ok) << Err;
-  ::close(S);
-
+  // Frames sent raw, each on a connection of its own: the old client's
+  // kind-4 frame (EvalClient cannot encode kind 4) and a DiffTask frame
+  // one byte short. Each error reply carries the kind its header named.
+  std::vector<uint8_t> Cut =
+      encodeEvalRequest(fullRequest(EvalWireKind::DiffTask));
+  Cut.pop_back();
+  const std::tuple<std::vector<uint8_t>, unsigned, const char *> Cases[] = {
+      {retiredFuzzBatchFrame(), 4,
+       "malformed request: unknown request kind 4"},
+      {Cut, 3, "malformed request: truncated request body"},
+  };
   EvalResponse Resp;
-  ASSERT_TRUE(decodeEvalResponse(Payload, Resp, Err)) << Err;
-  EXPECT_FALSE(Resp.Ok);
-  EXPECT_EQ(Resp.Error, "malformed request: unknown request kind 4");
+  for (const auto &[Frame, Kind, Error] : Cases) {
+    int S = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(S, 0);
+    sockaddr_un Addr;
+    std::memset(&Addr, 0, sizeof(Addr));
+    Addr.sun_family = AF_UNIX;
+    std::strncpy(Addr.sun_path, Server.socketPath().c_str(),
+                 sizeof(Addr.sun_path) - 1);
+    ASSERT_EQ(
+        ::connect(S, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)), 0);
+    std::vector<uint8_t> Payload;
+    ASSERT_EQ(writeDiffFrame(S, Frame, -1, Err), FrameIOResult::Ok) << Err;
+    ASSERT_EQ(readDiffFrame(S, Payload, -1, Err), FrameIOResult::Ok) << Err;
+    ::close(S);
+
+    ASSERT_TRUE(decodeEvalResponse(Payload, Resp, Err)) << Err;
+    EXPECT_FALSE(Resp.Ok);
+    EXPECT_EQ(Resp.Error, Error);
+    EXPECT_EQ(static_cast<unsigned>(Resp.Kind), Kind);
+  }
 
   // The daemon keeps serving.
   EvalClient Client;

@@ -58,8 +58,8 @@ TEST(PipelineCache, CachedAndUncachedProduceIdenticalIR) {
       ObfuscationMode::Fusion, ObfuscationMode::FuFiSep,
       ObfuscationMode::FuFiAll};
 
-  EvalPipeline Cached(EvalPipeline::Config{/*CacheEnabled=*/true, 0, VMEngine::Precompiled, {}, 0});
-  EvalPipeline Uncached(EvalPipeline::Config{/*CacheEnabled=*/false, 0, VMEngine::Precompiled, {}, 0});
+  EvalPipeline Cached(EvalPipeline::Config{/*CacheEnabled=*/true, 0, {}, 0});
+  EvalPipeline Uncached(EvalPipeline::Config{/*CacheEnabled=*/false, 0, {}, 0});
 
   for (const Workload &W : Suite) {
     for (ObfuscationMode Mode : Modes) {
@@ -110,7 +110,7 @@ TEST(PipelineCache, CloneModulePrintsIdentically) {
   EvalPipeline Pipe;
   std::shared_ptr<const EvalPipeline::FissionArtifact> FA =
       Pipe.fissionStage(W);
-  ASSERT_TRUE(FA->Ok);
+  ASSERT_TRUE(*FA);
   std::unique_ptr<Module> Clone = cloneModule(*FA->M);
   EXPECT_EQ(printModule(*FA->M), printModule(*Clone));
 }
@@ -168,7 +168,7 @@ TEST(PipelineCache, CloneModuleKeepsUseListOrder) {
   EvalPipeline Pipe;
   std::shared_ptr<const EvalPipeline::FissionArtifact> FA =
       Pipe.fissionStage(W);
-  ASSERT_TRUE(FA->Ok);
+  ASSERT_TRUE(*FA);
   const UseLists Before = useLists(*FA->M);
 
   std::unique_ptr<Module> Clone = cloneModule(*FA->M);
@@ -192,7 +192,7 @@ TEST(PipelineCache, ConcurrentClonesNeedNoLock) {
   EvalPipeline Pipe;
   std::shared_ptr<const EvalPipeline::FissionArtifact> FA =
       Pipe.fissionStage(W);
-  ASSERT_TRUE(FA->Ok);
+  ASSERT_TRUE(*FA);
   const std::string Source = printModule(*FA->M);
   const UseLists Before = useLists(*FA->M);
 
@@ -495,8 +495,8 @@ TEST(BenchFlags, SeparateAndEqualsValuesParseAlike) {
       "--shards",       "2",      "--shard-index",    "1",
       "--store-max-bytes", "4096", "--cache-dir",     "kc",
       "--disk-max-bytes", "8192", "--connect",        "s.sock",
-      "--vm",           "reference", "--baseline-opt", "O1",
-      "--codegen",      "no-lea", "--compiler-style", "gcc"};
+      "--baseline-opt", "O1",   "--codegen",        "no-lea",
+      "--compiler-style", "gcc"};
   std::vector<std::string> Joined;
   for (size_t I = 0; I < Separate.size(); I += 2)
     Joined.push_back(Separate[I] + "=" + Separate[I + 1]);
@@ -504,7 +504,6 @@ TEST(BenchFlags, SeparateAndEqualsValuesParseAlike) {
   EvalScheduler::Config B = parseBenchArgs(Joined);
   EXPECT_EQ(A.Threads, 3u);
   EXPECT_EQ(A.Seed, 0x51u);
-  EXPECT_EQ(A.Engine, VMEngine::Reference);
   EXPECT_EQ(A.Baseline.Level, OptLevel::O1);
   EXPECT_EQ(A.Baseline.Codegen.Style, CompilerStyle::GccLike);
   EXPECT_EQ(A.Threads, B.Threads);
@@ -515,7 +514,6 @@ TEST(BenchFlags, SeparateAndEqualsValuesParseAlike) {
   EXPECT_EQ(A.CacheDir, B.CacheDir);
   EXPECT_EQ(A.DiskMaxBytes, B.DiskMaxBytes);
   EXPECT_EQ(A.ConnectPath, B.ConnectPath);
-  EXPECT_EQ(A.Engine, B.Engine);
   EXPECT_TRUE(A.Baseline == B.Baseline);
   EXPECT_FALSE(parseBenchArgs({"--no-cache"}).CacheEnabled);
 }
@@ -528,6 +526,9 @@ TEST(BenchFlagsDeathTest, ArgumentsOutsideTheTableExitWithUsage) {
       {{"--threads", "4", "extra"}, "unexpected argument 'extra'"},
       {{"--seed", "1", "--threads"}, "flag '--threads' requires a value"},
       {{"--no-cache=1"}, "flag '--no-cache=1' takes no value"},
+      // Every pipeline runs the precompiled engine; only khaos-fuzz
+      // takes --vm.
+      {{"--vm", "reference"}, "unknown flag '--vm'"},
   };
   for (const auto &Case : Cases)
     EXPECT_EXIT(parseBenchArgs(Case.first), ::testing::ExitedWithCode(2),
@@ -584,13 +585,12 @@ TEST(BenchFlagsDeathTest, ToolsRowRejectsUnknownNames) {
 TEST(BenchFlags, PipelineConfigCarriesTheParsedBaseline) {
   EvalPipeline::Config PC =
       parseBenchArgs({"--baseline-opt", "O0", "--compiler-style", "gcc",
-                      "--no-cache", "--vm", "reference", "--store-max-bytes",
-                      "4096", "--cache-dir", "kc", "--disk-max-bytes", "8192"})
+                      "--no-cache", "--store-max-bytes", "4096",
+                      "--cache-dir", "kc", "--disk-max-bytes", "8192"})
           .pipelineConfig();
   EXPECT_EQ(PC.Baseline.Level, OptLevel::O0);
   EXPECT_EQ(PC.Baseline.Codegen.Style, CompilerStyle::GccLike);
   EXPECT_FALSE(PC.CacheEnabled);
-  EXPECT_EQ(PC.Engine, VMEngine::Reference);
   EXPECT_EQ(PC.StoreMaxBytes, 4096u);
   EXPECT_EQ(PC.CacheDir, "kc");
   EXPECT_EQ(PC.DiskMaxBytes, 8192u);

@@ -11,7 +11,7 @@
 /// outcomes are paid once per daemon (and, with --cache-dir, once per
 /// machine) instead of once per bench process.
 ///
-///   khaos-evald --socket PATH [--vm reference|precompiled] [--no-cache]
+///   khaos-evald --socket PATH [--no-cache]
 ///               [--store-max-bytes B] [--cache-dir DIR]
 ///               [--disk-max-bytes B] [--tool-timeout-ms T]
 ///               [--baseline-opt LEVEL] [--codegen T[,T...]]
@@ -19,7 +19,7 @@
 ///
 /// Clients are the overhead and diffing matrix benches run with
 /// `--connect PATH`; their stdout is byte-identical to in-process runs
-/// (the client refuses a daemon whose engine/cache or baseline build
+/// (the client refuses a daemon whose cache or baseline build
 /// configuration differs from its own — a client wanting O0 cells against
 /// a daemon warmed at O2 aborts loudly instead of comparing incomparable
 /// results).
@@ -87,10 +87,9 @@ int main(int argc, char **argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   std::fprintf(stderr,
-               "[khaos-evald] listening on %s engine=%s cache=%s disk=%s "
+               "[khaos-evald] listening on %s cache=%s disk=%s "
                "baseline=%s\n",
-               SocketPath.c_str(), vmEngineName(Sched.Engine),
-               Sched.CacheEnabled ? "on" : "off",
+               SocketPath.c_str(), Sched.CacheEnabled ? "on" : "off",
                Sched.CacheDir.empty() ? "(none)" : Sched.CacheDir.c_str(),
                Sched.Baseline.name().c_str());
 

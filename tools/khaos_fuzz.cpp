@@ -16,7 +16,8 @@
 ///
 /// --quiet drops the verdict line of every clean case from stdout, which
 /// keeps only divergences, baseline errors and the summary; stderr is the
-/// same either way.
+/// same either way. --store-max-bytes caps each batch's store (default
+/// 256 MiB; 0 = unbounded, as in every other binary).
 ///
 /// Batches always run in this process: the fuzzer builds a fresh store
 /// per batch, so a khaos-evald daemon's warm store has nothing to offer
@@ -41,7 +42,6 @@
 #include "support/StringUtils.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -49,11 +49,12 @@ using namespace khaos;
 
 namespace {
 
-/// The fuzzer's own flags, declared in the same table form as the shared
-/// rows it honors (BenchFlagSpec).
+/// The fuzzer's flag table. Its rows write DifferentialFuzzer::Config
+/// directly, so each knob has the one default the struct gives it.
 std::vector<BenchFlagSpec>
 fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
                 std::string &ListStepsMode, std::string &ReplayPath) {
+  const char *Tool = "khaos-fuzz";
   return {
       {"--budget", "N", "fuzz cases to generate (required)",
        [&Cfg](const char *V) {
@@ -74,6 +75,19 @@ fuzzerFlagSpecs(DifferentialFuzzer::Config &Cfg, std::string &ModesSpec,
        [&Cfg](const char *) { Cfg.Verbose = false; }},
       {"--cross-vm", nullptr, "run each check on BOTH engines",
        [&Cfg](const char *) { Cfg.CrossVM = true; }},
+      threadsFlag(Cfg.Threads, Tool),
+      seedFlag(Cfg.Seed, Tool),
+      storeMaxBytesFlag(Cfg.StoreMaxBytes, Tool),
+      {"--vm", "ENGINE", "execution engine: reference|precompiled",
+       [&Cfg](const char *V) {
+         if (!parseVMEngineName(V, Cfg.Engine)) {
+           std::fprintf(stderr,
+                        "unknown --vm engine '%s' (expected 'reference' or "
+                        "'precompiled')\n",
+                        V);
+           std::exit(2);
+         }
+       }},
   };
 }
 
@@ -130,25 +144,7 @@ int main(int argc, char **argv) {
   std::string ModesSpec, ListStepsMode, ReplayPath;
   std::vector<BenchFlagSpec> Specs =
       fuzzerFlagSpecs(Cfg, ModesSpec, ListStepsMode, ReplayPath);
-  // Of the shared rows the fuzzer takes the four it forwards into Cfg
-  // below; the others configure nothing it runs.
-  EvalScheduler::Config Sched;
-  BuildFlagValues Unused;
-  std::vector<BenchFlagSpec> Shared = schedulerFlagSpecs(Sched, "khaos-fuzz");
-  for (BenchFlagSpec &S : pipelineFlagSpecs(Sched, "khaos-fuzz", Unused))
-    Shared.push_back(std::move(S));
-  for (BenchFlagSpec &S : Shared)
-    for (const char *Name :
-         {"--threads", "--seed", "--store-max-bytes", "--vm"})
-      if (std::strcmp(S.Name, Name) == 0)
-        Specs.push_back(std::move(S));
   parseBenchFlags(argc, argv, Specs);
-
-  Cfg.Seed = Sched.Seed;
-  Cfg.Threads = Sched.Threads;
-  Cfg.Engine = Sched.Engine;
-  Cfg.StoreMaxBytes = Sched.StoreMaxBytes ? Sched.StoreMaxBytes
-                                          : Cfg.StoreMaxBytes;
 
   if (!ListStepsMode.empty())
     return listSteps(ListStepsMode);
