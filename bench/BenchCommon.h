@@ -222,6 +222,19 @@ struct BuildFlagValues {
   std::string Opt, Codegen, Style;
 };
 
+/// Shared pipeline rows that bench_vm_engines also takes, one factory
+/// each, so pipelineFlagSpecs and that bench render one copy of the text.
+inline BenchFlagSpec noCacheFlag(bool &CacheEnabled) {
+  return {"--no-cache", nullptr, "recompute every artifact (identical output)",
+          [&CacheEnabled](const char *) { CacheEnabled = false; }};
+}
+
+inline BenchFlagSpec baselineOptFlag(BuildFlagValues &Build) {
+  return {"--baseline-opt", "L[,L...]",
+          "baseline build level(s) O0..O3; a comma list is a confound axis",
+          [&Build](const char *V) { Build.Opt = V; }};
+}
+
 /// The shared rows that configure the pipeline (EvalScheduler::Config's
 /// pipelineConfig() half, plus the diff-worker timeout): the artifact
 /// store and its disk tier and the baseline build config.
@@ -229,8 +242,7 @@ inline std::vector<BenchFlagSpec>
 pipelineFlagSpecs(EvalScheduler::Config &C, const char *Bench,
                   BuildFlagValues &Build) {
   return {
-      {"--no-cache", nullptr, "recompute every artifact (identical output)",
-       [&C](const char *) { C.CacheEnabled = false; }},
+      noCacheFlag(C.CacheEnabled),
       storeMaxBytesFlag(C.StoreMaxBytes, Bench),
       {"--cache-dir", "DIR", "persist serializable artifacts on disk",
        [&C](const char *V) { C.CacheDir = V; }},
@@ -245,9 +257,7 @@ pipelineFlagSpecs(EvalScheduler::Config &C, const char *Bench,
          setDiffWorkerTimeoutMs(static_cast<unsigned>(
              parseUnsignedFlag(V, "--tool-timeout-ms", Bench, INT_MAX)));
        }},
-      {"--baseline-opt", "L[,L...]",
-       "baseline build level(s) O0..O3; a comma list is a confound axis",
-       [&Build](const char *V) { Build.Opt = V; }},
+      baselineOptFlag(Build),
       {"--codegen", "T[,T...]",
        "baseline codegen tweaks: [no-]{spill,lea,cmov,jump-tables,"
        "align-loops}",

@@ -24,8 +24,9 @@ namespace {
 
 /// Overhead of plain fission under one region-selection policy. The
 /// baseline run and the fission stage come from the shared pipeline cache
-/// (one compile+run per workload for both policy variants), and the
-/// obfuscated build is the pipeline's Fission mode under these options.
+/// (one compile and one baseline run per workload for both policy
+/// variants), and the obfuscated build is the pipeline's Fission mode
+/// under these options.
 bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
                         bool IgnoreFrequency, double &OverheadOut,
                         double &AvgParams) {

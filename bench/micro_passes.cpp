@@ -85,8 +85,8 @@ void BM_Fusion(benchmark::State &State) {
 }
 BENCHMARK(BM_Fusion);
 
-/// An O2 module of benchSource(), the shape of the fission-stage module
-/// every FuFi cell clones; built once and shared by every thread.
+/// An O2 module of benchSource(), built once and shared by every thread
+/// that clones it.
 const Module &sharedO2Module() {
   static Context Ctx;
   static const std::unique_ptr<Module> M = [] {

@@ -63,18 +63,21 @@ template <typename Fn> EngineRun timeRuns(unsigned Iters, Fn &&Run) {
 } // namespace
 
 int main(int argc, char **argv) {
-  // The bench runs a bare pipeline, so it takes --json plus the shared
-  // pipeline rows; the scheduler rows (--threads, --seed, --shards,
-  // --shard-index, --connect) would configure nothing it runs.
+  // The bench runs a bare pipeline over memory-only stages (baseline,
+  // precompiledBaseline) and no diff tool, so it takes --json plus the
+  // pipeline rows that reach those stages. The scheduler rows, the disk
+  // tier, the diff-worker timeout and the codegen rows would configure
+  // nothing it runs.
   const char *Bench = argc > 0 ? argv[0] : "bench_vm_engines";
   EvalScheduler::Config SC;
   BuildFlagValues Build;
   std::string JsonPath;
-  std::vector<BenchFlagSpec> Specs = {
+  const std::vector<BenchFlagSpec> Specs = {
       {"--json", "PATH", "also write the machine-readable result file",
-       [&JsonPath](const char *V) { JsonPath = V; }}};
-  for (BenchFlagSpec &S : pipelineFlagSpecs(SC, Bench, Build))
-    Specs.push_back(std::move(S));
+       [&JsonPath](const char *V) { JsonPath = V; }},
+      noCacheFlag(SC.CacheEnabled),
+      storeMaxBytesFlag(SC.StoreMaxBytes, Bench),
+      baselineOptFlag(Build)};
   parseBenchFlags(argc, argv, Specs);
   resolveBaselineFlags(SC, Bench, Build, nullptr, nullptr);
   EvalPipeline Pipe(SC.pipelineConfig());

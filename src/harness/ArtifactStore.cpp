@@ -40,6 +40,8 @@ const char *khaos::artifactStageName(ArtifactStage Stage) {
     return "diff-outcome";
   case ArtifactStage::PrecompiledModule:
     return "precompiled-module";
+  case ArtifactStage::Frontend:
+    return "frontend";
   case ArtifactStage::NumStages:
     break;
   }

@@ -10,10 +10,11 @@
 /// seed, stage, options fingerprint) — so re-runs, sibling modes and
 /// sibling (cell × tool) tasks can share one computation:
 ///
+///   * each workload's source is compiled once (the Frontend stage), and
+///     every module a stage builds — the baseline at each level, the
+///     fission stage, every obfuscation mode's cell — is a clone of it,
 ///   * the un-obfuscated baseline (and its A-side image) is built once per
 ///     workload and shared by all obfuscation modes,
-///   * the fission-stage module is computed once and cloned by the Fission
-///     and FuFi.{sep,ori,all} consumers,
 ///   * the five diffing tools of one cell diff the same cached image pair.
 ///
 /// Lookups are single-flight: the first requester of a key computes the
@@ -52,10 +53,11 @@ namespace khaos {
 /// The pipeline stages whose outputs are worth sharing. Stage is part of
 /// the artifact key, and the store keeps hit/miss counters per stage.
 enum class ArtifactStage : uint8_t {
-  Baseline,        ///< Compiled + optimized un-obfuscated module.
+  Baseline,        ///< Optimized un-obfuscated module (a Frontend clone).
   BaselineRun,     ///< VM execution of the O2 baseline (cost/stdout/exit).
   BaselineImage,   ///< Lowered A-side BinaryImage + ImageFeatures.
-  FissionStage,    ///< Post-fission module shared by Fission/FuFi modes.
+  FissionStage,    ///< Post-fission module (a Frontend clone + fission),
+                   ///< for sepFunc counts; obfuscate() never reads it.
   ObfuscatedImage, ///< Lowered B-side BinaryImage + ImageFeatures.
   DiffOutcome,     ///< One tool's result over a cell's image pair — the
                    ///< key subprocess backends cache under, so a warm
@@ -63,6 +65,11 @@ enum class ArtifactStage : uint8_t {
   PrecompiledModule, ///< Bytecode lowering of the O2 baseline: decoded
                      ///< once, shared by every precompiled-engine run of
                      ///< the workload.
+  Frontend,          ///< Unoptimized module + Context of one source,
+                     ///< keyed by its fingerprint: the only compile, which
+                     ///< every module-building stage clones. Appended so
+                     ///< the stage numbers (and .art addresses) before it
+                     ///< stay put.
   NumStages,
 };
 

@@ -347,14 +347,6 @@ Workload makeWorkload(const std::string &Name, std::string Source) {
   return W;
 }
 
-/// Shrink and replay probe sources that are new to every probe, so their
-/// pipeline retains no stage.
-EvalPipeline::Config uncachedPipeline() {
-  EvalPipeline::Config C;
-  C.CacheEnabled = false;
-  return C;
-}
-
 } // namespace
 
 ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
@@ -362,16 +354,19 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
                                         uint64_t ObfSeed) const {
   ShrinkResult Res;
   Res.Spec = Spec;
-  EvalPipeline Pipe(uncachedPipeline());
 
   // One budgeted probe of the full pipeline. A candidate that breaks the
-  // baseline is rejected outright: the baseline must stay healthy.
+  // baseline is rejected outright: the baseline must stay healthy. Every
+  // probe compiles a new source, so each gets its own pipeline: its
+  // baseline and its obfuscated twin clone one frontend compile, and the
+  // store dies with the probe.
   auto Diverges = [&](std::string Source, DivergenceKind &K,
                       std::string &Detail) {
     if (Res.Probes >= MaxShrinkProbes)
       return false;
     ++Res.Probes;
     const Workload W = makeWorkload(Spec.Name, std::move(Source));
+    EvalPipeline Pipe;
     CellVerdict V = cellVerdict(Pipe, W, baselineVerdict(Pipe, W), Mode,
                                 ObfSeed, SIZE_MAX);
     if (!V.BaselineOk || V.Kind == DivergenceKind::None)
@@ -539,6 +534,8 @@ ShrinkResult DifferentialFuzzer::shrink(const ProgramSpec &Spec,
     std::vector<std::string> Steps = obfuscationStepNames(Mode, Opts);
     Res.StepCount = Steps.size();
     const Workload W = makeWorkload(Spec.Name, Res.Source);
+    // Every prefix clones the same frontend compile.
+    EvalPipeline Pipe;
     const BaselineVerdict Base = baselineVerdict(Pipe, W);
     auto PrefixDiverges = [&](size_t K) {
       // The bisection runs outside the probe budget: it is O(log steps)
@@ -679,7 +676,7 @@ DifferentialFuzzer::replayRepro(const std::string &ReproText) const {
   if (Name.empty() || !HaveMode || !HaveSeed || Source.empty())
     return Malformed("malformed repro: missing name, mode, obf-seed or "
                      "source");
-  EvalPipeline Pipe(uncachedPipeline());
+  EvalPipeline Pipe;
   const Workload W = makeWorkload(Name, std::move(Source));
   CellVerdict V = cellVerdict(Pipe, W, baselineVerdict(Pipe, W), Mode,
                               ObfSeed, SIZE_MAX);

@@ -166,15 +166,22 @@ std::vector<EvalCell>
 EvalScheduler::ownedCells(const std::vector<Workload> &Workloads,
                           const std::vector<BuildConfig> &Configs,
                           const std::vector<ObfuscationMode> &Modes) const {
-  // The config axis is the middle dimension, so a workload's rows stay
-  // contiguous in figure output and a one-config matrix keeps
-  // Flat = WI * NumModes + MI.
+  // FlatIdx is row-major with the config axis in the middle, so a
+  // workload's rows stay contiguous in figure output and a one-config
+  // matrix keeps Flat = WI * NumModes + MI. The cells are *handed out*
+  // mode-major, with the workload varying fastest: a workload's first
+  // cell compiles its frontend, runs its baseline and builds its images
+  // under single-flight, so the first N workers start N different
+  // workloads instead of N-1 of them waiting on one workload's compile,
+  // and a confound sweep's configs of one cell are not dispatched back to
+  // back. Result slots are keyed by FlatIdx, so the order cannot change
+  // any output.
   const size_t NumCells = Workloads.size() * Configs.size() * Modes.size();
   std::vector<EvalCell> Cells;
   Cells.reserve(NumCells / Cfg.Shards + 1);
-  for (size_t WI = 0; WI != Workloads.size(); ++WI)
+  for (size_t MI = 0; MI != Modes.size(); ++MI)
     for (size_t CI = 0; CI != Configs.size(); ++CI)
-      for (size_t MI = 0; MI != Modes.size(); ++MI) {
+      for (size_t WI = 0; WI != Workloads.size(); ++WI) {
         size_t Flat = (WI * Configs.size() + CI) * Modes.size() + MI;
         if (!ownsCell(Flat))
           continue;
@@ -215,11 +222,12 @@ void EvalScheduler::forEachCellTask(
     const std::vector<BuildConfig> &Configs,
     const std::vector<ObfuscationMode> &Modes, size_t NumTools,
     const std::function<void(const EvalTask &)> &Fn) const {
-  // Tool-major: every cell's tool 0, then every cell's tool 1, ... The
-  // first N workers then build N different cells' image pairs instead of
-  // N-1 of them parking on one cell's single-flight build, and later
-  // tools find the images cached. Result slots are keyed by (cell, tool),
-  // so the order cannot change any output.
+  // Tool-major: every cell's tool 0, then every cell's tool 1, ..., and
+  // within a tool the cells in ownedCells' mode-major order. The first N
+  // workers then build N different workloads' image pairs instead of N-1
+  // of them parking on one cell's (or one workload's) single-flight
+  // build, and later tools find the images cached. Result slots are keyed
+  // by (cell, tool), so the order cannot change any output.
   std::vector<EvalCell> Cells = ownedCells(Workloads, Configs, Modes);
   runPool(Cells.size() * NumTools, [&](size_t I) {
     EvalTask T;

@@ -14,9 +14,9 @@
 /// runs bit-for-bit reproducible at any thread count, shard decomposition
 /// and cache setting:
 ///
-///  1. Per-task isolation — every cell compiles into its own
-///     Context/Module; shared pipeline artifacts are immutable and
-///     consumers clone before mutating.
+///  1. Per-task isolation — every cell works on its own Module, a clone
+///     of the workload's cached frontend module; shared pipeline artifacts
+///     are immutable and consumers clone before mutating.
 ///  2. Deterministic seeding — each cell's RNG seed is derived from
 ///     (base seed, workload name, mode), never from scheduling order or
 ///     the cell's baseline config.
@@ -172,7 +172,11 @@ public:
 
   /// Runs \p Fn over every owned cell of the matrix on the pool. \p Fn
   /// executes concurrently: it must confine itself to per-cell state or
-  /// lock any shared state it touches.
+  /// lock any shared state it touches. Cells are handed out mode-major
+  /// (every workload's mode-0 cell, then every mode-1 cell, ...), so the
+  /// first workers start different workloads rather than queueing on one
+  /// workload's single-flight frontend, baseline and images; FlatIdx stays
+  /// row-major, so results never depend on the order.
   void forEachCell(const std::vector<Workload> &Workloads,
                    const std::vector<ObfuscationMode> &Modes,
                    const std::function<void(const EvalCell &)> &Fn) const;
@@ -180,7 +184,8 @@ public:
   /// Runs \p Fn over the (owned cell × tool index) task plane at the
   /// scheduler's baseline config — the unit benches use when per-tool
   /// work dominates per-cell work. Tasks are handed out tool-major: every
-  /// owned cell's ToolIdx-0 task, then every ToolIdx-1 task, and so on.
+  /// owned cell's ToolIdx-0 task, then every ToolIdx-1 task, and so on;
+  /// within a tool the cells come in forEachCell's mode-major order.
   void forEachCellTask(const std::vector<Workload> &Workloads,
                        const std::vector<ObfuscationMode> &Modes,
                        size_t NumTools,
@@ -288,8 +293,8 @@ private:
   /// Runs Fn(0..N-1) on the worker pool (atomic-ticket work stealing).
   void runPool(size_t N, const std::function<void(size_t)> &Fn) const;
 
-  /// Enumerates the owned cells of the (workload × config × mode) matrix,
-  /// in row-major order.
+  /// Enumerates the owned cells of the (workload × config × mode) matrix
+  /// in dispatch order: mode, then config, then workload (fastest).
   std::vector<EvalCell>
   ownedCells(const std::vector<Workload> &Workloads,
              const std::vector<BuildConfig> &Configs,

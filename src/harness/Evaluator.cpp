@@ -51,8 +51,8 @@ uint64_t fingerprintFission(const FissionOptions &Opts) {
 
 //===----------------------------------------------------------------------===//
 // Disk-tier codecs. Only plain-data stages have one: the module-holding
-// stages (Baseline, FissionStage, PrecompiledModule) would need an IR
-// serializer to persist, and recompiling them is exactly what a disk-hit
+// stages (Frontend, Baseline, FissionStage, PrecompiledModule) would need
+// an IR serializer to persist, and recompiling them is exactly what a disk-hit
 // on the downstream image/run/diff stages avoids anyway. Each payload is
 // one layout function over the diff-worker wire classes, so a decoded
 // artifact is field-for-field identical to the computed one (doubles
@@ -129,12 +129,33 @@ const ArtifactCodec &diffOutcomeCodec() {
   return C;
 }
 
-/// Compiles \p W's source into a fresh Context. False when the frontend
-/// fails: Out.M stays null and Out.Error says why.
-bool compile(const Workload &W, CompiledWorkload &Out) {
-  Out.Ctx = std::make_shared<Context>();
-  Out.M = compileMiniC(W.Source, *Out.Ctx, W.Name, Out.Error);
-  return Out.M != nullptr;
+/// Gives \p Out a private clone of \p W's unoptimized module, from the
+/// Frontend stage: the source is lexed, parsed, lowered and verified once
+/// per store, and every module a stage builds starts as a clone of that
+/// one (Cloning.h: a pass run on the clone prints exactly like the same
+/// pass run on a fresh compile). The clone lives in the artifact's Context.
+/// False when the frontend fails: Out.M stays null and Out.Error says why.
+bool compile(ArtifactStore &Store, const Workload &W, CompiledWorkload &Out) {
+  ArtifactKey K{W.Name, ObfuscationMode::None, 0, ArtifactStage::Frontend,
+                0, fingerprintSource(W)};
+  std::shared_ptr<const CompiledWorkload> F =
+      Store.getOrCompute<CompiledWorkload>(
+          K, W.Source.size(),
+          [&]() -> std::shared_ptr<const CompiledWorkload> {
+            auto Out = std::make_shared<CompiledWorkload>();
+            Out->Ctx = std::make_shared<Context>();
+            Out->M = compileMiniC(W.Source, *Out->Ctx, W.Name, Out->Error);
+            return Out;
+          });
+  Out.Ctx = F->Ctx;
+  if (!*F) {
+    Out.Error = F->Error;
+    return false;
+  }
+  // cloneModule only reads the shared module, so every cell of a workload
+  // clones it at once, without a lock.
+  Out.M = cloneModule(*F->M);
+  return true;
 }
 
 } // namespace
@@ -151,7 +172,7 @@ EvalPipeline::baseline(const Workload &W, OptLevel Level) {
   return Store.getOrCompute<CompiledWorkload>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const CompiledWorkload> {
         auto Out = std::make_shared<CompiledWorkload>();
-        if (compile(W, *Out))
+        if (compile(Store, W, *Out))
           optimizeModule(*Out->M, Level);
         return Out;
       });
@@ -239,7 +260,7 @@ EvalPipeline::fissionStage(const Workload &W, const FissionOptions &Opts) {
   return Store.getOrCompute<FissionArtifact>(
       K, W.Source.size(), [&]() -> std::shared_ptr<const FissionArtifact> {
         auto Out = std::make_shared<FissionArtifact>();
-        if (compile(W, *Out))
+        if (compile(Store, W, *Out))
           Out->Phase = runFissionPhase(*Out->M, Opts);
         return Out;
       });
@@ -258,32 +279,13 @@ CompiledWorkload EvalPipeline::obfuscate(const Workload &W,
                                          ObfuscationMode Mode,
                                          const KhaosOptions &Opts,
                                          ObfuscationResult *StatsOut) {
+  // Every mode, fission modes included, takes one route: clone the
+  // frontend, then run the mode's step sequence (fission, step prefixes
+  // and Opts.ExtraPass among them) on the clone.
   CompiledWorkload Out;
-  ObfuscationResult R;
-  if (modeUsesFission(Mode) && Opts.Steps != 0) {
-    // Clone the shared fission-stage artifact and run only the fusion
-    // suffix. The uncached path takes exactly the same route (the store
-    // recomputes the artifact per request), so results cannot depend on
-    // whether caching is enabled. Fission is the first step and comes
-    // before Opts.ExtraPass, so the stage holds the same module whatever
-    // prefix or extra pass the caller asks for; only a zero-step prefix,
-    // which must not run fission at all, compiles afresh.
-    std::shared_ptr<const FissionArtifact> FA =
-        fissionStage(W, Opts.Fission);
-    Out.Ctx = FA->Ctx;
-    if (!*FA) {
-      Out.Error = FA->Error;
-      return Out;
-    }
-    // cloneModule only reads the shared module, so the cells of one
-    // workload clone it concurrently.
-    Out.M = cloneModule(*FA->M);
-    R = finishFissionMode(*Out.M, Mode, Opts, FA->Phase);
-  } else {
-    if (!compile(W, Out))
-      return Out;
-    R = obfuscateModule(*Out.M, Mode, Opts);
-  }
+  if (!compile(Store, W, Out))
+    return Out;
+  ObfuscationResult R = obfuscateModule(*Out.M, Mode, Opts);
   if (StatsOut)
     *StatsOut = R;
   std::vector<std::string> Problems = verifyModule(*Out.M);

@@ -8,19 +8,20 @@
 /// The end-to-end pipeline shared by all benchmarks, as a stage graph over
 /// a content-addressed ArtifactStore:
 ///
-///   MiniC source ──► Baseline ──► BaselineRun        (VM cost reference)
-///                       │
-///                       └───────► BaselineImage ──┐  (A-side of a diff)
-///   MiniC source ──► FissionStage ─ clone ─┐      │
-///                                          ▼      ▼
-///                    Obfuscated ──► ObfuscatedImage ──► diff tools
+/// source ─► Frontend ─┬─ clone ─► Baseline ─┬─► BaselineRun    (VM cost)
+///                     │                     └─► BaselineImage ─┐ (A-side)
+///                     │                                        ▼
+///                     └─ clone ─► Obfuscated ─► ObfuscatedImage ─► diff tools
+///                        (every mode)
 ///
-/// Every boxed stage is cached in the ArtifactStore keyed on
-/// (workload, mode, seed, stage): the baseline (and its A-side image) is
-/// built once per workload and shared by every obfuscation mode, and the
-/// FuFi modes clone the cached fission-stage module instead of re-running
-/// the whole fission prefix. Cached and uncached runs execute the same
-/// code path — a disabled store recomputes per request — so results are
+/// Every named stage is cached in the ArtifactStore keyed on
+/// (workload, mode, seed, stage). The source is compiled once per
+/// workload (Frontend), and every module a stage builds is a clone of
+/// that compile: the baseline at each level, the fission stage and every
+/// obfuscation mode's cell, fission modes included. The baseline (and its
+/// A-side image) is built once per workload and shared by every
+/// obfuscation mode. Cached and uncached runs execute the same code path
+/// — a disabled store recomputes per request — so results are
 /// bit-identical with the cache on or off. The default baseline
 /// configuration matches the paper — O2 with whole-program (LTO-style)
 /// visibility — but the baseline build config (opt level + codegen style)
@@ -49,7 +50,7 @@
 namespace khaos {
 
 /// A compiled workload owns its Module. The Context is shared: a module
-/// cloned from a cached fission-stage artifact lives in the artifact's
+/// cloned from the cached Frontend artifact lives in the artifact's
 /// Context (type interning is mutex-guarded, see ir/Type.h), and keeping a
 /// reference here makes the artifact's lifetime a non-issue for callers.
 struct CompiledWorkload {
@@ -115,9 +116,9 @@ public:
   // Cached stages. Artifacts are shared and immutable.
   //===--------------------------------------------------------------------===//
 
-  /// Stage Baseline: compile \p W and optimize at \p Level, no
-  /// obfuscation. Keyed per level; the no-argument form builds at the
-  /// pipeline's configured baseline level.
+  /// Stage Baseline: clone \p W's frontend module and optimize it at
+  /// \p Level, no obfuscation. Keyed per level; the no-argument form
+  /// builds at the pipeline's configured baseline level.
   std::shared_ptr<const CompiledWorkload> baseline(const Workload &W);
   std::shared_ptr<const CompiledWorkload> baseline(const Workload &W,
                                                    OptLevel Level);
@@ -166,12 +167,14 @@ public:
   std::shared_ptr<const ImageArtifact>
   baselineImage(const Workload &W, const BuildConfig &BC);
 
-  /// Stage FissionStage: compile + fission prefix, shared by the Fission
-  /// and FuFi.{sep,ori,all} modes (fission takes no seed, so the stage is
-  /// keyed on the workload and the fission options alone). Consumers clone
-  /// the module — never mutate it. cloneModule only reads M, so any
-  /// number of cells clone it at once, without a lock. A frontend failure
-  /// leaves M null and says why in Error.
+  /// Stage FissionStage: a frontend clone after the fission prefix, with
+  /// the prefix's FissionPhase (fission takes no seed, so the stage is
+  /// keyed on the workload and the fission options alone). Readers that
+  /// want the post-fission module or its sepFunc counts take it from here;
+  /// obfuscate() does not, since keeping this module beside the frontend
+  /// for every workload of a matrix costs more memory than re-running
+  /// fission on a clone costs time. Consumers clone the module — never
+  /// mutate it. A frontend failure leaves M null and says why in Error.
   struct FissionArtifact : CompiledWorkload {
     FissionPhase Phase;
   };
@@ -214,17 +217,19 @@ public:
   // Uncached products built from the stages.
   //===--------------------------------------------------------------------===//
 
-  /// Compiles \p W and applies \p Mode (obfuscate, then O2 per the paper).
-  /// Fission modes clone the cached FissionStage artifact and run only the
-  /// fusion suffix. The returned module is private to the caller.
+  /// Clones \p W's frontend module and applies \p Mode to the clone
+  /// (obfuscate, then O2 per the paper). Every mode, fission modes
+  /// included, takes this one route. The returned module is private to
+  /// the caller.
   CompiledWorkload obfuscate(const Workload &W, ObfuscationMode Mode,
                              ObfuscationResult *StatsOut = nullptr,
                              uint64_t Seed = 0xc906);
 
   /// Variant with full driver options (Opts.Seed is honored; Table 2 sets
   /// RunPostOpt=false to measure the primitives themselves). Opts.Steps
-  /// and Opts.ExtraPass reach no cached stage, so the differential fuzzer
-  /// probes step prefixes and planted passes through this same route.
+  /// and Opts.ExtraPass reach no cached stage (only the frontend, which
+  /// precedes every step, is shared), so the differential fuzzer probes
+  /// step prefixes and planted passes through this same route.
   CompiledWorkload obfuscate(const Workload &W, ObfuscationMode Mode,
                              const KhaosOptions &Opts,
                              ObfuscationResult *StatsOut = nullptr);

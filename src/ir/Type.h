@@ -160,9 +160,9 @@ private:
 /// may serve many Modules; pointer identity of types holds across them.
 ///
 /// Interning is guarded by a mutex, so Modules in different threads may
-/// share one Context (the evaluation pipeline clones cached fission-stage
-/// modules into the artifact's Context and obfuscates the clones
-/// concurrently).
+/// share one Context (the evaluation pipeline clones each workload's cached
+/// frontend module into the artifact's Context and optimizes and
+/// obfuscates the clones concurrently).
 class Context {
 public:
   Context();

@@ -179,7 +179,7 @@ std::vector<std::string> namesOfUnprocessed(const Module &M,
 
 /// Builds the step list of (Mode, Opts). When \p IncludeFission is false
 /// the caller has already run the fission prefix (finishFissionMode over a
-/// cached fission-stage artifact) and \p State->Phase is preset.
+/// module that carries it) and \p State->Phase is preset.
 std::vector<ObfStep> buildSteps(ObfuscationMode Mode,
                                 const KhaosOptions &Opts,
                                 std::shared_ptr<StepState> State,

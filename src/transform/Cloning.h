@@ -43,14 +43,15 @@ cloneFunctionBlocks(const Function &Src, Function &Dst,
 /// the new module, so the clone's lifetime is independent of \p Src — only
 /// the Context must outlive it.
 ///
-/// This is what lets the evaluation pipeline cache the fission-stage module
-/// once per workload and hand each FuFi mode its own mutable copy.
+/// This is what lets the evaluation pipeline compile each workload once
+/// (its Frontend stage) and hand every stage and every mode its own
+/// mutable copy.
 ///
 /// Concurrency: the clone only reads \p Src (Instruction::clone() registers
 /// no uses, so not even Src's use lists are written), and any number of
 /// threads may clone one module at once while nobody mutates it.
-/// EvalPipeline's fission-mode cells clone their shared fission-stage
-/// module this way, without a lock.
+/// EvalPipeline's cells clone their workload's shared frontend module this
+/// way, without a lock.
 ///
 /// Each clone value lists its users in (function, block, instruction,
 /// operand slot) order, and constants are interned in the clone in the

@@ -181,8 +181,8 @@ TEST(ObfuscationSteps, FullPrefixIsExactlyObfuscateModule) {
   }
 }
 
-/// The fuzzer's one route: EvalPipeline::obfuscate, where fission modes
-/// clone the cached fission stage, prints exactly what a fresh compile plus
+/// The fuzzer's one route: EvalPipeline::obfuscate, where every mode clones
+/// the cached frontend, prints exactly what a fresh compile plus
 /// obfuscateModule prints under the same options, at any step prefix.
 TEST(ObfuscationSteps, PipelinePrefixMatchesFreshDriver) {
   EvalPipeline Pipe;

@@ -7,7 +7,8 @@
 /// \file
 /// Tests for the parallel evaluation batch engine: thread-count
 /// independence of EvalPipeline::obfuscate over a (workload × mode)
-/// matrix, the tool-major task order, graceful error surfacing for failing
+/// matrix, the mode-major cell order and the tool-major task order,
+/// graceful error surfacing for failing
 /// workloads, deterministic per-cell seeding, and the order-deterministic
 /// SeriesAccumulator.
 /// (Cache/shard behaviour is covered by PipelineCacheTest.)
@@ -169,10 +170,54 @@ TEST(EvalScheduler, OverheadMatrixIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(EvalScheduler, CellPlaneIsModeMajor) {
+  // Mode-major dispatch: every workload's mode-0 cell, then every mode-1
+  // cell, ... so the first N workers start N different workloads' frontend
+  // compiles and baselines instead of queueing on one workload's. FlatIdx
+  // stays row-major.
+  std::vector<Workload> Suite = smallMatrixSuite();
+  const std::vector<ObfuscationMode> Modes = {ObfuscationMode::Sub,
+                                              ObfuscationMode::Fission,
+                                              ObfuscationMode::Fusion};
+  const size_t NumWorkloads = Suite.size();
+  EvalScheduler Sched({/*Threads=*/1, /*Seed=*/0xc906});
+  std::vector<EvalCell> Order;
+  Sched.forEachCell(Suite, Modes,
+                    [&](const EvalCell &C) { Order.push_back(C); });
+  ASSERT_EQ(Order.size(), NumWorkloads * Modes.size());
+  for (size_t K = 0; K != Order.size(); ++K) {
+    const EvalCell &C = Order[K];
+    EXPECT_EQ(C.ModeIdx, K / NumWorkloads) << "cell " << K;
+    EXPECT_EQ(C.WorkloadIdx, K % NumWorkloads) << "cell " << K;
+    EXPECT_EQ(C.FlatIdx, C.WorkloadIdx * Modes.size() + C.ModeIdx)
+        << "cell " << K;
+    EXPECT_EQ(C.W, &Suite[C.WorkloadIdx]);
+    EXPECT_EQ(C.Mode, Modes[C.ModeIdx]);
+  }
+
+  // A shard visits its own cells (FlatIdx % Shards == ShardIdx) in the
+  // same mode-major order.
+  EvalScheduler::Config SC;
+  SC.Threads = 1;
+  SC.Shards = 2;
+  SC.ShardIdx = 1;
+  EvalScheduler Shard(SC);
+  std::vector<size_t> ShardOrder;
+  Shard.forEachCell(Suite, Modes, [&](const EvalCell &C) {
+    ShardOrder.push_back(C.FlatIdx);
+  });
+  std::vector<size_t> Want;
+  for (const EvalCell &C : Order)
+    if (C.FlatIdx % 2 == 1)
+      Want.push_back(C.FlatIdx);
+  EXPECT_EQ(ShardOrder, Want);
+}
+
 TEST(EvalScheduler, CellTaskPlaneIsToolMajor) {
   // Tool-major dispatch: every cell's ToolIdx-0 task, then every cell's
   // ToolIdx-1 task, ... so the first N workers start N different cells'
-  // image builds instead of queueing on one cell's.
+  // image builds instead of queueing on one cell's. Within a tool the
+  // cells come mode-major, so those N cells belong to N workloads.
   std::vector<Workload> Suite = smallMatrixSuite();
   const std::vector<ObfuscationMode> Modes = {ObfuscationMode::Sub,
                                               ObfuscationMode::Fission,
@@ -185,8 +230,11 @@ TEST(EvalScheduler, CellTaskPlaneIsToolMajor) {
   });
   ASSERT_EQ(Order.size(), NumCells * NumTools);
   for (size_t I = 0; I != Order.size(); ++I) {
+    // The (I % NumCells)-th cell in mode-major order.
+    const size_t K = I % NumCells;
+    const size_t MI = K / Suite.size(), WI = K % Suite.size();
     EXPECT_EQ(Order[I].first, I / NumCells) << "task " << I;
-    EXPECT_EQ(Order[I].second, I % NumCells) << "task " << I;
+    EXPECT_EQ(Order[I].second, WI * Modes.size() + MI) << "task " << I;
   }
 }
 

@@ -6,11 +6,11 @@
 ///
 /// \file
 /// Tests for the staged pipeline redesign: cached and uncached runs
-/// produce identical printed IR and precision numbers, a warm-cache
-/// precision re-run performs zero baseline recompiles and reuses the
-/// fission-stage artifact for the FuFi modes, run telemetry sums the
-/// store's per-stage counter deltas and derives every total from the
-/// stages, the union of sharded runs equals the unsharded run
+/// produce identical printed IR and precision numbers, every mode of a
+/// workload clones one frontend compile (also from four threads at once),
+/// a warm-cache precision re-run performs zero recompiles, run telemetry
+/// sums the store's per-stage counter deltas and derives every total from
+/// the stages, the union of sharded runs equals the unsharded run
 /// cell-for-cell, and the DiffTool registry rejects unknown names loudly
 /// while accepting new backends.
 ///
@@ -72,8 +72,8 @@ TEST(PipelineCache, CachedAndUncachedProduceIdenticalIR) {
                      << B.Error;
       EXPECT_EQ(printModule(*A.M), printModule(*B.M))
           << W.Name << "/" << obfuscationModeName(Mode);
-      // A second cached request must also be identical (the FuFi modes now
-      // clone the shared fission-stage artifact instead of re-running it).
+      // A second cached request must also be identical (every mode clones
+      // the shared frontend artifact instead of recompiling).
       CompiledWorkload A2 = Cached.obfuscate(W, Mode, nullptr, Seed);
       EXPECT_EQ(printModule(*A.M), printModule(*A2.M));
     }
@@ -211,26 +211,81 @@ TEST(PipelineCache, ConcurrentClonesNeedNoLock) {
       << "a concurrent clone edited a source use list";
 }
 
-TEST(PipelineCache, FissionStageSharedAcrossFissionModes) {
+TEST(PipelineCache, EveryModeClonesOneFrontend) {
   std::vector<Workload> Suite = smallSuite();
   EvalScheduler Sched({/*Threads=*/4, /*Seed=*/0xc906});
-  const std::vector<ObfuscationMode> Modes = {
-      ObfuscationMode::Fission, ObfuscationMode::FuFiSep,
-      ObfuscationMode::FuFiOri, ObfuscationMode::FuFiAll};
+  const std::vector<ObfuscationMode> &Modes = allObfuscationModes();
   std::vector<CompiledWorkload> Cells(Suite.size() * Modes.size());
   Sched.forEachCell(Suite, Modes, [&](const EvalCell &C) {
     Cells[C.FlatIdx] =
         Sched.pipeline().obfuscate(*C.W, C.Mode, nullptr, C.Seed);
   });
-  for (const CompiledWorkload &Cell : Cells)
-    EXPECT_TRUE(Cell) << Cell.Error;
 
-  // The fission prefix ran once per workload; the other three fission-mode
-  // cells of each workload reused (cloned) the cached artifact.
+  // The source was compiled once per workload; every other cell of the
+  // workload, fission modes included, cloned the cached frontend, and no
+  // cell touched the fission stage.
   ArtifactStore::Snapshot S = Sched.pipeline().store().stats();
-  EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Misses, Suite.size());
-  EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Hits, 3 * Suite.size());
+  EXPECT_EQ(S.stage(ArtifactStage::Frontend).Misses, Suite.size());
+  EXPECT_EQ(S.stage(ArtifactStage::Frontend).Hits,
+            (Modes.size() - 1) * Suite.size());
+  EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Misses, 0u);
+  EXPECT_EQ(S.stage(ArtifactStage::FissionStage).Hits, 0u);
   EXPECT_GT(S.BytesSaved, 0u);
+
+  // Each clone-then-obfuscate prints what a --no-cache pipeline prints.
+  EvalPipeline Uncached(EvalPipeline::Config{/*CacheEnabled=*/false, 0, {}, 0});
+  Sched.forEachCell(Suite, Modes, [&](const EvalCell &C) {
+    const CompiledWorkload &Cell = Cells[C.FlatIdx];
+    ASSERT_TRUE(Cell) << Cell.Error;
+    CompiledWorkload Want = Uncached.obfuscate(*C.W, C.Mode, nullptr, C.Seed);
+    ASSERT_TRUE(Want) << Want.Error;
+    EXPECT_EQ(printModule(*Cell.M), printModule(*Want.M))
+        << C.W->Name << "/" << obfuscationModeName(C.Mode);
+  });
+}
+
+/// Four threads obfuscate different modes of one workload at once: each
+/// clones the one shared frontend module and transforms its clone in the
+/// frontend's Context. Under ThreadSanitizer this is the guard for the
+/// compile-once route; the printed IR must match a --no-cache run.
+TEST(PipelineCache, ConcurrentModesCloneOneFrontend) {
+  Workload W = smallSuite(1).front();
+  const std::vector<ObfuscationMode> &Modes = allObfuscationModes();
+  const unsigned NumThreads = 4;
+  EvalPipeline Uncached(EvalPipeline::Config{/*CacheEnabled=*/false, 0, {}, 0});
+  std::vector<std::string> Want(Modes.size());
+  for (size_t MI = 0; MI != Modes.size(); ++MI) {
+    CompiledWorkload C = Uncached.obfuscate(
+        W, Modes[MI], nullptr, deriveCellSeed(0xc906, W.Name, Modes[MI]));
+    ASSERT_TRUE(C) << obfuscationModeName(Modes[MI]) << ": " << C.Error;
+    Want[MI] = printModule(*C.M);
+  }
+
+  EvalPipeline Pipe;
+  std::vector<std::string> Got(Modes.size());
+  std::atomic<unsigned> Ready{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      // Start together, so the first request of every thread meets the
+      // single-flight frontend compile.
+      ++Ready;
+      while (Ready.load() != NumThreads)
+        std::this_thread::yield();
+      for (size_t MI = T; MI < Modes.size(); MI += NumThreads) {
+        CompiledWorkload C = Pipe.obfuscate(
+            W, Modes[MI], nullptr, deriveCellSeed(0xc906, W.Name, Modes[MI]));
+        if (C)
+          Got[MI] = printModule(*C.M);
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  for (size_t MI = 0; MI != Modes.size(); ++MI)
+    EXPECT_EQ(Got[MI], Want[MI]) << obfuscationModeName(Modes[MI]);
+  ArtifactStore::Snapshot S = Pipe.store().stats();
+  EXPECT_EQ(S.stage(ArtifactStage::Frontend).Misses, 1u);
+  EXPECT_EQ(S.stage(ArtifactStage::Frontend).Hits, Modes.size() - 1);
 }
 
 /// Every counter a Snapshot totals, by name.
@@ -315,12 +370,11 @@ TEST(PipelineCache, WarmPrecisionRunPerformsZeroRecompiles) {
   auto Cold = Sched.precisionMatrix(Suite, Modes, Tools, &ColdRun);
 
   ArtifactStore::Snapshot AfterCold = Sched.pipeline().store().stats();
-  // One baseline compile and one fission prefix per workload, ever.
+  // One frontend compile and one baseline per workload, ever.
   EXPECT_EQ(AfterCold.stage(ArtifactStage::Baseline).Misses, Suite.size());
   EXPECT_EQ(AfterCold.stage(ArtifactStage::BaselineImage).Misses,
             Suite.size());
-  EXPECT_EQ(AfterCold.stage(ArtifactStage::FissionStage).Misses,
-            Suite.size());
+  EXPECT_EQ(AfterCold.stage(ArtifactStage::Frontend).Misses, Suite.size());
 
   EvalRunStats WarmRun;
   auto Warm = Sched.precisionMatrix(Suite, Modes, Tools, &WarmRun);

@@ -217,10 +217,10 @@ TEST(GeneratedProgramProperties, ProvenanceRefersToOriginalFunctions) {
   }
 }
 
-/// cloneModule is the pipeline's cache-sharing primitive (every FuFi cell
-/// clones the shared fission-stage artifact), so its contract gets a
-/// randomized regression net: over ~100 generated program shapes, the
-/// clone prints byte-identical IR to the source, cloning leaves the
+/// cloneModule is the pipeline's cache-sharing primitive (every stage and
+/// every cell clones its workload's frontend artifact), so its contract
+/// gets a randomized regression net: over ~100 generated program shapes,
+/// the clone prints byte-identical IR to the source, cloning leaves the
 /// source bit-identical, and obfuscating the clone never perturbs the
 /// source. An early clone that wrote the source's use lists crashed only
 /// on specific shapes — a seed sweep is the durable way to keep such bugs
@@ -238,7 +238,8 @@ TEST(GeneratedProgramProperties, CloneModuleRoundTripSweepSlowStress) {
     std::string Error;
     auto M = compileMiniC(generateMiniCProgram(S), Ctx, S.Name, Error);
     ASSERT_TRUE(M) << "seed " << Seed << ": " << Error;
-    // Half the sweep clones post-O2 shapes — what fissionStage caches.
+    // Half the sweep clones post-O2 shapes, half the unoptimized shapes
+    // the Frontend stage caches.
     if (I % 2 == 0)
       optimizeModule(*M, OptLevel::O2);
     const std::string Before = printModule(*M);
