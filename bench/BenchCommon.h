@@ -29,11 +29,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -61,24 +59,15 @@ inline std::vector<Workload> maybeThin(std::vector<Workload> W,
 /// khaos-fuzz's --budget. strtoul alone is too forgiving: it wraps "-1"
 /// to the type's maximum, reads "12xyz" as 12 and "abc" as 0 (a zero
 /// --tool-timeout-ms silently means "wait forever"), and saturates
-/// overflow. Accepts only a whole decimal or 0x-hex token no larger than
-/// \p Max; a leading 0 before more digits (octal to strtoull) is refused
-/// as ambiguous. Anything else exits 2 with a message naming the flag and
+/// overflow. Accepts only what parseUnsigned (support/StringUtils.h)
+/// accepts, no larger than \p Max — the grammar a repro's obf-seed header
+/// is read with. Anything else exits 2 with a message naming the flag and
 /// the value, the convention `--tools` validation uses.
 inline uint64_t parseUnsignedFlag(const char *V, const char *Flag,
                                   const char *Bench,
                                   uint64_t Max = UINT64_MAX) {
-  bool Hex = V[0] == '0' && (V[1] == 'x' || V[1] == 'X');
-  const char *Digits = Hex ? V + 2 : V;
-  size_t Len = std::strlen(Digits);
-  bool Bad = Len == 0 || (!Hex && Digits[0] == '0' && Len > 1);
-  for (size_t I = 0; I != Len; ++I) {
-    unsigned char C = static_cast<unsigned char>(Digits[I]);
-    Bad |= !(Hex ? std::isxdigit(C) : std::isdigit(C));
-  }
-  errno = 0;
-  unsigned long long N = std::strtoull(Digits, nullptr, Hex ? 16 : 10);
-  if (Bad || errno == ERANGE || N > Max) {
+  uint64_t N = 0;
+  if (!parseUnsigned(V, N) || N > Max) {
     std::fprintf(stderr,
                  "%s: invalid value '%s' for %s\n"
                  "usage: %s N with N a non-negative integer (decimal or "
@@ -86,7 +75,7 @@ inline uint64_t parseUnsignedFlag(const char *V, const char *Flag,
                  Bench, V, Flag, Flag, static_cast<unsigned long long>(Max));
     std::exit(2);
   }
-  return static_cast<uint64_t>(N);
+  return N;
 }
 
 /// One declarative flag: spelling, optional value placeholder (null for

@@ -15,6 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "vm/CostModel.h"
 
 #include <algorithm>
 
@@ -33,7 +34,6 @@ bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
   auto Base = Pipe.baselineRun(W);
   if (!Base->Ok)
     return false;
-  const ExecResult &Ref = Base->Run;
 
   KhaosOptions Opts;
   Opts.Fission.Regions.IgnoreFrequencyCost = IgnoreFrequency;
@@ -46,13 +46,8 @@ bool overheadWithPolicy(EvalPipeline &Pipe, const Workload &W,
   for (const std::string &Name : SepNames)
     ParamSum += Fission->M->getFunction(Name)->arg_size();
   CompiledWorkload Obf = Pipe.obfuscate(W, ObfuscationMode::Fission, Opts);
-  if (!Obf)
+  if (!Obf || !runOverheadPercent(Base->Run, runModule(*Obf.M), OverheadOut))
     return false;
-  ExecResult Got = runModule(*Obf.M);
-  if (!Got.Ok || Got.Stdout != Ref.Stdout)
-    return false;
-  OverheadOut = (double(Got.Cost) - double(Ref.Cost)) / double(Ref.Cost) *
-                100.0;
   AvgParams = SepNames.empty() ? 0.0 : double(ParamSum) / SepNames.size();
   return true;
 }

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "vm/CostModel.h"
 
 using namespace khaos;
 
@@ -32,7 +33,6 @@ bool evaluate(EvalPipeline &Pipe, const Workload &W, const Variant &V,
   auto BaseRun = Pipe.baselineRun(W);
   if (!BaseRun->Ok)
     return false;
-  const ExecResult &Ref = BaseRun->Run;
   auto AImg = Pipe.baselineImage(W);
   if (!AImg->Ok)
     return false;
@@ -45,14 +45,9 @@ bool evaluate(EvalPipeline &Pipe, const Workload &W, const Variant &V,
   ObfuscationResult Stats;
   CompiledWorkload Obf =
       Pipe.obfuscate(W, ObfuscationMode::Fusion, Opts, &Stats);
-  if (!Obf)
+  if (!Obf || !runOverheadPercent(BaseRun->Run, runModule(*Obf.M),
+                                  OverheadOut))
     return false;
-  ExecResult Got = runModule(*Obf.M);
-  if (!Got.Ok || Got.Stdout != Ref.Stdout)
-    return false;
-
-  OverheadOut = (double(Got.Cost) - double(Ref.Cost)) / double(Ref.Cost) *
-                100.0;
   MergedBlocks = Stats.Fusion.avgDeepBlocks();
 
   BinaryImage B = lowerToBinary(*Obf.M);

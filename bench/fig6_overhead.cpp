@@ -42,14 +42,14 @@ void runSuite(const EvalScheduler &Sched, const char *Caption,
   // Aggregate in row-major matrix order: the per-mode series (and thus the
   // floating-point geomean) is independent of worker completion order.
   TableRenderer Table(modeHeaders({"benchmark"}, Modes));
-  SeriesAccumulator PerMode(Modes.size());
+  std::vector<std::vector<double>> PerMode(Modes.size());
   for (size_t WI = 0; WI != Suite.size(); ++WI) {
     std::vector<std::string> Row{Suite[WI].Name};
     for (size_t MI = 0; MI != Modes.size(); ++MI) {
       const EvalScheduler::CellOverhead &Cell =
           Cells[WI * Modes.size() + MI];
       if (Cell.Ok) {
-        PerMode.add(MI, WI, Cell.Percent);
+        PerMode[MI].push_back(Cell.Percent);
         Row.push_back(TableRenderer::fmtPercent(Cell.Percent));
       } else {
         Row.push_back("n/a");
@@ -60,7 +60,7 @@ void runSuite(const EvalScheduler &Sched, const char *Caption,
   std::vector<std::string> Geo{"GEOMEAN"};
   for (size_t MI = 0; MI != Modes.size(); ++MI)
     Geo.push_back(
-        TableRenderer::fmtPercent(geomeanOverheadPercent(PerMode.series(MI))));
+        TableRenderer::fmtPercent(geomeanOverheadPercent(PerMode[MI])));
   Table.addRow(std::move(Geo));
 
   std::printf("\n%s\n", Caption);

@@ -8,6 +8,7 @@
 
 #include "diffing/Metrics.h"
 #include "support/RNG.h"
+#include "vm/CostModel.h"
 
 using namespace khaos;
 
@@ -76,13 +77,11 @@ BinTunerResult BinTuner::run(const Workload &W, uint64_t Seed) const {
   auto BaseRun = Pipe.baselineRun(W, OptLevel::O2);
   auto BestRun = Pipe.baselineRun(W, Res.Best.Level);
   if (BaseRun->Ok && BestRun->Ok) {
-    // -O0-style spill codegen costs extra beyond the IR-level cost;
-    // reflect the spill traffic with a fixed multiplier.
     double Cost = static_cast<double>(BestRun->Run.Cost);
     if (Res.Best.Codegen.SpillEverything)
-      Cost *= 1.25;
-    Res.OverheadPercent = (Cost - static_cast<double>(BaseRun->Run.Cost)) /
-                          static_cast<double>(BaseRun->Run.Cost) * 100.0;
+      Cost *= CostModel::SpillFactor;
+    Res.OverheadPercent =
+        costOverheadPercent(Cost, static_cast<double>(BaseRun->Run.Cost));
   }
   return Res;
 }

@@ -13,7 +13,6 @@
 #include "vm/Interpreter.h"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -609,18 +608,6 @@ std::string DifferentialFuzzer::formatRepro(const FuzzDivergence &D) {
   return Out;
 }
 
-/// Parses a repro's obf-seed: decimal or 0x-hex digits and nothing else
-/// (no sign, no octal-looking leading zero, no trailing text).
-static bool parseObfSeed(const std::string &Text, uint64_t &Out) {
-  const bool Hex = startsWith(Text, "0x");
-  const char *First = Text.data() + (Hex ? 2 : 0);
-  const char *Last = Text.data() + Text.size();
-  if (!Hex && Last - First > 1 && *First == '0')
-    return false;
-  auto [End, EC] = std::from_chars(First, Last, Out, Hex ? 16 : 10);
-  return EC == std::errc() && End == Last;
-}
-
 ReplayResult
 DifferentialFuzzer::replayRepro(const std::string &ReproText) const {
   ReplayResult Out;
@@ -666,7 +653,7 @@ DifferentialFuzzer::replayRepro(const std::string &ReproText) const {
     else if (const char *V2 = Field("mode"))
       HaveMode = parseObfuscationModeName(V2, Mode);
     else if (const char *V3 = Field("obf-seed")) {
-      if (!parseObfSeed(V3, ObfSeed))
+      if (!parseUnsigned(V3, ObfSeed))
         return Malformed(formatStr("malformed repro: bad obf-seed '%s' "
                                    "(want decimal or 0x-hex)",
                                    V3));

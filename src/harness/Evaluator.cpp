@@ -9,6 +9,7 @@
 #include "diffing/DiffWorkerProtocol.h"
 #include "diffing/Metrics.h"
 #include "frontend/IRGen.h"
+#include "vm/CostModel.h"
 #include "vm/PrecompiledInterpreter.h"
 #include "ir/Verifier.h"
 #include "support/Hashing.h"
@@ -383,18 +384,7 @@ bool EvalPipeline::overheadPercent(const Workload &W, ObfuscationMode Mode,
   CompiledWorkload Obf = obfuscate(W, Mode, nullptr, Seed);
   if (!Obf)
     return false;
-  ExecResult ObfRun = runModule(*Obf.M);
-  if (!ObfRun.Ok)
-    return false;
-  // Behavioural equality is part of the experiment's validity.
-  if (ObfRun.Stdout != Base->Run.Stdout ||
-      ObfRun.ExitValue != Base->Run.ExitValue)
-    return false;
-
-  OverheadOut = (static_cast<double>(ObfRun.Cost) -
-                 static_cast<double>(Base->Run.Cost)) /
-                static_cast<double>(Base->Run.Cost) * 100.0;
-  return true;
+  return runOverheadPercent(Base->Run, runModule(*Obf.M), OverheadOut);
 }
 
 EvalPipeline::DiffTaskResult

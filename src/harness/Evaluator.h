@@ -239,9 +239,9 @@ public:
   DiffImages diffImages(const Workload &W, ObfuscationMode Mode,
                         uint64_t Seed = 0xc906);
 
-  /// Runtime overhead of \p Mode on \p W in percent (VM dynamic cost ratio
-  /// against the cached baseline run). Returns false on any
-  /// execution/verification failure.
+  /// Runtime overhead of \p Mode on \p W in percent: runOverheadPercent
+  /// (vm/CostModel.h) over the cached baseline run and the obfuscated
+  /// run. Returns false when the build fails or the rule refuses the pair.
   bool overheadPercent(const Workload &W, ObfuscationMode Mode,
                        double &OverheadOut, uint64_t Seed = 0xc906);
 

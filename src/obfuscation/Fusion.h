@@ -19,8 +19,8 @@
 /// when their shared parameter positions have identical types and the
 /// fused return type equals theirs (or theirs is void): an indirect call
 /// site knows only the static callee type, so the fusFunc ABI must be
-/// reconstructible from it. The paper leaves this detail implicit; the
-/// constraint is documented in DESIGN.md.
+/// reconstructible from it. The paper leaves this detail implicit; this
+/// paragraph is where the constraint is documented.
 ///
 //===----------------------------------------------------------------------===//
 

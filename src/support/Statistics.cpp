@@ -6,37 +6,10 @@
 
 #include "support/Statistics.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
 using namespace khaos;
-
-SeriesAccumulator::SeriesAccumulator(size_t Slots)
-    : NumSlots(Slots), Slots(Slots) {}
-
-void SeriesAccumulator::add(size_t Slot, uint64_t Seq, double Value) {
-  assert(Slot < NumSlots && "slot out of range");
-  std::lock_guard<std::mutex> Lock(M);
-  Slots[Slot].push_back({Seq, Value});
-}
-
-std::vector<double> SeriesAccumulator::series(size_t Slot) const {
-  assert(Slot < NumSlots && "slot out of range");
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<Sample> Sorted = Slots[Slot];
-  // Stable: duplicate sequence numbers keep insertion order instead of
-  // falling back to the sort implementation's pivoting.
-  std::stable_sort(Sorted.begin(), Sorted.end(),
-                   [](const Sample &A, const Sample &B) {
-                     return A.Seq < B.Seq;
-                   });
-  std::vector<double> Out;
-  Out.reserve(Sorted.size());
-  for (const Sample &S : Sorted)
-    Out.push_back(S.Value);
-  return Out;
-}
 
 double khaos::geomeanOverheadPercent(const std::vector<double> &Percents) {
   if (Percents.empty())
@@ -96,13 +69,4 @@ double khaos::euclideanDistance(const std::vector<double> &A,
     Sum += D * D;
   }
   return std::sqrt(Sum);
-}
-
-double khaos::manhattanDistance(const std::vector<double> &A,
-                                const std::vector<double> &B) {
-  assert(A.size() == B.size() && "dimension mismatch");
-  double Sum = 0.0;
-  for (size_t I = 0, E = A.size(); I != E; ++I)
-    Sum += std::fabs(A[I] - B[I]);
-  return Sum;
 }

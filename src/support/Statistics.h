@@ -13,9 +13,6 @@
 #ifndef KHAOS_SUPPORT_STATISTICS_H
 #define KHAOS_SUPPORT_STATISTICS_H
 
-#include <cstddef>
-#include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace khaos {
@@ -37,41 +34,6 @@ double cosineSimilarity(const std::vector<double> &A,
 /// Euclidean (L2) distance between equally-sized vectors.
 double euclideanDistance(const std::vector<double> &A,
                          const std::vector<double> &B);
-
-/// L1 distance between equally-sized vectors.
-double manhattanDistance(const std::vector<double> &A,
-                         const std::vector<double> &B);
-
-/// Collects (slot, sequence, value) samples from concurrent workers and
-/// hands each slot back as a vector ordered by sequence number, so floating
-/// point reductions (mean, geomean) see the samples in the same order no
-/// matter how many threads produced them or in which order they finished.
-///
-/// Slots typically map to table columns (one per ObfuscationMode) and the
-/// sequence number to the workload's position in its suite.
-class SeriesAccumulator {
-public:
-  explicit SeriesAccumulator(size_t Slots);
-
-  /// Thread-safe. \p Seq orders the sample within its slot.
-  void add(size_t Slot, uint64_t Seq, double Value);
-
-  size_t slotCount() const { return NumSlots; }
-
-  /// Samples of \p Slot sorted by sequence number (ties keep insertion
-  /// order). Locks internally, but callers should still drain only after
-  /// the producing workers have joined, or the result is a snapshot.
-  std::vector<double> series(size_t Slot) const;
-
-private:
-  struct Sample {
-    uint64_t Seq;
-    double Value;
-  };
-  size_t NumSlots;
-  mutable std::mutex M;
-  std::vector<std::vector<Sample>> Slots;
-};
 
 } // namespace khaos
 

@@ -6,6 +6,7 @@
 
 #include "support/StringUtils.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -61,4 +62,19 @@ std::vector<std::string> khaos::split(const std::string &S, char Sep) {
     Out.push_back(S.substr(Start, Pos - Start));
     Start = Pos + 1;
   }
+}
+
+bool khaos::parseUnsigned(const std::string &Text, uint64_t &Out) {
+  const bool Hex = Text.size() > 1 && Text[0] == '0' &&
+                   (Text[1] == 'x' || Text[1] == 'X');
+  const char *First = Text.data() + (Hex ? 2 : 0);
+  const char *Last = Text.data() + Text.size();
+  if (First == Last || (!Hex && Last - First > 1 && *First == '0'))
+    return false;
+  uint64_t N = 0;
+  auto [End, EC] = std::from_chars(First, Last, N, Hex ? 16 : 10);
+  if (EC != std::errc() || End != Last)
+    return false;
+  Out = N;
+  return true;
 }

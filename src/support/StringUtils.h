@@ -6,13 +6,15 @@
 ///
 /// \file
 /// printf-style formatting into std::string plus a handful of predicates the
-/// printers and table renderers share.
+/// printers and table renderers share, and the one grammar for unsigned
+/// numbers that flags and repro headers are read with.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_SUPPORT_STRINGUTILS_H
 #define KHAOS_SUPPORT_STRINGUTILS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -31,6 +33,12 @@ bool endsWith(const std::string &S, const std::string &Suffix);
 
 /// Splits on a single character, keeping empty fields.
 std::vector<std::string> split(const std::string &S, char Sep);
+
+/// Reads \p Text as a whole unsigned 64-bit number: decimal, or hex after
+/// "0x" or "0X". No sign, whitespace or trailing text, at least one digit,
+/// and no leading 0 before more decimal digits (octal to strtoull, so
+/// ambiguous). False on anything else or on overflow, \p Out untouched.
+bool parseUnsigned(const std::string &Text, uint64_t &Out);
 
 } // namespace khaos
 

@@ -123,7 +123,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
                                           const std::vector<Slot> &Args) {
   Flow Bad;
   Bad.Kind = FlowKind::Trap;
-  if (++CallDepth > Opts.MaxCallDepth) {
+  if (++CallDepth > VMMaxCallDepth) {
     trap("call depth limit exceeded");
     --CallDepth;
     return Bad;
@@ -167,7 +167,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
 
     switch (I->getOpcode()) {
     case Opcode::Alloca: {
-      if (!charge(Opts.Costs.Alloca))
+      if (!charge(CostModel::Alloca))
         return Leave(Bad);
       const auto *AI = cast<AllocaInst>(I);
       uint64_t Size = (AI->getAllocatedType()->getStoreSize() + 7) & ~7ull;
@@ -186,7 +186,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Load: {
-      if (!charge(Opts.Costs.Memory))
+      if (!charge(CostModel::Memory))
         return Leave(Bad);
       Slot Ptr, Out;
       if (!evalOperand(FR, I->getOperand(0), Ptr) ||
@@ -197,7 +197,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Store: {
-      if (!charge(Opts.Costs.Memory))
+      if (!charge(CostModel::Memory))
         return Leave(Bad);
       Slot V, Ptr;
       if (!evalOperand(FR, I->getOperand(0), V) ||
@@ -210,12 +210,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
     }
     case Opcode::BinOp: {
       const auto *BO = cast<BinaryInst>(I);
-      uint64_t C = BO->isFloatOp()
-                       ? (BO->getBinOp() == BinOp::FDiv ? Opts.Costs.FPDiv
-                                                        : Opts.Costs.FPOp)
-                       : (BO->isDivRem() ? Opts.Costs.IntDiv
-                                         : Opts.Costs.Simple);
-      if (!charge(C))
+      if (!charge(CostModel::binOpCost(BO->getBinOp())))
         return Leave(Bad);
       Slot L, R;
       if (!evalOperand(FR, BO->getLHS(), L) ||
@@ -230,7 +225,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Cmp: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       const auto *CI = cast<CmpInst>(I);
       Slot L, R, Out;
@@ -245,7 +240,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Cast: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       const auto *CI = cast<CastInst>(I);
       Slot V;
@@ -258,7 +253,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::GEP: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       const auto *G = cast<GEPInst>(I);
       Slot P, N, Out;
@@ -271,7 +266,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Select: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       Slot C, T, F2;
       if (!evalOperand(FR, I->getOperand(0), C) ||
@@ -283,7 +278,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::LandingPad: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       Slot Out;
       Out.I = CurrentException;
@@ -294,13 +289,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
     case Opcode::Call:
     case Opcode::Invoke: {
       const auto *CI = cast<CallInst>(I);
-      uint64_t C = Opts.Costs.CallBase;
-      if (CI->isIndirect())
-        C += Opts.Costs.IndirectExtra;
-      if (CI->getNumArgs() > Opts.Costs.RegisterArgs)
-        C += (CI->getNumArgs() - Opts.Costs.RegisterArgs) *
-             Opts.Costs.StackArg;
-      if (!charge(C))
+      if (!charge(CostModel::callCost(CI->getNumArgs(), CI->isIndirect())))
         return Leave(Bad);
 
       // Resolve the callee.
@@ -329,7 +318,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       // setjmp/longjmp need access to this frame.
       Flow Sub;
       if (Callee->getName() == "setjmp" && Callee->isIntrinsic()) {
-        Cost += Opts.Costs.SetJmp;
+        Cost += CostModel::SetJmp;
         uint64_t Token = NextJmpToken++;
         // Record the resume point and write the token into the buffer.
         FR.Jumps[Token] = {BB, Idx};
@@ -341,7 +330,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
         Sub.Kind = FlowKind::Return;
         Sub.RetVal.I = 0;
       } else if (Callee->getName() == "longjmp" && Callee->isIntrinsic()) {
-        Cost += Opts.Costs.LongJmp;
+        Cost += CostModel::LongJmp;
         Slot TokenSlot;
         if (!loadTyped(static_cast<uint64_t>(CallArgs[0].I),
                        M.getContext().getInt64Type(), TokenSlot))
@@ -393,7 +382,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Throw: {
-      if (!charge(Opts.Costs.Throw))
+      if (!charge(CostModel::Throw))
         return Leave(Bad);
       Slot P;
       if (!evalOperand(FR, I->getOperand(0), P))
@@ -404,7 +393,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       return Leave(R);
     }
     case Opcode::Br: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       const auto *BR = cast<BranchInst>(I);
       if (BR->isConditional()) {
@@ -419,7 +408,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Switch: {
-      if (!charge(Opts.Costs.Switch))
+      if (!charge(CostModel::Switch))
         return Leave(Bad);
       const auto *SW = cast<SwitchInst>(I);
       Slot C;
@@ -436,7 +425,7 @@ VMRuntime::Flow ReferenceVM::execFunction(const Function *F,
       break;
     }
     case Opcode::Ret: {
-      if (!charge(Opts.Costs.Simple))
+      if (!charge(CostModel::Simple))
         return Leave(Bad);
       const auto *RI = cast<ReturnInst>(I);
       Flow R;

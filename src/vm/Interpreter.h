@@ -13,15 +13,14 @@
 /// The interpreter serves two roles in the reproduction:
 ///  1. semantic oracle — obfuscated programs must produce identical stdout
 ///     and exit values;
-///  2. performance substrate — dynamic cost under CostModel stands in for
-///     the paper's wall-clock overhead measurements (Figs. 6 and 7).
+///  2. performance substrate — dynamic cost under the table in
+///     vm/CostModel.h stands in for the paper's wall-clock overhead
+///     measurements (Figs. 6 and 7).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KHAOS_VM_INTERPRETER_H
 #define KHAOS_VM_INTERPRETER_H
-
-#include "vm/CostModel.h"
 
 #include <cstdint>
 #include <string>
@@ -45,11 +44,10 @@ const char *vmEngineName(VMEngine E);
 /// Parses a --vm flag value; false if \p Name is not an engine name.
 bool parseVMEngineName(const std::string &Name, VMEngine &Out);
 
-/// Interpreter knobs.
+/// Interpreter knobs. What a run costs is not one: every engine charges
+/// the constant table in vm/CostModel.h.
 struct ExecOptions {
   uint64_t MaxSteps = 200'000'000; ///< Abort runaway programs.
-  unsigned MaxCallDepth = 4000;
-  CostModel Costs;
   VMEngine Engine = VMEngine::Precompiled;
 };
 

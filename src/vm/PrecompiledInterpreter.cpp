@@ -4,19 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Dispatch strategy: on GCC/Clang each opcode handler is a label and
-// dispatch is one indirect `goto *table[op]` (direct threading — the
-// branch predictor sees one indirect jump per handler instead of a single
-// shared switch branch). Defining KHAOS_VM_PORTABLE_DISPATCH selects a
-// plain switch loop with identical handler bodies (the OP/NEXT/JUMP macros
-// expand differently, the code between them is shared).
+// Dispatch strategy: each opcode handler is a label and dispatch is one
+// indirect `goto *table[op]` (direct threading, a GCC/Clang extension —
+// the branch predictor sees one indirect jump per handler instead of a
+// single shared switch branch).
 //
 // Parity discipline: every handler charges exactly the steps/costs the
-// reference interpreter charges, in the same order relative to its memory
-// effects and trap checks. Superinstructions charge per constituent
-// (charge, effect, charge, effect, ...), so a step-limit trap fires at the
-// same Steps value with the same partial state under both engines and with
-// fusion on or off.
+// reference interpreter charges (both read vm/CostModel.h), in the same
+// order relative to its memory effects and trap checks. Superinstructions
+// charge per constituent (charge, effect, charge, effect, ...), so a
+// step-limit trap fires at the same Steps value with the same partial
+// state under both engines and with fusion on or off.
 //
 //===----------------------------------------------------------------------===//
 
@@ -30,12 +28,6 @@
 #include <cstring>
 
 using namespace khaos;
-
-#if defined(__GNUC__) && !defined(KHAOS_VM_PORTABLE_DISPATCH)
-#define KHAOS_DIRECT_THREADED 1
-#else
-#define KHAOS_DIRECT_THREADED 0
-#endif
 
 namespace {
 
@@ -74,7 +66,6 @@ private:
   uint32_t CurPC = 0;
 };
 
-#if KHAOS_DIRECT_THREADED
 #define OP(Name) L_##Name:
 #define DISPATCH()                                                             \
   do {                                                                         \
@@ -92,19 +83,6 @@ private:
     PC = (Target);                                                             \
     DISPATCH();                                                                \
   } while (0)
-#else
-#define OP(Name) case BC::Name:
-#define NEXT()                                                                 \
-  do {                                                                         \
-    ++PC;                                                                      \
-    goto dispatch_loop;                                                        \
-  } while (0)
-#define JUMP(Target)                                                           \
-  do {                                                                         \
-    PC = (Target);                                                             \
-    goto dispatch_loop;                                                        \
-  } while (0)
-#endif
 
 #define CHARGE(Amount)                                                         \
   do {                                                                         \
@@ -116,7 +94,7 @@ VMRuntime::Flow PrecompiledVM::execFunction(uint32_t FnIdx, const Slot *Args,
                                             uint32_t NArgs) {
   Flow Bad;
   Bad.Kind = FlowKind::Trap;
-  if (++CallDepth > Opts.MaxCallDepth) {
+  if (++CallDepth > VMMaxCallDepth) {
     trap("call depth limit exceeded");
     --CallDepth;
     return Bad;
@@ -212,7 +190,6 @@ VMRuntime::Flow PrecompiledVM::execFunction(uint32_t FnIdx, const Slot *Args,
     return 1;
   };
 
-#if KHAOS_DIRECT_THREADED
   // One entry per BC opcode, in declaration order.
   static const void *const JumpTable[] = {
       &&L_AllocaOp,   &&L_LoadOp,     &&L_StoreOp,       &&L_AddI,
@@ -230,15 +207,9 @@ VMRuntime::Flow PrecompiledVM::execFunction(uint32_t FnIdx, const Slot *Args,
                     static_cast<size_t>(BC::NumOpcodes),
                 "jump table out of sync with BC");
   DISPATCH();
-#else
-dispatch_loop:
-  In = &Code[PC];
-  CurPC = PC;
-  switch (In->Op) {
-#endif
 
   OP(AllocaOp) {
-    CHARGE(Opts.Costs.Alloca);
+    CHARGE(CostModel::Alloca);
     const uint64_t Size = In->Imm;
     if (StackPtr + Size > HeapPtr / 2 + Mem.size() / 4) {
       trap("stack overflow");
@@ -253,7 +224,7 @@ dispatch_loop:
   }
 
   OP(LoadOp) {
-    CHARGE(Opts.Costs.Memory);
+    CHARGE(CostModel::Memory);
     if (!loadKinded(static_cast<uint64_t>(R[In->B].I),
                     static_cast<TypeKind>(In->Sub), R[In->A]))
       return Leave(Bad);
@@ -261,18 +232,18 @@ dispatch_loop:
   }
 
   OP(StoreOp) {
-    CHARGE(Opts.Costs.Memory);
+    CHARGE(CostModel::Memory);
     if (!storeKinded(static_cast<uint64_t>(R[In->B].I),
                      static_cast<TypeKind>(In->Sub), R[In->A]))
       return Leave(Bad);
     NEXT();
   }
 
-  // Each handler passes its binop as a constant, so divTrap and binOp
-  // reduce to that one operation.
-#define BINOP(Name, Op, Cost)                                                  \
+  // Each handler passes its binop as a constant, so binOpCost, divTrap and
+  // binOp reduce to that one operation.
+#define BINOP(Name, Op)                                                        \
   OP(Name) {                                                                   \
-    CHARGE(Cost);                                                              \
+    CHARGE(CostModel::binOpCost(Op));                                          \
     if (const char *Msg = divTrap(Op, R[In->B].I, R[In->C].I)) {               \
       trap(Msg);                                                               \
       return Leave(Bad);                                                       \
@@ -282,39 +253,39 @@ dispatch_loop:
     NEXT();                                                                    \
   }
 
-  BINOP(AddI, BinOp::Add, Opts.Costs.Simple)
-  BINOP(SubI, BinOp::Sub, Opts.Costs.Simple)
-  BINOP(MulI, BinOp::Mul, Opts.Costs.Simple)
-  BINOP(DivI, BinOp::SDiv, Opts.Costs.IntDiv)
-  BINOP(RemI, BinOp::SRem, Opts.Costs.IntDiv)
-  BINOP(AndI, BinOp::And, Opts.Costs.Simple)
-  BINOP(OrI, BinOp::Or, Opts.Costs.Simple)
-  BINOP(XorI, BinOp::Xor, Opts.Costs.Simple)
-  BINOP(ShlI, BinOp::Shl, Opts.Costs.Simple)
-  BINOP(AShrI, BinOp::AShr, Opts.Costs.Simple)
-  BINOP(LShrI, BinOp::LShr, Opts.Costs.Simple)
-  BINOP(AddF, BinOp::FAdd, Opts.Costs.FPOp)
-  BINOP(SubF, BinOp::FSub, Opts.Costs.FPOp)
-  BINOP(MulF, BinOp::FMul, Opts.Costs.FPOp)
-  BINOP(DivF, BinOp::FDiv, Opts.Costs.FPDiv)
+  BINOP(AddI, BinOp::Add)
+  BINOP(SubI, BinOp::Sub)
+  BINOP(MulI, BinOp::Mul)
+  BINOP(DivI, BinOp::SDiv)
+  BINOP(RemI, BinOp::SRem)
+  BINOP(AndI, BinOp::And)
+  BINOP(OrI, BinOp::Or)
+  BINOP(XorI, BinOp::Xor)
+  BINOP(ShlI, BinOp::Shl)
+  BINOP(AShrI, BinOp::AShr)
+  BINOP(LShrI, BinOp::LShr)
+  BINOP(AddF, BinOp::FAdd)
+  BINOP(SubF, BinOp::FSub)
+  BINOP(MulF, BinOp::FMul)
+  BINOP(DivF, BinOp::FDiv)
 #undef BINOP
 
   OP(CmpIOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A].I =
         cmpOp(static_cast<CmpPred>(In->Sub), R[In->B].I, R[In->C].I);
     NEXT();
   }
 
   OP(CmpFOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A].I =
         cmpOp(static_cast<CmpPred>(In->Sub), R[In->B].F, R[In->C].F);
     NEXT();
   }
 
   OP(CastOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A] = castOp(static_cast<CastKind>(In->Sub), R[In->B],
                       static_cast<TypeKind>(In->N >> 8),
                       static_cast<TypeKind>(In->N & 0xFF));
@@ -322,35 +293,35 @@ dispatch_loop:
   }
 
   OP(GEPOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A].I = gepAddress(R[In->B].I, R[In->C].I, In->Imm);
     NEXT();
   }
 
   OP(SelectOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A] = (R[In->B].I & 1) ? R[In->C] : R[In->Aux];
     NEXT();
   }
 
   OP(LandingPadOp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     R[In->A].I = CurrentException;
     NEXT();
   }
 
   OP(Jmp) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     JUMP(In->A);
   }
 
   OP(BrCond) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     JUMP((R[In->A].I & 1) ? In->B : In->C);
   }
 
   OP(SwitchOp) {
-    CHARGE(Opts.Costs.Switch);
+    CHARGE(CostModel::Switch);
     const int64_t V = R[In->A].I;
     uint32_t Target = In->B;
     const BCCase *CS = BF.Cases.data() + In->Aux;
@@ -364,14 +335,14 @@ dispatch_loop:
   }
 
   OP(RetVoid) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     Flow Rf;
     Rf.Kind = FlowKind::Return;
     return Leave(Rf);
   }
 
   OP(RetVal) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     Flow Rf;
     Rf.Kind = FlowKind::Return;
     Rf.RetVal = R[In->A];
@@ -379,7 +350,7 @@ dispatch_loop:
   }
 
   OP(ThrowOp) {
-    CHARGE(Opts.Costs.Throw);
+    CHARGE(CostModel::Throw);
     Flow Ef;
     Ef.Kind = FlowKind::Exception;
     Ef.ExcPayload = R[In->A].I;
@@ -398,13 +369,7 @@ dispatch_loop:
 
   OP(CallOp) {
     const uint32_t Argc = In->N;
-    uint64_t Cc = Opts.Costs.CallBase;
-    if (In->Sub & 2)
-      Cc += Opts.Costs.IndirectExtra;
-    if (Argc > Opts.Costs.RegisterArgs)
-      Cc += static_cast<uint64_t>(Argc - Opts.Costs.RegisterArgs) *
-            Opts.Costs.StackArg;
-    CHARGE(Cc);
+    CHARGE(CostModel::callCost(Argc, (In->Sub & 2) != 0));
 
     uint32_t FnIdx;
     if (In->Sub & 2) {
@@ -427,7 +392,7 @@ dispatch_loop:
         trap("malformed setjmp call");
         return Leave(Bad);
       }
-      Cost += Opts.Costs.SetJmp;
+      Cost += CostModel::SetJmp;
       const uint64_t Token = NextJmpToken++;
       JumpRecs.emplace_back(Token, PC);
       Slot TokenSlot;
@@ -444,7 +409,7 @@ dispatch_loop:
         trap("malformed longjmp call");
         return Leave(Bad);
       }
-      Cost += Opts.Costs.LongJmp;
+      Cost += CostModel::LongJmp;
       Slot TokenSlot;
       if (!loadKinded(static_cast<uint64_t>(R[AP[0].Slot].I),
                       TypeKind::Int64, TokenSlot))
@@ -488,28 +453,28 @@ dispatch_loop:
   }
 
   OP(CmpBrI) {
-    CHARGE(Opts.Costs.Simple); // The cmp.
+    CHARGE(CostModel::Simple); // The cmp.
     const bool Res =
         cmpOp(static_cast<CmpPred>(In->Sub), R[In->A].I, R[In->B].I);
-    CHARGE(Opts.Costs.Simple); // The branch.
+    CHARGE(CostModel::Simple); // The branch.
     JUMP(Res ? In->C : In->Aux);
   }
 
   OP(CmpBrF) {
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     const bool Res =
         cmpOp(static_cast<CmpPred>(In->Sub), R[In->A].F, R[In->B].F);
-    CHARGE(Opts.Costs.Simple);
+    CHARGE(CostModel::Simple);
     JUMP(Res ? In->C : In->Aux);
   }
 
   OP(LoadBinStoreI) {
-    CHARGE(Opts.Costs.Memory); // The load.
+    CHARGE(CostModel::Memory); // The load.
     Slot LV;
     if (!loadKinded(static_cast<uint64_t>(R[In->A].I),
                     static_cast<TypeKind>(In->N >> 8), LV))
       return Leave(Bad);
-    CHARGE(Opts.Costs.Simple); // The binop (div/rem are never fused).
+    CHARGE(CostModel::Simple); // The binop (div/rem are never fused).
     int64_t L, Rv;
     if (In->Imm & 1) {
       L = R[In->B].I;
@@ -521,7 +486,7 @@ dispatch_loop:
     const TypeKind ResK = static_cast<TypeKind>(In->N & 0xFF);
     Slot SV;
     SV.I = narrowInt(intBinOp(static_cast<BinOp>(In->Sub), L, Rv), ResK);
-    CHARGE(Opts.Costs.Memory); // The store.
+    CHARGE(CostModel::Memory); // The store.
     if (!storeKinded(static_cast<uint64_t>(R[In->C].I), ResK, SV))
       return Leave(Bad);
     NEXT();
@@ -529,11 +494,7 @@ dispatch_loop:
 
   OP(CallDirect4) {
     const uint32_t Argc = In->N;
-    uint64_t Cc = Opts.Costs.CallBase;
-    if (Argc > Opts.Costs.RegisterArgs)
-      Cc += static_cast<uint64_t>(Argc - Opts.Costs.RegisterArgs) *
-            Opts.Costs.StackArg;
-    CHARGE(Cc);
+    CHARGE(CostModel::callCost(Argc, /*Indirect=*/false));
     Slot ArgBuf[4];
     switch (Argc) {
     case 4:
@@ -558,14 +519,6 @@ dispatch_loop:
       return Leave(LeaveFlow);
     JUMP(NextPC);
   }
-
-#if !KHAOS_DIRECT_THREADED
-  default:
-    break;
-  }
-  trap("invalid bytecode opcode");
-  return Leave(Bad);
-#endif
 }
 
 #undef OP

@@ -6,9 +6,8 @@
 ///
 /// \file
 /// Executes bytecode produced by Bytecode.h with direct-threaded
-/// (computed-goto) dispatch on GCC/Clang, falling back to a portable switch
-/// loop when KHAOS_VM_PORTABLE_DISPATCH is defined or the compiler lacks
-/// the labels-as-values extension.
+/// (computed-goto) dispatch, the labels-as-values extension GCC and Clang
+/// share.
 ///
 /// The engine shares all machine state with the reference interpreter
 /// through VMRuntime, so ExitValue, Stdout, Steps, Cost, and trap messages

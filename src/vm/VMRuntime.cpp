@@ -318,7 +318,7 @@ VMRuntime::Flow VMRuntime::runIntrinsic(const Function *F,
   const std::string &Name = F->getName();
 
   if (Name == "printf") {
-    Cost += 20 + 2 * Args.size();
+    Cost += CostModel::printfCost(Args.size());
     std::string Fmt = readCString(static_cast<uint64_t>(Args[0].I));
     if (Trapped) {
       R.Kind = FlowKind::Trap;
@@ -339,13 +339,13 @@ VMRuntime::Flow VMRuntime::runIntrinsic(const Function *F,
     return R;
   }
   if (Name == "putchar") {
-    Cost += 3;
+    Cost += CostModel::Putchar;
     StdoutBuf += static_cast<char>(Args[0].I);
     R.RetVal.I = Args[0].I;
     return R;
   }
   if (Name == "puts") {
-    Cost += 10;
+    Cost += CostModel::Puts;
     StdoutBuf += readCString(static_cast<uint64_t>(Args[0].I));
     StdoutBuf += '\n';
     R.RetVal.I = 0;
@@ -355,14 +355,14 @@ VMRuntime::Flow VMRuntime::runIntrinsic(const Function *F,
   }
   if (Name == "strlen") {
     std::string S = readCString(static_cast<uint64_t>(Args[0].I));
-    Cost += 2 + S.size() / 4;
+    Cost += CostModel::strlenCost(S.size());
     R.RetVal.I = static_cast<int64_t>(S.size());
     if (Trapped)
       R.Kind = FlowKind::Trap;
     return R;
   }
   if (Name == "malloc") {
-    Cost += 10;
+    Cost += CostModel::Malloc;
     uint64_t Size = (static_cast<uint64_t>(Args[0].I) + 15) & ~15ull;
     if (HeapPtr + Size > HeapEnd) {
       trap("out of heap memory");
@@ -374,17 +374,17 @@ VMRuntime::Flow VMRuntime::runIntrinsic(const Function *F,
     return R;
   }
   if (Name == "free") {
-    Cost += 2; // Bump allocator: no-op.
+    Cost += CostModel::Free;
     return R;
   }
   if (Name == "abs") {
-    Cost += 2;
+    Cost += CostModel::Abs;
     int32_t V = static_cast<int32_t>(Args[0].I);
     R.RetVal.I = V < 0 ? -V : V;
     return R;
   }
   if (Name == "__khaos_throw") {
-    Cost += Opts.Costs.Throw;
+    Cost += CostModel::Throw;
     R.Kind = FlowKind::Exception;
     R.ExcPayload = Args[0].I;
     return R;

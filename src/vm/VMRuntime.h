@@ -15,8 +15,8 @@
 /// interpreter (PrecompiledInterpreter.cpp) runs bytecode produced by
 /// Bytecode.h. Both derive from VMRuntime and compute every operation's
 /// value with ir/OpSemantics.h, so a program observes identical addresses,
-/// values, intrinsic behavior, costs, and trap messages under either — the
-/// property the cross-VM oracle asserts.
+/// values, intrinsic behavior, costs (charged from vm/CostModel.h), and
+/// trap messages under either — the property the cross-VM oracle asserts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 #define KHAOS_VM_VMRUNTIME_H
 
 #include "ir/OpSemantics.h"
+#include "vm/CostModel.h"
 #include "vm/Interpreter.h"
 
 #include <cstdint>
@@ -49,6 +50,8 @@ constexpr uint64_t VMFuncBase = 0x70000000;
 constexpr uint64_t VMFuncStride = 16;
 /// Bytes of VM memory: globals and stack in the lower half, heap above.
 constexpr uint64_t VMMemoryBytes = 16u << 20;
+/// Frames deeper than this trap with "call depth limit exceeded".
+constexpr unsigned VMMaxCallDepth = 4000;
 
 /// Assigns addresses to every function and global of \p M. Pure layout —
 /// depends only on the module, not on memory size (overflow is checked when

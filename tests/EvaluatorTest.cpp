@@ -9,15 +9,13 @@
 /// independence of EvalPipeline::obfuscate over a (workload × mode)
 /// matrix, the mode-major cell order and the tool-major task order,
 /// graceful error surfacing for failing
-/// workloads, deterministic per-cell seeding, and the order-deterministic
-/// SeriesAccumulator.
+/// workloads and deterministic per-cell seeding.
 /// (Cache/shard behaviour is covered by PipelineCacheTest.)
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness/EvalScheduler.h"
 #include "ir/IRPrinter.h"
-#include "support/Statistics.h"
 #include "workloads/Suites.h"
 
 #include <gtest/gtest.h>
@@ -264,21 +262,6 @@ TEST(EvalScheduler, FailingWorkloadSurfacesErrorNotCrash) {
   // The broken workload fails in every mode; the real ones all compile.
   EXPECT_EQ(Run.Failures, Modes.size());
   EXPECT_EQ(Run.Cells, Cells.size());
-}
-
-//===----------------------------------------------------------------------===//
-// Aggregation helpers
-//===----------------------------------------------------------------------===//
-
-TEST(SeriesAccumulator, OrdersBySequenceNotInsertion) {
-  SeriesAccumulator Acc(2);
-  Acc.add(0, /*Seq=*/2, 30.0);
-  Acc.add(0, /*Seq=*/0, 10.0);
-  Acc.add(1, /*Seq=*/0, 5.0);
-  Acc.add(0, /*Seq=*/1, 20.0);
-  EXPECT_EQ(Acc.series(0), (std::vector<double>{10.0, 20.0, 30.0}));
-  EXPECT_EQ(Acc.series(1), (std::vector<double>{5.0}));
-  EXPECT_TRUE(Acc.series(0).size() == 3 && Acc.slotCount() == 2);
 }
 
 TEST(EvalScheduler, ThreadCountDefaultsToAtLeastOne) {

@@ -8,9 +8,12 @@
 #include "ir/IRPrinter.h"
 #include "ir/Module.h"
 #include "ir/Verifier.h"
+#include "vm/CostModel.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
 
 using namespace khaos;
 
@@ -327,6 +330,67 @@ TEST(FrontendVM, CostAccumulates) {
                                "  return s & 127;\n"
                                "}");
   EXPECT_GT(B.Cost, A.Cost + 1000);
+}
+
+//===----------------------------------------------------------------------===//
+// The overhead rule every overhead figure reads a run pair through
+//===----------------------------------------------------------------------===//
+
+ExecResult finishedRun(uint64_t Cost, const std::string &Stdout,
+                       int64_t ExitValue) {
+  ExecResult R;
+  R.Ok = true;
+  R.Stdout = Stdout;
+  R.ExitValue = ExitValue;
+  R.Steps = Cost;
+  R.Cost = Cost;
+  return R;
+}
+
+TEST(OverheadRule, RefusesPairsThatBehaveDifferently) {
+  const ExecResult Base = finishedRun(1000, "42\n", 7);
+  ExecResult OtherExit = finishedRun(1100, "42\n", 8);
+  ExecResult OtherStdout = finishedRun(1100, "43\n", 7);
+  ExecResult Trapped = finishedRun(1100, "42\n", 7);
+  Trapped.Ok = false;
+  Trapped.Error = "step limit exceeded";
+  for (const ExecResult *Obf : {&OtherExit, &OtherStdout, &Trapped}) {
+    double Out = -1.0;
+    EXPECT_FALSE(runOverheadPercent(Base, *Obf, Out)) << Obf->Stdout;
+    EXPECT_EQ(Out, -1.0) << "a refused pair must leave Out untouched";
+  }
+  // A trapped baseline is refused as well.
+  double Out = -1.0;
+  EXPECT_FALSE(runOverheadPercent(Trapped, Base, Out));
+  EXPECT_EQ(Out, -1.0);
+}
+
+TEST(OverheadRule, RefusesZeroCostBaseline) {
+  double Out = -1.0;
+  EXPECT_FALSE(runOverheadPercent(finishedRun(0, "", 0),
+                                  finishedRun(10, "", 0), Out));
+  EXPECT_EQ(Out, -1.0);
+}
+
+TEST(OverheadRule, AcceptedPairIsTheFormulaBitForBit) {
+  const uint64_t Pairs[][2] = {{1000, 1000},       {1000, 1250},
+                               {3, 7},             {7, 3},
+                               {1135483, 1209913}, {68679428, 99999989}};
+  for (const auto &P : Pairs) {
+    const double Base = static_cast<double>(P[0]);
+    const double Obf = static_cast<double>(P[1]);
+    const double Want = (Obf - Base) / Base * 100.0;
+    double Got = 0.0;
+    ASSERT_TRUE(runOverheadPercent(finishedRun(P[0], "ok\n", 3),
+                                   finishedRun(P[1], "ok\n", 3), Got));
+    EXPECT_EQ(std::bit_cast<uint64_t>(Got), std::bit_cast<uint64_t>(Want))
+        << P[0] << " -> " << P[1];
+    EXPECT_EQ(std::bit_cast<uint64_t>(costOverheadPercent(Obf, Base)),
+              std::bit_cast<uint64_t>(Want));
+  }
+  // BinTuner scales a spilling build's cost, then applies the formula.
+  const double Spilled = 1000.0 * CostModel::SpillFactor;
+  EXPECT_EQ(costOverheadPercent(Spilled, 1000.0), 25.0);
 }
 
 TEST(FrontendVM, VerifierAcceptsGeneratedIR) {

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+#include "harness/DifferentialFuzzer.h"
 #include "harness/EvalScheduler.h"
 #include "ir/IRPrinter.h"
 #include "transform/Cloning.h"
@@ -537,6 +538,55 @@ TEST(BenchFlagsDeathTest, NumericGarbageExitsWithUsage) {
   EXPECT_EXIT(parseUnsignedFlag("12xyz", "--budget", "khaos-fuzz", UINT_MAX),
               ::testing::ExitedWithCode(2),
               "invalid value '12xyz' for --budget");
+}
+
+/// One grammar for unsigned numbers: a numeric flag and a repro's
+/// `# obf-seed:` header accept and refuse the same spellings, and read the
+/// same value from the ones they accept.
+TEST(BenchFlagsDeathTest, FlagAndReproSeedShareOneNumberGrammar) {
+  struct Spelling {
+    const char *Text;
+    bool Ok;
+    uint64_t Value;
+  };
+  const Spelling Cases[] = {
+      {"0", true, 0},
+      {"12", true, 12},
+      {"0x1F", true, 0x1F},
+      {"0X1F", true, 0x1F},
+      {"18446744073709551615", true, UINT64_MAX},
+      {"012", false, 0},
+      {"", false, 0},
+      {"0x", false, 0},
+      {"-1", false, 0},
+      {"1a", false, 0},
+      {"18446744073709551616", false, 0}, // 2^64
+  };
+  const DifferentialFuzzer Fuzzer{DifferentialFuzzer::Config{}};
+  for (const Spelling &C : Cases) {
+    SCOPED_TRACE(std::string("'") + C.Text + "'");
+    uint64_t Parsed = 7;
+    EXPECT_EQ(parseUnsigned(C.Text, Parsed), C.Ok);
+    EXPECT_EQ(Parsed, C.Ok ? C.Value : 7u);
+    if (C.Ok)
+      EXPECT_EQ(parseUnsignedFlag(C.Text, "--seed", "bench"), C.Value);
+    else
+      EXPECT_EXIT(parseUnsignedFlag(C.Text, "--seed", "bench"),
+                  ::testing::ExitedWithCode(2),
+                  std::string("invalid value '") + C.Text + "' for --seed");
+    const ReplayResult R =
+        Fuzzer.replayRepro(std::string("# khaos-fuzz repro v1\n"
+                                       "# name: tiny\n"
+                                       "# mode: Sub\n"
+                                       "# obf-seed: ") +
+                           C.Text +
+                           "\n"
+                           "# --- MiniC source ---\n"
+                           "int main() { return 6 * 7; }\n");
+    EXPECT_EQ(R.State, C.Ok ? ReplayResult::Status::Replayed
+                            : ReplayResult::Status::Malformed)
+        << R.Message;
+  }
 }
 
 //===----------------------------------------------------------------------===//

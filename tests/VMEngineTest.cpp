@@ -11,8 +11,8 @@
 /// ExecResults — Ok, ExitValue, Stdout, Steps, Cost, and on traps the
 /// message with its "(in <fn>:<block>)" fault context. Coverage:
 ///
-///  - golden step counts over the fig6 (SPEC 2006 + 2017) workloads, so
-///    superinstruction-accounting drift is caught against pinned numbers,
+///  - golden step counts and costs over the fig6 (SPEC 2006 + 2017)
+///    workloads, so accounting drift is caught against pinned numbers,
 ///    with superinstructions toggled both ways;
 ///  - per-trap-kind parity (div-by-zero, OOB, bad indirect call, step
 ///    limit, call depth) including the fault-context suffix;
@@ -98,50 +98,74 @@ void expectTrapParity(const std::string &Source, const std::string &What,
 
 namespace {
 
-struct GoldenSteps {
+struct GoldenRun {
   const char *Name;
   uint64_t Steps;
+  uint64_t Cost;
 };
 
-// Pinned dynamic step counts of the O2 baselines (identical under both
-// engines and with superinstructions on or off — fused superinstructions
-// charge their constituent steps). Regenerate with bench_vm_engines if a
-// deliberate frontend/optimizer change shifts the baselines.
-const GoldenSteps Fig6Golden[] = {
-    {"400.perlbench", 739222},   {"401.bzip2", 311069},
-    {"403.gcc", 169941},         {"429.mcf", 149277},
-    {"433.milc", 214031},        {"444.namd", 358605},
-    {"445.gobmk", 270375},       {"447.dealll", 251094},
-    {"450.soplex", 46147195},    {"453.povray", 1014711},
-    {"456.hmmer", 185928},       {"458.sjeng", 547598},
-    {"462.libquantum", 201147},  {"464.h264ref", 191081},
-    {"470.lbm", 50492},          {"471.omnetpp", 4764588},
-    {"473.astar", 824620},       {"482.sphinx3", 357332},
-    {"483.xalancbmk", 3095232},  {"500.perlbench_r", 281664},
-    {"502.gcc_r", 217380},       {"505.mcf_r", 528041},
-    {"508.namd_r", 232844},      {"510.parest_r", 5198542},
-    {"511.povray_r", 3537016},   {"519.lbm_r", 111370},
-    {"520.omnetpp_r", 1389184},  {"523.xalancbmk_r", 988844},
-    {"525.x264_r", 106797},      {"526.blender_r", 398204},
-    {"531.deepsjeng_r", 284006}, {"538.imagick_r", 221751},
-    {"541.leela_r", 50706906},   {"544.nab_r", 162557},
-    {"557.xz_r", 504068},        {"600.perlbench_s", 650633},
-    {"602.gcc_s", 324460},       {"605.mcf_s", 249189},
-    {"619.lbm_s", 136081},       {"620.omnetpp_s", 21296030},
-    {"623.xalancbmk_s", 848727}, {"625.x264_s", 180056},
-    {"631.deepsjeng_s", 523802}, {"638.imagick_s", 276354},
-    {"641.leela_s", 2020935},    {"644.nab_s", 115641},
-    {"657.xz_s", 145039},
+// Pinned dynamic step counts and costs of the O2 baselines (identical
+// under both engines and with superinstructions on or off — fused
+// superinstructions charge their constituent steps and costs). Cost is
+// the denominator of every fig6/fig7 overhead, so a weight that moved in
+// both engines at once shows here even though engine parity still holds.
+// Regenerate with bench_vm_engines if a deliberate frontend/optimizer
+// change shifts the baselines.
+const GoldenRun Fig6Golden[] = {
+    {"400.perlbench", 739222, 1135483},
+    {"401.bzip2", 311069, 447280},
+    {"403.gcc", 169941, 253863},
+    {"429.mcf", 149277, 228924},
+    {"433.milc", 214031, 315751},
+    {"444.namd", 358605, 549378},
+    {"445.gobmk", 270375, 411434},
+    {"447.dealll", 251094, 392747},
+    {"450.soplex", 46147195, 68679428},
+    {"453.povray", 1014711, 1518404},
+    {"456.hmmer", 185928, 271540},
+    {"458.sjeng", 547598, 870034},
+    {"462.libquantum", 201147, 295997},
+    {"464.h264ref", 191081, 323143},
+    {"470.lbm", 50492, 76960},
+    {"471.omnetpp", 4764588, 6686091},
+    {"473.astar", 824620, 1352165},
+    {"482.sphinx3", 357332, 517639},
+    {"483.xalancbmk", 3095232, 4869417},
+    {"500.perlbench_r", 281664, 421336},
+    {"502.gcc_r", 217380, 325777},
+    {"505.mcf_r", 528041, 783316},
+    {"508.namd_r", 232844, 346613},
+    {"510.parest_r", 5198542, 7441371},
+    {"511.povray_r", 3537016, 5592398},
+    {"519.lbm_r", 111370, 174938},
+    {"520.omnetpp_r", 1389184, 2063122},
+    {"523.xalancbmk_r", 988844, 1445961},
+    {"525.x264_r", 106797, 160889},
+    {"526.blender_r", 398204, 610209},
+    {"531.deepsjeng_r", 284006, 443557},
+    {"538.imagick_r", 221751, 329996},
+    {"541.leela_r", 50706906, 80633976},
+    {"544.nab_r", 162557, 258463},
+    {"557.xz_r", 504068, 806570},
+    {"600.perlbench_s", 650633, 979182},
+    {"602.gcc_s", 324460, 477616},
+    {"605.mcf_s", 249189, 408105},
+    {"619.lbm_s", 136081, 189679},
+    {"620.omnetpp_s", 21296030, 39827515},
+    {"623.xalancbmk_s", 848727, 1230185},
+    {"625.x264_s", 180056, 263844},
+    {"631.deepsjeng_s", 523802, 788022},
+    {"638.imagick_s", 276354, 405862},
+    {"641.leela_s", 2020935, 3205627},
+    {"644.nab_s", 115641, 171534},
+    {"657.xz_s", 145039, 220226},
 };
 
-uint64_t goldenStepsFor(const std::string &Name, bool &Found) {
-  for (const GoldenSteps &G : Fig6Golden)
-    if (Name == G.Name) {
-      Found = true;
-      return G.Steps;
-    }
-  Found = false;
-  return 0;
+const GoldenRun *goldenRunFor(const std::string &Name) {
+  for (const GoldenRun &G : Fig6Golden)
+    if (Name == G.Name)
+      return &G;
+  return nullptr;
 }
 
 std::vector<Workload> fig6Workloads() {
@@ -155,9 +179,10 @@ std::vector<Workload> fig6Workloads() {
 } // namespace
 
 // Precompiled engine against the pinned table, with superinstructions on
-// AND off: fusion must never change Steps (superinstructions report their
-// constituent counts), and the golden numbers catch silent accounting
-// drift the A/B comparison alone cannot (both engines drifting together).
+// AND off: fusion must never change Steps or Cost (superinstructions
+// report their constituent counts), and the golden numbers catch silent
+// accounting drift the A/B comparison alone cannot (both engines drifting
+// together).
 TEST(VMEngine, GoldenFig6StepCounts) {
   std::vector<Workload> Suite = fig6Workloads();
   size_t Checked = 0;
@@ -182,11 +207,12 @@ TEST(VMEngine, GoldenFig6StepCounts) {
     expectSameObservation(RFused, RPlain, W.Name + " superinstructions");
     ASSERT_TRUE(RFused.Ok) << W.Name << ": " << RFused.Error;
 
-    bool Found = false;
-    uint64_t Golden = goldenStepsFor(W.Name, Found);
-    ASSERT_TRUE(Found) << W.Name << " missing from the golden table — "
-                       << "regenerate it with bench_vm_engines";
-    EXPECT_EQ(RFused.Steps, Golden) << W.Name;
+    const GoldenRun *Golden = goldenRunFor(W.Name);
+    ASSERT_TRUE(Golden) << W.Name << " missing from the golden table — "
+                        << "regenerate it with bench_vm_engines";
+    EXPECT_EQ(RFused.Steps, Golden->Steps) << W.Name;
+    EXPECT_EQ(RFused.Cost, Golden->Cost) << W.Name << " fused";
+    EXPECT_EQ(RPlain.Cost, Golden->Cost) << W.Name << " plain";
     ++Checked;
   }
   EXPECT_EQ(Checked, sizeof(Fig6Golden) / sizeof(Fig6Golden[0]));
